@@ -201,34 +201,10 @@ def grad(f, x, select=None, max_tape_bytes=None):
     Returns (loss, gradient_tree). The gradient mirrors the structure of x
     with zeros at frozen leaves.
     """
-    sel = _selector(select)
-    leaves, rebuild = tree.flatten(x)
-    tape = Tape(max_bytes=max_tape_bytes)
-    boxed = []
-    for leaf in leaves:
-        if sel.selects(leaf.name):
-            boxed.append(tape.leaf(_as_value(leaf.value)))
-        else:
-            boxed.append(leaf.value)
-    with _activate(tape):
-        y = f(rebuild(boxed))
-    out = unbox(y)
-    if np.shape(out) != ():
-        raise ShapeError(f"grad requires a scalar loss, got shape {np.shape(out)}")
-    seeds = {y.index: 1.0} if isinstance(y, TapeBox) else {}
-    grads_by_node = tape.sweep(seeds)
-    grad_leaves = []
-    for leaf, box in zip(leaves, boxed):
-        if isinstance(box, TapeBox):
-            g = grads_by_node.get(box.index)
-            if g is None:
-                g = _zero_like(box.primal)
-            elif not isinstance(box.primal, np.ndarray):
-                g = float(g)
-            grad_leaves.append(g)
-        else:
-            grad_leaves.append(_zero_like(leaf.value))
-    return float(out), rebuild(grad_leaves)
+    value, g = vjp(f, x, 1.0, select=select, max_tape_bytes=max_tape_bytes)
+    if np.shape(value) != ():
+        raise ShapeError(f"grad requires a scalar loss, got shape {np.shape(value)}")
+    return float(value), g
 
 
 def random_direction(x, select=None, seed=0):

@@ -95,13 +95,6 @@ def _rules(prim: Primitive):
     return override if override is not None else prim
 
 
-def _saves_for(name: str):
-    override = _OVERRIDES.get(name)
-    if override is not None:
-        return override.saves
-    return _PRIMITIVES[name].saves
-
-
 class Box:
     """Base for values carrying derivative information through primitives."""
 
@@ -296,8 +289,8 @@ class Tape:
         self.nodes.append(_Node(None, (), (), value, {}))
         return TapeBox(self, len(self.nodes) - 1, value)
 
-    def _record(self, name, parents, args, out, static) -> int:
-        saves = _saves_for(name)
+    def _record(self, prim, parents, args, out, static) -> int:
+        saves = _rules(prim).saves
         if self.save == "full" or saves is None:
             kept_args, kept_out = args, out
             self.bytes_used += _nbytes(out)
@@ -322,7 +315,7 @@ class Tape:
             kept_out = out if out_needed else None
             if kept_out is not None:
                 self.bytes_used += _nbytes(kept_out)
-        node = _Node(name, parents, kept_args, kept_out, static)
+        node = _Node(prim.name, parents, kept_args, kept_out, static)
         self.nodes.append(node)
         if self.max_bytes is not None and self.bytes_used > self.max_bytes:
             raise TapeMemoryError(
@@ -424,35 +417,37 @@ def apply(name: str, *args, **static):
     prim = _PRIMITIVES.get(name)
     if prim is None:
         raise UnregisteredPrimitiveError(f"unregistered primitive: {name!r}")
-    values = tuple(a.primal if isinstance(a, Box) else a for a in args)
-    out = prim.fn(*values, **static)
-
-    has_dual = any(isinstance(a, DualBox) for a in args)
-    has_tape = any(isinstance(a, TapeBox) for a in args)
-    if not (has_dual or has_tape):
-        return out
-    if has_dual and has_tape:
-        raise UnregisteredPrimitiveError(
-            "cannot mix forward-mode and reverse-mode values in one primitive"
-        )
-    rules = _rules(prim)
-    if has_dual:
-        tangents = tuple(
-            a.tangent if isinstance(a, DualBox) else None for a in args
-        )
-        return DualBox(out, rules.jvp(tangents, values, out, **static))
-
-    tape = None
+    # One pass over the arguments: unboxed values, plus per argument the
+    # tangent (forward mode) or tape node index (reverse mode) of a box and
+    # None for a constant.
+    box = None
+    values = []
+    links = []
     for a in args:
-        if isinstance(a, TapeBox):
-            if tape is None:
-                tape = a.tape
-            elif a.tape is not tape:
+        if isinstance(a, Box):
+            if box is None:
+                box = a
+            elif type(a) is not type(box):
+                raise UnregisteredPrimitiveError(
+                    "cannot mix forward-mode and reverse-mode values in one primitive"
+                )
+            values.append(a.primal)
+            if type(a) is DualBox:
+                links.append(a.tangent)
+            elif a.tape is not box.tape:
                 raise UnregisteredPrimitiveError(
                     "cannot combine values recorded on different tapes"
                 )
-    parents = tuple(
-        a.index if isinstance(a, TapeBox) else None for a in args
-    )
-    idx = tape._record(name, parents, values, out, static)
-    return TapeBox(tape, idx, out)
+            else:
+                links.append(a.index)
+        else:
+            values.append(a)
+            links.append(None)
+    if box is None:
+        return prim.fn(*args, **static)
+    values = tuple(values)
+    out = prim.fn(*values, **static)
+    if type(box) is DualBox:
+        return DualBox(out, _rules(prim).jvp(tuple(links), values, out, **static))
+    tape = box.tape
+    return TapeBox(tape, tape._record(prim, tuple(links), values, out, static), out)

@@ -295,22 +295,6 @@ def _shift_yp_t(ct, fill):
 _linear("shift_yp", _shift_yp_fn, _shift_yp_t)
 
 
-def _shift_ym_fn(a, fill):
-    bottom = np.zeros_like(a[:, :1]) if fill == "zero" else a[:, :1]
-    return np.concatenate([bottom, a[:, :-1]], axis=1)
-
-
-def _shift_ym_t(ct, fill):
-    g = np.zeros_like(ct)
-    g[:, :-1] = ct[:, 1:]
-    if fill == "edge":
-        g[:, 0] += ct[:, 0]
-    return g
-
-
-_linear("shift_ym", _shift_ym_fn, _shift_ym_t)
-
-
 # -- difference stencils ---------------------------------------------------------
 
 def _ddx_fwd_fn(a, dx):
@@ -522,10 +506,6 @@ def roll_x(a, n: int):
 
 def shift_yp(a, fill: str):
     return apply("shift_yp", a, fill=fill)
-
-
-def shift_ym(a, fill: str):
-    return apply("shift_ym", a, fill=fill)
 
 
 def ddx_fwd(a, dx: float):

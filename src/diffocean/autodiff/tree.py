@@ -166,14 +166,6 @@ def tree_add_scaled(x, k, c: float):
     return rebuild(out)
 
 
-def zeros_like_leaves(values) -> list:
-    out = []
-    for v in values:
-        p = _primal(v)
-        out.append(np.zeros_like(p) if isinstance(p, np.ndarray) else 0.0)
-    return out
-
-
 def ravel(values) -> np.ndarray:
     """Concatenate leaf values into one flat float64 vector."""
     if not values:

@@ -170,7 +170,10 @@ def _three_point_alpha(loss_of, state0, selector, alpha0: float) -> float:
     T0 = unbox(state0.T.values)
     for candidate in (0.25 * alpha0, alpha0, 4.0 * alpha0):
         trial = state_with_T(state0, Field(T0 - candidate * gT, Staggering.CENTER))
-        value = float(unbox(loss_of(trial)))
+        try:
+            value = float(unbox(loss_of(trial)))
+        except NonFiniteError:
+            continue
         if np.isfinite(value) and value < best_loss:
             best_alpha, best_loss = candidate, value
     return best_alpha
@@ -253,13 +256,15 @@ def calibrate_params(
     stepcfg: StepConfig,
     alpha: float = 25.0,
     iters: int = 300,
-    param_tol: float = 0.0,
 ) -> tuple[OptimHistory, tuple[float, float]]:
     """Recover (A_h, r_bot) from streamfunction observations.
 
     Plain gradient descent on (log A_h, log r_bot) with a fixed alpha and
-    halve-on-increase backtracking (at most 20 halvings per iterate). The
-    history records raw-space parameter values.
+    halve-on-increase backtracking (at most 20 halvings per iterate). A
+    trial whose forward run blows up (NonFiniteError) counts as a rejected
+    step, like one that raises the loss. The history records raw-space
+    parameter values and, on each iterate a step was taken from, the step
+    size accepted there (alpha / 2^halvings); the last iterate keeps alpha.
     """
     a0, r0 = init
     if a0 <= 0 or r0 <= 0:
@@ -279,37 +284,42 @@ def calibrate_params(
                 f"r_bot={np.exp(theta[1])}"
             )
         gnorm = float(np.hypot(ga, gr))
-        history.append(
-            OptimRecord(
-                iteration=it,
-                loss=loss_value,
-                metrics={"A_h": float(np.exp(theta[0])), "r_bot": float(np.exp(theta[1]))},
-                grad_norm=gnorm,
-                alpha=alpha,
-            )
+        record = OptimRecord(
+            iteration=it,
+            loss=loss_value,
+            metrics={"A_h": float(np.exp(theta[0])), "r_bot": float(np.exp(theta[1]))},
+            grad_norm=gnorm,
+            alpha=alpha,
         )
+        history.append(record)
         if it == iters or gnorm == 0.0:
             break
-        stepped, theta, moved = _backtrack(loss_theta, theta, (ga, gr), loss_value, alpha)
-        if not stepped:
+        accepted = _backtrack(loss_theta, theta, (ga, gr), loss_value, alpha)
+        if accepted is None:
             break  # no descent step within the halving budget: converged
-        if param_tol > 0 and moved < param_tol:
-            break
+        record.alpha, theta = accepted
     final = history.final.metrics
     return history, (final["A_h"], final["r_bot"])
 
 
 def _backtrack(loss_theta, theta, grads, loss_value, alpha):
+    """First of alpha, alpha/2, ... whose step does not raise the loss.
+
+    Returns (accepted step size, new theta), or None when every halving
+    was rejected.
+    """
     ga, gr = grads
     a = alpha
     for _ in range(MAX_HALVINGS + 1):
         candidate = (theta[0] - a * ga, theta[1] - a * gr)
-        value = float(unbox(loss_theta(candidate)))
+        try:
+            value = float(unbox(loss_theta(candidate)))
+        except NonFiniteError:
+            value = np.inf
         if np.isfinite(value) and value <= loss_value:
-            moved = float(np.hypot(a * ga, a * gr))
-            return True, candidate, moved
+            return a, candidate
         a *= 0.5
-    return False, theta, 0.0
+    return None
 
 
 @dataclass

@@ -14,11 +14,10 @@ import importlib.resources
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
+from .dyncore import cfl_limit
 from .errors import ConfigError
+from .grid import make_channel_grid
 
-CFL_SAFETY = 0.7
 AUTO_CFL = "auto-cfl"
 AUTO_CFL_FRACTION = 0.5
 
@@ -140,9 +139,6 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         ),
         "eps": _Key(_parse_float, default=1e-4, check=_positive("eps")),
         "n_list": _Key(_parse_int_list, default=(1, 2, 4, 8, 16, 32)),
-        "n_directions": _Key(
-            _parse_int, default=20, check=_at_least("n_directions", 1)
-        ),
         "rbot_scale": _Key(_parse_float, default=0.5, check=_positive("rbot_scale")),
     },
     "reconstruct": {
@@ -333,13 +329,8 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
     # Resolve auto-cfl once grid and gravity are known.
     stepping = values["stepping"]
     if stepping["dt"] == AUTO_CFL:
-        grid = values["grid"]
-        gravity = values["physics"]["g"]
-        c = np.sqrt(gravity * grid["H"])
-        dx = grid["Lx"] / grid["nx"]
-        dy = grid["Ly"] / grid["ny"]
-        limit = CFL_SAFETY / (c * max(1.0 / dx, 1.0 / dy))
-        stepping["dt"] = AUTO_CFL_FRACTION * limit
+        grid = make_channel_grid(**values["grid"])
+        stepping["dt"] = AUTO_CFL_FRACTION * cfl_limit(grid, values["physics"]["g"])
     if not stepping["dt"] > 0:
         raise ConfigError(f"{source}: stepping dt must be positive")
 

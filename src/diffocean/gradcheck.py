@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffSelector, grad, jvp, random_direction, tree, vjp
+from .autodiff import DiffSelector, grad, jvp, random_direction, tree
 from .errors import DomainError, NonFiniteError
 
 ACCURACY_FLOOR = 1e-14  # |fd| below this makes the agreement metric undefined
@@ -76,7 +76,6 @@ def grad_error(
     seed: int = 0,
     mode: str = "vjp",
     n_steps: int | None = None,
-    normalize: bool = True,
 ) -> GradCheckReport:
     """Compare one autodiff directional derivative against central FD."""
     if mode not in ("jvp", "vjp"):
@@ -94,7 +93,7 @@ def grad_error(
     fd = fd_directional(loss, w, k, eps)
 
     scale = abs(value)
-    factor = 1.0 / scale if normalize and scale > 1e-300 else 1.0
+    factor = 1.0 / scale if scale > 1e-300 else 1.0
     ad *= factor
     fd *= factor
     error = abs(ad - fd)
@@ -117,7 +116,6 @@ def accuracy_over_steps(
     select: DiffSelector | None = None,
     eps: float = 1e-4,
     seed: int = 0,
-    normalize: bool = True,
 ) -> list[GradCheckReport]:
     """Reports for both modes across rollout lengths.
 
@@ -139,7 +137,6 @@ def accuracy_over_steps(
                     seed=seed,
                     mode=mode,
                     n_steps=int(n),
-                    normalize=normalize,
                 )
             )
     return reports

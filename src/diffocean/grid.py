@@ -15,7 +15,7 @@ concurrently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,7 +43,6 @@ class GridSpec:
     H: float
     f0: float
     beta: float
-    mask: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.nx < 4 or self.ny < 4:
@@ -52,17 +51,6 @@ class GridSpec:
             )
         if self.Lx <= 0 or self.Ly <= 0 or self.H <= 0:
             raise ShapeError("domain extents and depth must be positive")
-        if self.mask is None:
-            mask = np.ones((self.nx, self.ny), dtype=bool)
-        else:
-            mask = np.asarray(self.mask, dtype=bool)
-            if mask.shape != (self.nx, self.ny):
-                raise ShapeError(
-                    f"mask shape {mask.shape} does not match grid "
-                    f"({self.nx}, {self.ny})"
-                )
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
 
     @property
     def dx(self) -> float:
@@ -184,14 +172,6 @@ class Field:
 
 
 tree.register_container(Field, children=("values",), aux=("staggering",), transparent=True)
-
-
-def zeros_field(g: GridSpec, staggering=Staggering.CENTER) -> Field:
-    return Field(np.zeros(g.shape), staggering)
-
-
-def full_field(g: GridSpec, value: float, staggering=Staggering.CENTER) -> Field:
-    return Field(np.full(g.shape, float(value)), staggering)
 
 
 def _check_shape(f: Field, g: GridSpec):

@@ -49,7 +49,7 @@ def build_params(cfg: RunConfig, g: GridSpec) -> PhysParams:
 
 def build_step_config(cfg: RunConfig) -> StepConfig:
     s = cfg.stepping
-    return StepConfig(dt=s.dt, n_steps=s.n_steps, boundary=s.boundary)
+    return StepConfig(dt=s.dt, boundary=s.boundary)
 
 
 def _smooth(a: np.ndarray, passes: int) -> np.ndarray:
@@ -178,15 +178,6 @@ def gradcheck_reference_state(
     return step_n(state0, cfg.gradcheck.spinup_steps, params, g, c)
 
 
-def state_loss_family(w: ModelState, params: PhysParams, g: GridSpec, c: StepConfig):
-    """loss_family(n) over the full model state at the reference point."""
-
-    def family(n: int):
-        return state_aggregate_loss(params, g, c, n), w
-
-    return family
-
-
 def rbot_loss_family(
     w: ModelState,
     params: PhysParams,
@@ -260,7 +251,7 @@ def dissipative_test_setup(seed: int = 0):
         lambda_relax=0.0,
         T_star=linear_profile_field(g, 10.0, 10.0),
     )
-    c = StepConfig(dt=300.0, n_steps=100)
+    c = StepConfig(dt=300.0)
     assert c.dt < cfl_limit(g, params.g)
     rng = np.random.default_rng(seed)
     state = random_state(g, rng, amp=0.05)

@@ -104,8 +104,8 @@ STENCILS = [
     ("roll_x", {"n": 1}),
     ("shift_yp", {"fill": "zero"}),
     ("shift_yp", {"fill": "edge"}),
-    ("shift_ym", {"fill": "zero"}),
-    ("shift_ym", {"fill": "edge"}),
+    ("roll_x", {"n": -1}),  # the upwind advection's east neighbour
+    ("roll_x", {"n": 2}),
     ("laplacian", {"dx": 1.3, "dy": 0.9, "ybc": "neumann"}),
     ("laplacian", {"dx": 1.3, "dy": 0.9, "ybc": "dirichlet"}),
     ("laplacian", {"dx": 1.3, "dy": 0.9, "ybc": "noslip"}),

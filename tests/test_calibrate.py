@@ -226,6 +226,23 @@ def test_calibrate_histories_reproducible(small_setup):
         assert np.float64(a.grad_norm).tobytes() == np.float64(b.grad_norm).tobytes()
 
 
+def test_calibrate_survives_blowup_and_records_accepted_alpha(small_setup):
+    # At alpha = 5000 the first trial step blows the model up; that trial
+    # must count as rejected and the step be halved, not abort the run.
+    g, p, c, start = small_setup
+    obs = reference_bsf_observations(start, p, g, c, [20, 40])
+    with np.errstate(over="ignore", invalid="ignore"):
+        history, _ = calibrate_params(
+            obs, (1.5 * float(p.A_h), 0.5 * float(p.r_bot)),
+            state0=start, base_params=p, g=g, stepcfg=c, alpha=5000.0, iters=3,
+        )
+    assert len(history.records) == 4
+    losses = history.column("loss")
+    assert all(b < a for a, b in zip(losses, losses[1:]))
+    assert history.records[0].alpha in [5000.0 / 2**k for k in range(1, 21)]
+    assert history.final.alpha == 5000.0
+
+
 def test_calibrate_rejects_nonpositive_init(small_setup):
     g, p, c, start = small_setup
     obs = reference_bsf_observations(start, p, g, c, [20])

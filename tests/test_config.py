@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from diffocean.config import parse_config, render_config
+from diffocean.dyncore import cfl_limit
 from diffocean.errors import ConfigError
+from diffocean.scenarios import build_grid
 
 MINIMAL = """
 seed = 7
@@ -113,6 +115,7 @@ def test_auto_cfl_resolves_dt(tmp_path):
     dx = 1.6e6 / 16
     expected = 0.5 * 0.7 / (c * (1.0 / dx))
     assert cfg.stepping.dt == pytest.approx(expected, rel=1e-12)
+    assert cfg.stepping.dt == 0.5 * cfl_limit(build_grid(cfg), cfg.physics.g)
 
 
 def test_overrides_applied_before_validation(tmp_path):

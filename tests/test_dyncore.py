@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffocean import dyncore
 from diffocean.dyncore import (
     ModelState,
     PhysParams,
@@ -166,6 +167,24 @@ def test_step_n_identity_and_composition():
         split = step_n(step_n(s, a, p, g, c), b, p, g, c)
         assert state_bytes(whole) == state_bytes(split)
         assert whole.time == split.time
+
+
+def test_step_n_calls_module_level_step_every_step(monkeypatch):
+    # The benchmark's step clock and tracer replace dyncore.step; step_n
+    # must look it up on every step so that they see each one.
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 1e-4, 0.0)
+    p = quiet_params(g, A_h=200.0)
+    s = random_state(g, np.random.default_rng(5), amp=0.05)
+    calls = []
+    original = dyncore.step
+
+    def counting(*args):
+        calls.append(args[0].time)
+        return original(*args)
+
+    monkeypatch.setattr(dyncore, "step", counting)
+    step_n(s, 3, p, g, StepConfig(dt=300.0))
+    assert calls == [0.0, 300.0, 600.0]
 
 
 def test_step_rejects_cfl_violation():
