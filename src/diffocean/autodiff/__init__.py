@@ -82,10 +82,6 @@ class DiffSelector:
     names: frozenset | None = None
 
     @classmethod
-    def all(cls) -> "DiffSelector":
-        return cls(None)
-
-    @classmethod
     def only(cls, *names: str) -> "DiffSelector":
         return cls(frozenset(names))
 
@@ -100,11 +96,7 @@ class DiffSelector:
 
 
 def _selector(select) -> DiffSelector:
-    if select is None:
-        return DiffSelector.all()
-    if isinstance(select, DiffSelector):
-        return select
-    return DiffSelector.only(*select)
+    return DiffSelector() if select is None else select
 
 
 def _check_tangent_shape(leaf, tangent):

@@ -28,10 +28,12 @@ from .dyncore import (
     bsf_mse_loss,
     step_n,
 )
-from .errors import DivergenceError, DomainError, NonFiniteError
+from .errors import DampingError, DivergenceError, DomainError, NonFiniteError
 from .grid import Field, GridSpec, Staggering
 
 MAX_HALVINGS = 20
+# A trial run that raises one of these counts as blown up.
+_BLOWUP = (NonFiniteError, DampingError)
 
 
 @dataclass
@@ -93,7 +95,6 @@ def reconstruct_initial_state(
     params: PhysParams,
     g: GridSpec,
     stepcfg: StepConfig,
-    line_search: bool = True,
 ) -> tuple[OptimHistory, Field]:
     """Recover the initial temperature by descending the l-step L2 mismatch.
 
@@ -103,20 +104,13 @@ def reconstruct_initial_state(
     """
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
-    target = step_n(state_with_T(base_state, ref_T0), l, params, g, stepcfg)
-    target_T = np.asarray(unbox(target.T.values))
+    loss_of = temperature_mismatch_loss(
+        state_with_T(base_state, ref_T0), l, params, g, stepcfg
+    )
     ref_values = np.asarray(unbox(ref_T0.values))
-
-    def loss_of(state0: ModelState):
-        out = step_n(state0, l, params, g, stepcfg)
-        d = out.T.values - target_T
-        return ops.asum(ops.power(d, 2.0))
-
     selector = DiffSelector.only("T")
     state0 = state_with_T(base_state, perturbed_T0)
-
-    if line_search:
-        alpha = _three_point_alpha(loss_of, state0, selector, alpha)
+    alpha = _three_point_alpha(loss_of, state0, selector, alpha)
 
     history = OptimHistory([])
     increases = 0
@@ -155,9 +149,35 @@ def reconstruct_initial_state(
     return history, state0.T
 
 
+def temperature_mismatch_loss(
+    reference: ModelState, n: int, params: PhysParams, g: GridSpec, stepcfg: StepConfig
+):
+    """loss(state0): sum of squared differences of T after n steps.
+
+    The target is T after n steps from the reference state, so the loss
+    vanishes at the reference.
+    """
+    target_T = np.asarray(unbox(step_n(reference, n, params, g, stepcfg).T.values))
+
+    def loss(state0: ModelState):
+        out = step_n(state0, n, params, g, stepcfg)
+        return ops.asum(ops.power(ops.sub(out.T.values, target_T), 2.0))
+
+    return loss
+
+
 def state_with_T(s: ModelState, T: Field) -> ModelState:
     """Copy of the state with T replaced; everything else shared."""
     return ModelState(u=s.u, v=s.v, eta=s.eta, T=T, time=s.time)
+
+
+def _trial_value(loss, x) -> float:
+    """loss(x) as a float; inf when the trial run blows up or is unstable."""
+    try:
+        value = float(unbox(loss(x)))
+    except _BLOWUP:
+        return np.inf
+    return value if np.isfinite(value) else np.inf
 
 
 def _three_point_alpha(loss_of, state0, selector, alpha0: float) -> float:
@@ -170,11 +190,8 @@ def _three_point_alpha(loss_of, state0, selector, alpha0: float) -> float:
     T0 = unbox(state0.T.values)
     for candidate in (0.25 * alpha0, alpha0, 4.0 * alpha0):
         trial = state_with_T(state0, Field(T0 - candidate * gT, Staggering.CENTER))
-        try:
-            value = float(unbox(loss_of(trial)))
-        except NonFiniteError:
-            continue
-        if np.isfinite(value) and value < best_loss:
+        value = _trial_value(loss_of, trial)
+        if value < best_loss:
             best_alpha, best_loss = candidate, value
     return best_alpha
 
@@ -204,15 +221,20 @@ def reference_bsf_observations(
     """Run the reference trajectory and collect streamfunction snapshots."""
     step_indices = tuple(int(i) for i in step_indices)
     snapshots = []
-    state = state0
-    done = 0
-    for target in step_indices:
-        state = step_n(state, target - done, params, g, stepcfg)
-        done = target
+    for state in _states_at(state0, step_indices, params, g, stepcfg):
         psi = barotropic_streamfunction(state, g)
         snapshots.append(Field(np.asarray(unbox(psi.values)), Staggering.CENTER))
     norm = float(np.mean([np.mean(np.square(p.values)) for p in snapshots]))
     return BsfObservations(step_indices=step_indices, psi=snapshots, norm=norm)
+
+
+def _states_at(state, indices, params, g, stepcfg):
+    """Yield the trajectory from state at each of the increasing step indices."""
+    done = 0
+    for target in indices:
+        state = step_n(state, target - done, params, g, stepcfg)
+        done = target
+        yield state
 
 
 def bsf_calibration_loss(
@@ -233,12 +255,9 @@ def bsf_calibration_loss(
     def loss(pair):
         a_h, r_bot = pair
         params = replace(base_params, A_h=a_h, r_bot=r_bot)
-        state = state0
-        done = 0
+        states = _states_at(state0, obs.step_indices, params, g, stepcfg)
         total = None
-        for target, psi_ref in zip(obs.step_indices, obs.psi):
-            state = step_n(state, target - done, params, g, stepcfg)
-            done = target
+        for state, psi_ref in zip(states, obs.psi):
             mse = bsf_mse_loss(state, psi_ref, g)
             total = mse if total is None else ops.add(total, mse)
         return ops.mul(scale / len(obs.psi), total)
@@ -261,10 +280,11 @@ def calibrate_params(
 
     Plain gradient descent on (log A_h, log r_bot) with a fixed alpha and
     halve-on-increase backtracking (at most 20 halvings per iterate). A
-    trial whose forward run blows up (NonFiniteError) counts as a rejected
-    step, like one that raises the loss. The history records raw-space
-    parameter values and, on each iterate a step was taken from, the step
-    size accepted there (alpha / 2^halvings); the last iterate keeps alpha.
+    trial whose forward run blows up (NonFiniteError) or is refused as
+    unstable (DampingError) counts as a rejected step, like one that raises
+    the loss. The history records raw-space parameter values and, on each
+    iterate a step was taken from, the step size accepted there
+    (alpha / 2^halvings); the last iterate keeps alpha.
     """
     a0, r0 = init
     if a0 <= 0 or r0 <= 0:
@@ -312,11 +332,7 @@ def _backtrack(loss_theta, theta, grads, loss_value, alpha):
     a = alpha
     for _ in range(MAX_HALVINGS + 1):
         candidate = (theta[0] - a * ga, theta[1] - a * gr)
-        try:
-            value = float(unbox(loss_theta(candidate)))
-        except NonFiniteError:
-            value = np.inf
-        if np.isfinite(value) and value <= loss_value:
+        if _trial_value(loss_theta, candidate) <= loss_value:
             return a, candidate
         a *= 0.5
     return None
@@ -359,7 +375,8 @@ def sensitivity_grid(
     """Sample the calibration loss and its forward-mode gradient on a log grid.
 
     Each cell costs two jvp evaluations (one per parameter direction); a
-    non-finite loss is recorded as NaN in that cell, not raised.
+    cell whose run blows up or is refused as unstable (DampingError) is
+    recorded as NaN, not raised.
     """
     if n_a < 3 or n_r < 3:
         raise DomainError("sensitivity grid needs at least 3 samples per axis")
@@ -375,7 +392,7 @@ def sensitivity_grid(
             try:
                 value, tangent_a = jvp(raw_loss, (float(a), float(r)), (1.0, 0.0))
                 _, tangent_r = jvp(raw_loss, (float(a), float(r)), (0.0, 1.0))
-            except NonFiniteError:
+            except _BLOWUP:
                 continue
             if not np.isfinite(value):
                 continue

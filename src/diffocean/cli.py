@@ -216,11 +216,12 @@ def _cmd_reconstruct(args):
     )
 
 
-def _calibration_setup(ws, spinup_steps, window_steps, obs_every):
-    cfg = ws.cfg
-    state0 = scenarios.build_initial_state(cfg, ws.grid, ws.params)
-    start = scenarios.step_n(state0, spinup_steps, ws.params, ws.grid, ws.stepcfg)
-    indices = range(obs_every, window_steps + 1, obs_every)
+def _calibration_setup(ws):
+    """Spun-up start and reference observations over the [calibrate] window."""
+    sec = ws.cfg.calibrate
+    state0 = scenarios.build_initial_state(ws.cfg, ws.grid, ws.params)
+    start = scenarios.step_n(state0, sec.spinup_steps, ws.params, ws.grid, ws.stepcfg)
+    indices = range(sec.obs_every, sec.window_steps + 1, sec.obs_every)
     obs = cal.reference_bsf_observations(
         start, ws.params, ws.grid, ws.stepcfg, indices
     )
@@ -229,11 +230,8 @@ def _calibration_setup(ws, spinup_steps, window_steps, obs_every):
 
 def _cmd_calibrate(args):
     ws = _Workspace(args)
-    cfg = ws.cfg
-    sec = cfg.calibrate
-    start, obs = _calibration_setup(
-        ws, sec.spinup_steps, sec.window_steps, sec.obs_every
-    )
+    sec = ws.cfg.calibrate
+    start, obs = _calibration_setup(ws)
     truth_a, truth_r = float(ws.params.A_h), float(ws.params.r_bot)
     init = (sec.init_scale_Ah * truth_a, sec.init_scale_rbot * truth_r)
     history, (a_est, r_est) = cal.calibrate_params(
@@ -261,11 +259,8 @@ def _cmd_calibrate(args):
 
 def _cmd_sensitivity(args):
     ws = _Workspace(args)
-    cfg = ws.cfg
-    sec = cfg.sensitivity
-    start, obs = _calibration_setup(
-        ws, sec.spinup_steps, sec.window_steps, sec.obs_every
-    )
+    sec = ws.cfg.sensitivity
+    start, obs = _calibration_setup(ws)
     truth_a, truth_r = float(ws.params.A_h), float(ws.params.r_bot)
     factor = 10.0**sec.decades
     grid_result = cal.sensitivity_grid(

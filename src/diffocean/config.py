@@ -169,13 +169,6 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "n_a": _Key(_parse_int, default=7, check=_at_least("n_a", 3)),
         "n_r": _Key(_parse_int, default=7, check=_at_least("n_r", 3)),
         "decades": _Key(_parse_float, default=1.0, check=_positive("decades")),
-        "spinup_steps": _Key(
-            _parse_int, default=100, check=_non_negative("spinup_steps")
-        ),
-        "window_steps": _Key(
-            _parse_int, default=500, check=_at_least("window_steps", 1)
-        ),
-        "obs_every": _Key(_parse_int, default=50, check=_at_least("obs_every", 1)),
     },
     "benchmark": {
         "n_list": _Key(_parse_int_list, default=(8, 16, 32, 64, 128)),
@@ -240,6 +233,18 @@ def resolve_config_path(path: str) -> str:
     raise ConfigError(f"config file not found: {path}")
 
 
+def _parse_key(section, key: str, text: str, where: str):
+    """One schema value parsed from text; errors name the location."""
+    spec = _SCHEMA.get(section, {}).get(key)
+    if spec is None:
+        place = f"[{section}]" if section else "top level"
+        raise ConfigError(f"{where}: unknown key {key!r} in {place}")
+    try:
+        return spec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from exc
+
+
 def _parse_lines(lines, source: str):
     """Raw pass: (section, key) -> (value, location), with line numbers."""
     raw: dict[tuple, tuple] = {}
@@ -260,18 +265,9 @@ def _parse_lines(lines, source: str):
             raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        value = value.strip()
-        schema = _SCHEMA.get(section, {})
-        if key not in schema:
-            place = f"[{section}]" if section else "top level"
-            raise ConfigError(f"{where}: unknown key {key!r} in {place}")
         if (section, key) in raw:
             raise ConfigError(f"{where}: duplicate key {key!r}")
-        try:
-            parsed = schema[key].parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {key}: {exc}") from exc
-        raw[(section, key)] = (parsed, where)
+        raw[(section, key)] = (_parse_key(section, key, value.strip(), where), where)
     return raw
 
 
@@ -283,19 +279,9 @@ def apply_overrides(raw: dict, overrides) -> dict:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         keypath, _, value = item.partition("=")
         keypath = keypath.strip()
-        value = value.strip()
-        if "." in keypath:
-            section, key = keypath.split(".", 1)
-        else:
-            section, key = None, keypath
-        schema = _SCHEMA.get(section)
-        if schema is None or key not in schema:
-            raise ConfigError(f"--set {item!r}: unknown key {keypath!r}")
-        try:
-            parsed = schema[key].parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"--set {item!r}: {exc}") from exc
-        out[(section, key)] = (parsed, f"--set {keypath}")
+        section, key = keypath.split(".", 1) if "." in keypath else (None, keypath)
+        where = f"--set {keypath}"
+        out[(section, key)] = (_parse_key(section, key, value.strip(), where), where)
     return out
 
 
@@ -336,16 +322,7 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
 
     return RunConfig(
         seed=values[None]["seed"],
-        grid=Section("grid", values["grid"]),
-        physics=Section("physics", values["physics"]),
-        stepping=Section("stepping", values["stepping"]),
-        initial=Section("initial", values["initial"]),
-        output=Section("output", values["output"]),
-        gradcheck=Section("gradcheck", values["gradcheck"]),
-        reconstruct=Section("reconstruct", values["reconstruct"]),
-        calibrate=Section("calibrate", values["calibrate"]),
-        sensitivity=Section("sensitivity", values["sensitivity"]),
-        benchmark=Section("benchmark", values["benchmark"]),
+        **{name: Section(name, v) for name, v in values.items() if name is not None},
     )
 
 
@@ -372,18 +349,7 @@ def format_value(value) -> str:
 def render_config(cfg: RunConfig) -> str:
     """Render a RunConfig in the same parseable format (resolved values)."""
     lines = [f"seed = {cfg.seed}", ""]
-    for name in (
-        "grid",
-        "physics",
-        "stepping",
-        "initial",
-        "output",
-        "gradcheck",
-        "reconstruct",
-        "calibrate",
-        "sensitivity",
-        "benchmark",
-    ):
+    for name in filter(None, _SCHEMA):
         lines.append(f"[{name}]")
         for key, value in cfg.section(name).items():
             lines.append(f"{key} = {format_value(value)}")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .autodiff import mark_step, tree, unbox
 from .autodiff import primitives as ops
-from .errors import CFLError, DomainError, NonFiniteError, ShapeError
-from .grid import Field, GridSpec, Staggering, divergence, interp, laplacian
+from .errors import CFLError, DampingError, DomainError, NonFiniteError, ShapeError
+from .grid import Field, GridSpec, Staggering, ddx, ddy, divergence, interp, laplacian
 
 CFL_SAFETY = 0.7
 
@@ -116,6 +116,25 @@ def check_cfl(c: StepConfig, p: PhysParams, g: GridSpec):
         )
 
 
+def check_damping(c: StepConfig, p: PhysParams, g: GridSpec):
+    """Forward-Euler bound dt * rate <= 2 on the explicit damping terms.
+
+    4 * (1/dx^2 + 1/dy^2) bounds the 5-point Laplacian's eigenvalues;
+    momentum adds linear drag to viscosity, the tracer relaxation to diffusion.
+    """
+    k2 = 4.0 * (1.0 / g.dx**2 + 1.0 / g.dy**2)
+    drag = float(unbox(p.r_bot)) if p.drag_mode == "linear" else 0.0
+    for name, rate in (
+        ("momentum", drag + float(unbox(p.A_h)) * k2),
+        ("tracer", float(unbox(p.lambda_relax)) + float(unbox(p.kappa_T)) * k2),
+    ):
+        if not c.dt * rate <= 2.0:
+            raise DampingError(
+                f"dt = {c.dt} s violates the explicit {name} damping bound "
+                f"dt * rate <= 2 (rate = {rate:.6g} 1/s)"
+            )
+
+
 def wind_stress_profile(g: GridSpec, tau0, band: float) -> Field:
     """Zonally uniform eastward wind stress over the southern band.
 
@@ -142,6 +161,7 @@ def _check_finite(name: str, values, time: float):
 def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState:
     """Advance the state by one forward-backward step; the input is untouched."""
     check_cfl(c, p, g)
+    check_damping(c, p, g)
     for name in ("u", "v", "eta", "T"):
         if getattr(s, name).shape != g.shape:
             raise ShapeError(
@@ -197,14 +217,14 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
 
     u_new = u + c.dt * (
         coriolis_u
-        - p.g * _ddx_center_to_u(eta_new, g)
+        - p.g * ddx(eta_new, g)
         + p.A_h * laplacian(u, g, boundary=c.boundary)
         - drag_u
         + wind_accel
     )
     v_tend = (
         -coriolis_v
-        - p.g * _ddy_center_to_v(eta_new, g)
+        - p.g * ddy(eta_new, g)
         + p.A_h * laplacian(v, g, boundary=c.boundary)
         - drag_v
     )
@@ -223,14 +243,6 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     for name, f in (("u", u_new), ("v", v_new), ("eta", eta_new), ("T", T_new)):
         _check_finite(name, f.values, new_time)
     return ModelState(u=u_new, v=v_new, eta=eta_new, T=T_new, time=new_time)
-
-
-def _ddx_center_to_u(f: Field, g: GridSpec) -> Field:
-    return Field(ops.ddx_fwd(f.values, g.dx), Staggering.U_FACE)
-
-
-def _ddy_center_to_v(f: Field, g: GridSpec) -> Field:
-    return Field(ops.ddy_fwd(f.values, g.dy), Staggering.V_FACE)
 
 
 def _advect(u: Field, v: Field, T: Field, g: GridSpec) -> Field:

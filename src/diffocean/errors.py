@@ -21,6 +21,10 @@ class CFLError(DiffOceanError, ValueError):
     """Time step violates the gravity-wave CFL bound."""
 
 
+class DampingError(CFLError):
+    """Time step violates the explicit stability bound of the damping terms."""
+
+
 class NonFiniteError(DiffOceanError, FloatingPointError):
     """A model step produced NaN or Inf values."""
 

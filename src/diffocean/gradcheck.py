@@ -13,6 +13,7 @@ is an experiment, not a runtime contract.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -154,46 +155,38 @@ def cost_scaling(
     n_list,
     repetitions: int = 5,
     select: DiffSelector | None = None,
-    rounds: int = 1,
 ) -> list[TimingRow]:
     """Median wall time of the forward pass and of value+gradient per n.
 
-    One warm-up run per measurement is discarded; the monotonic clock is
-    used throughout. With rounds > 1 each measurement is repeated and the
-    smallest median kept, which suppresses scheduler noise on shared
-    machines. Must run alone (single-threaded) for timing fidelity.
+    Each of the repetitions sweeps times every rollout length once,
+    after one discarded warm-up sweep, and the median per length is kept:
+    a slow phase of a shared machine then spreads over all lengths instead
+    of landing on one. The monotonic clock is used throughout. Must run
+    alone (single-threaded) for timing fidelity.
     """
     if repetitions < 3:
         raise DomainError(f"need at least 3 repetitions, got {repetitions}")
     cases = [(int(n), *loss_family(int(n))) for n in n_list]
-    forward = {n: np.inf for n, _, _ in cases}
-    reverse = {n: np.inf for n, _, _ in cases}
-    # Rounds are interleaved across n so that a slow scheduling phase hits
-    # every rollout length instead of corrupting one measurement.
-    for _ in range(max(1, rounds)):
+    forward = {n: [] for n, _, _ in cases}
+    reverse = {n: [] for n, _, _ in cases}
+    for sweep in range(1 + repetitions):
+        gc.collect()
         for n, loss, w in cases:
-            forward[n] = min(forward[n], _median_ms(lambda: loss(w), repetitions))
-            reverse[n] = min(
-                reverse[n],
-                _median_ms(lambda: grad(loss, w, select=select), repetitions),
-            )
+            t_forward = _time_ms(lambda: loss(w))
+            t_reverse = _time_ms(lambda: grad(loss, w, select=select))
+            if sweep:  # sweep 0 is the warm-up
+                forward[n].append(t_forward)
+                reverse[n].append(t_reverse)
     return [
-        TimingRow(n_steps=n, forward_ms=forward[n], vjp_ms=reverse[n])
+        TimingRow(n, float(np.median(forward[n])), float(np.median(reverse[n])))
         for n, _, _ in cases
     ]
 
 
-def _median_ms(fn, repetitions: int) -> float:
-    import gc
-
-    gc.collect()
-    fn()  # warm-up, excluded
-    samples = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(samples))
+def _time_ms(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e3
 
 
 def loglog_slope(xs, ys) -> float:

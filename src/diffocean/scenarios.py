@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import calibrate
 from .autodiff import primitives as ops
 from .config import RunConfig
 from .dyncore import (
@@ -193,11 +194,10 @@ def rbot_loss_family(
     s = r_bot / truth, which keeps finite-difference probes proportional
     to the parameter magnitude (and positive).
     """
-    from .calibrate import bsf_calibration_loss, reference_bsf_observations
 
     def family(n: int):
-        obs = reference_bsf_observations(w, params, g, c, [n])
-        raw = bsf_calibration_loss(obs, w, params, g, c)
+        obs = calibrate.reference_bsf_observations(w, params, g, c, [n])
+        raw = calibrate.bsf_calibration_loss(obs, w, params, g, c)
         a_truth = float(params.A_h)
         r_truth = float(params.r_bot)
 
@@ -213,19 +213,9 @@ def reconstruction_cost_family(
     w: ModelState, params: PhysParams, g: GridSpec, c: StepConfig
 ):
     """loss_family(n) matching the initial-field optimization workload."""
-    target_T = {}
 
     def family(n: int):
-        if n not in target_T:
-            target_T[n] = np.asarray(step_n(w, n, params, g, c).T.values)
-        ref = target_T[n]
-
-        def loss(s: ModelState):
-            out = step_n(s, n, params, g, c)
-            d = ops.sub(out.T.values, ref)
-            return ops.asum(ops.power(d, 2.0))
-
-        return loss, w
+        return calibrate.temperature_mismatch_loss(w, n, params, g, c), w
 
     return family
 

@@ -1,5 +1,7 @@
 """Inverse problems: perturbation recovery, parameter calibration, sensitivity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from diffocean.calibrate import (
     reconstruct_initial_state,
     reference_bsf_observations,
     sensitivity_grid,
+    _trial_value,
 )
 from diffocean.dyncore import PhysParams, StepConfig, step_n
-from diffocean.errors import DomainError
+from diffocean.errors import DampingError, DomainError, NonFiniteError
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import linear_profile_field
 
@@ -95,7 +98,7 @@ def test_reconstruct_identical_start_has_zero_loss_and_gradient(small_setup):
     g, p, c, start = small_setup
     history, recovered = reconstruct_initial_state(
         start.T, start.T, 2, 0.25, 3,
-        base_state=start, params=p, g=g, stepcfg=c, line_search=False,
+        base_state=start, params=p, g=g, stepcfg=c,
     )
     assert history.records[0].loss == 0.0
     assert history.records[0].grad_norm == 0.0
@@ -227,11 +230,13 @@ def test_calibrate_histories_reproducible(small_setup):
 
 
 def test_calibrate_survives_blowup_and_records_accepted_alpha(small_setup):
-    # At alpha = 5000 the first trial step blows the model up; that trial
-    # must count as rejected and the step be halved, not abort the run.
+    # At alpha = 5000 the first trial step takes r_bot past the explicit
+    # damping bound; that trial must be refused before it overflows, count
+    # as rejected and the step be halved, not abort the run.
     g, p, c, start = small_setup
     obs = reference_bsf_observations(start, p, g, c, [20, 40])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         history, _ = calibrate_params(
             obs, (1.5 * float(p.A_h), 0.5 * float(p.r_bot)),
             state0=start, base_params=p, g=g, stepcfg=c, alpha=5000.0, iters=3,
@@ -241,6 +246,17 @@ def test_calibrate_survives_blowup_and_records_accepted_alpha(small_setup):
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert history.records[0].alpha in [5000.0 / 2**k for k in range(1, 21)]
     assert history.final.alpha == 5000.0
+
+
+@pytest.mark.parametrize("outcome", [NonFiniteError, DampingError, np.nan, np.inf])
+def test_trial_value_counts_blowup_as_inf(outcome):
+    def loss(x):
+        if isinstance(outcome, type):
+            raise outcome("trial blew up")
+        return outcome
+
+    assert _trial_value(loss, 1.0) == np.inf
+    assert _trial_value(lambda x: 2.0 * x, 1.5) == 3.0
 
 
 def test_calibrate_rejects_nonpositive_init(small_setup):
@@ -307,6 +323,22 @@ def test_sensitivity_A_h_dominates_in_log_coordinates(small_grid_result):
     ga = np.abs(result.dL_dAh * result.A_values[:, None])
     gr = np.abs(result.dL_drbot * result.r_values[None, :])
     assert np.sum(ga > gr) > ga.size / 2
+
+
+def test_sensitivity_grid_records_unstable_cells_as_nan(small_setup):
+    # r_bot = 1 per second gives r_bot*dt = 200, far past the damping bound
+    # of 2; those cells are NaN and the rest of the grid is still sampled.
+    g, p, c, start = small_setup
+    obs = reference_bsf_observations(start, p, g, c, [20])
+    truth_a = float(p.A_h)
+    result = sensitivity_grid(
+        (truth_a / 10, truth_a * 10), (1e-5, 1.0), 3, 3,
+        obs=obs, state0=start, base_params=p, g=g, stepcfg=c,
+    )
+    assert result.r_values[2] * c.dt > 2.0
+    for values in (result.loss, result.dL_dAh, result.dL_drbot):
+        assert np.all(np.isnan(values[:, 2]))
+        assert np.all(np.isfinite(values[:, :2]))
 
 
 def test_sensitivity_grid_validates_sample_counts(small_setup):

@@ -58,9 +58,6 @@ iters = 8
 [sensitivity]
 n_a = 3
 n_r = 3
-spinup_steps = 20
-window_steps = 40
-obs_every = 20
 
 [benchmark]
 n_list = 2,4

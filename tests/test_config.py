@@ -131,6 +131,14 @@ def test_overrides_applied_before_validation(tmp_path):
         parse_config(path, overrides=["physics.A_h"])
 
 
+@pytest.mark.parametrize("key", ["spinup_steps", "window_steps", "obs_every"])
+def test_sensitivity_has_no_window_keys(key):
+    # The sensitivity grid maps the calibration loss over the [calibrate]
+    # window; it has no observation window of its own.
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("acc-mini.conf", [f"sensitivity.{key}=40"])
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     text = "# leading comment\n\n" + MINIMAL + "\n[physics]\nA_h = 5.0  # inline\n"
     cfg = parse_config(write(tmp_path, text))

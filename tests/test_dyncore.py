@@ -16,7 +16,13 @@ from diffocean.dyncore import (
     transport,
     wind_stress_profile,
 )
-from diffocean.errors import CFLError, DomainError, NonFiniteError, ShapeError
+from diffocean.errors import (
+    CFLError,
+    DampingError,
+    DomainError,
+    NonFiniteError,
+    ShapeError,
+)
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import (
     dissipative_test_setup,
@@ -193,6 +199,25 @@ def test_step_rejects_cfl_violation():
     # sqrt(gH) = 70 m/s, dx = 12.5 km -> limit ~125 s
     with pytest.raises(CFLError):
         step(zero_state(g), p, g, StepConfig(dt=200.0))
+
+
+@pytest.mark.parametrize(
+    "term, kind",
+    [("A_h", "momentum"), ("r_bot", "momentum"), ("kappa_T", "tracer"),
+     ("lambda_relax", "tracer")],
+)
+def test_step_rejects_unstable_damping(term, kind):
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
+    c = StepConfig(dt=100.0)
+    # Forward Euler is stable for dt * rate <= 2; diffusive terms act at
+    # the Laplacian's largest eigenvalue 4 * (1/dx^2 + 1/dy^2).
+    limit = 2.0 / c.dt
+    if term in ("A_h", "kappa_T"):
+        limit /= 4.0 * (1.0 / g.dx**2 + 1.0 / g.dy**2)
+    step(zero_state(g), quiet_params(g, **{term: 0.99 * limit}), g, c)
+    with pytest.raises(DampingError, match=kind) as info:
+        step(zero_state(g), quiet_params(g, **{term: 1.01 * limit}), g, c)
+    assert isinstance(info.value, CFLError)
 
 
 def test_step_reports_nonfinite_field():
