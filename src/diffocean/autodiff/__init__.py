@@ -1,9 +1,10 @@
 """Forward- and reverse-mode automatic differentiation entry points.
 
-jvp pushes a tangent direction alongside the primal computation; vjp
-records a tape and sweeps it backwards; grad is vjp with a unit cotangent
-on a scalar loss. A DiffSelector freezes every input leaf except a named
-subset, so gradients flow only into the quantities of interest.
+jvp pushes one tangent direction, or a stack of them on a leading axis,
+alongside the primal computation; vjp records a tape and sweeps it
+backwards; grad is vjp with a unit cotangent on a scalar loss. A
+DiffSelector freezes every input leaf except a named subset, so gradients
+flow only into the quantities of interest.
 
 The primal value returned by any entry point is bitwise identical to the
 plain, undifferentiated evaluation: differentiation wraps values but never
@@ -99,42 +100,68 @@ def _selector(select) -> DiffSelector:
     return DiffSelector() if select is None else select
 
 
-def _check_tangent_shape(leaf, tangent):
-    if np.shape(unbox(leaf.value)) != np.shape(tangent):
-        raise ShapeError(
-            f"tangent for leaf {leaf.path} has shape {np.shape(tangent)}, "
-            f"expected {np.shape(unbox(leaf.value))}"
-        )
+def _tangent_stacks(leaves, k, sel):
+    """The tangents in k as (m,) + leaf shape stacks; None at frozen leaves.
+
+    Returns (stacks, lead): lead is (m,) when every tangent carries one
+    extra leading axis of the same length m, and () when every one has its
+    leaf's shape (a single direction, stacked as m = 1).
+    """
+    got, _ = tree.flatten(k)
+    if len(got) != len(leaves):
+        raise ShapeError(f"tree mismatch: expected {len(leaves)} leaves, got {len(got)}")
+    stacks, lead = [], None
+    for leaf, t in zip(leaves, got):
+        t = np.asarray(t.value, dtype=float)
+        shape = np.shape(unbox(leaf.value))
+        extra = t.shape[: t.ndim - len(shape)]
+        if len(extra) > 1 or t.shape[len(extra):] != shape:
+            raise ShapeError(
+                f"tangent for leaf {leaf.path} has shape {t.shape}, "
+                f"expected {shape} or (m,) + {shape}"
+            )
+        if lead is None:
+            lead = extra
+        elif extra != lead:
+            raise ShapeError(
+                f"tangent for leaf {leaf.path} has leading axes {extra}, an "
+                f"earlier leaf {lead}: every leaf takes one direction or the "
+                f"same number m of stacked directions"
+            )
+        if not sel.selects(leaf.name):
+            t = None
+        elif not extra:
+            t = t[np.newaxis]
+        stacks.append(t)
+    return stacks, lead or ()
 
 
 def jvp(f, x, k, select=None):
-    """Evaluate f at x and push tangent k through it.
+    """Evaluate f at x and push tangents k through it in one pass.
 
-    Returns (value, tangent_of_output). k must be congruent to x; tangents
-    of frozen leaves are ignored. For a scalar-valued f the second element
-    is the directional derivative <grad f, k>.
+    k is congruent to x (one direction), or every leaf of k carries one
+    extra leading axis of a shared length m (m directions, e.g.
+    tuple(np.eye(2)) for a pair of scalars). Returns (value,
+    tangent_of_output), the tangent with the same leading axis as k.
+    The values of frozen leaves' tangents are ignored; an output leaf that
+    depends on no selected leaf gets zeros. For a scalar-valued f and one
+    direction the second element is the directional derivative <grad f, k>.
     """
     sel = _selector(select)
     leaves, rebuild = tree.flatten(x)
-    tangents = tree.congruent_leaves(x, k)
-    boxed = []
-    for leaf, t in zip(leaves, tangents):
-        if sel.selects(leaf.name):
-            _check_tangent_shape(leaf, t)
-            t = np.asarray(t, dtype=float) if isinstance(t, np.ndarray) else float(t)
-            boxed.append(DualBox(_as_value(leaf.value), t))
-        else:
-            boxed.append(leaf.value)
-    y = f(rebuild(boxed))
+    stacks, lead = _tangent_stacks(leaves, k, sel)
+    y = f(rebuild([
+        leaf.value if t is None else DualBox(_as_value(leaf.value), t)
+        for leaf, t in zip(leaves, stacks)
+    ]))
     out_leaves, out_rebuild = tree.flatten(y)
     primal = out_rebuild([unbox(l.value) for l in out_leaves])
-    tangent = out_rebuild(
-        [
-            l.value.tangent if isinstance(l.value, DualBox) else _zero_like(l.value)
-            for l in out_leaves
-        ]
-    )
-    return primal, tangent
+    tangents = [
+        l.value.tangent if isinstance(l.value, DualBox)
+        else np.zeros((lead or (1,)) + np.shape(l.value))
+        for l in out_leaves
+    ]
+    return primal, out_rebuild(tangents if lead else [t[0] for t in tangents])
 
 
 def vjp(f, x, v=None, select=None, max_tape_bytes=None):

@@ -4,9 +4,10 @@ Every differentiable operation in the package is a named primitive with
 three pieces: a raw computation `fn`, a tangent rule `jvp`, and a cotangent
 rule `vjp`. `apply` always evaluates `fn` on the unwrapped values, so the
 primal numbers are bitwise identical whether or not derivatives are being
-propagated. Forward mode wraps values in DualBox (value, tangent); reverse
-mode wraps them in TapeBox and records each application on a Tape that is
-later swept backwards.
+propagated. Forward mode wraps values in DualBox (value, tangent), where
+the tangent stacks m directions on a leading axis, (m,) + value shape;
+reverse mode wraps them in TapeBox and records each application on a Tape
+that is later swept backwards.
 
 Tapes are single-owner objects: one tape is built and swept by one logical
 thread. The primitive registry and the custom-gradient overrides are
@@ -216,7 +217,7 @@ Box._UFUNCS = {
 
 
 class DualBox(Box):
-    """Forward-mode pair (primal, tangent)."""
+    """Forward-mode pair (primal, tangent); tangent is (m,) + primal shape."""
 
     __slots__ = ("primal", "tangent")
 
@@ -448,6 +449,12 @@ def apply(name: str, *args, **static):
     values = tuple(values)
     out = prim.fn(*values, **static)
     if type(box) is DualBox:
+        # Right-align each tangent stack with the output rank, so the (m,)
+        # tangent of a scalar broadcasts as (m, 1, 1) against (nx, ny).
+        rank = np.ndim(out) + 1
+        for i, t in enumerate(links):
+            if t is not None and t.ndim < rank:
+                links[i] = t.reshape(t.shape[:1] + (1,) * (rank - t.ndim) + t.shape[1:])
         return DualBox(out, _rules(prim).jvp(tuple(links), values, out, **static))
     tape = box.tape
     return TapeBox(tape, tape._record(prim, tuple(links), values, out, static), out)

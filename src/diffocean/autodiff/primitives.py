@@ -1,9 +1,12 @@
 """Primitive inventory: elementwise algebra, reductions, and grid stencils.
 
-Arrays are laid out (nx, ny): axis 0 is zonal and periodic, axis 1 is
-meridional with solid walls. Stencil primitives are recorded on the tape
-as single nodes; their cotangent rules are the exact matrix transposes of
-the forward stencils (verified against dense Jacobians in the tests).
+Arrays are laid out (..., nx, ny): axis -2 is zonal and periodic, axis -1
+is meridional with solid walls, and any leading axes are a stack the
+stencils act on slice by slice. Primal fields are (nx, ny); forward-mode
+tangents carry one leading direction axis, (m, nx, ny), so every rule
+below sees it. Stencil primitives are recorded on the tape as single
+nodes; their cotangent rules are the exact matrix transposes of the
+forward stencils (verified against dense Jacobians in the tests).
 
 Wall conventions baked into the y-stencils:
   * forward y-differences produce a zero top row (no flux through the wall),
@@ -50,11 +53,16 @@ def _expand(ct, ref):
     return np.full(shape, ct, dtype=float)
 
 
-def _maybe(t, like):
-    """Missing tangent -> zero contribution of the right shape."""
-    if t is not None:
-        return t
-    return 0.0 if np.shape(like) == () else np.zeros(np.shape(like))
+def _passed(t, out):
+    """A tangent passed through unchanged, broadcast over the output like
+    its operand was (a scalar added to a field moves every cell)."""
+    shape = t.shape[:1] + np.shape(out)
+    return t if t.shape == shape else np.broadcast_to(t, shape)
+
+
+def _trailing(t):
+    """Every axis of a tangent stack but the leading direction axis."""
+    return tuple(range(1, t.ndim))
 
 
 def _linear(name, fn, transpose):
@@ -73,9 +81,9 @@ def _linear(name, fn, transpose):
 def _add_jvp(t, args, out):
     ta, tb = t
     if ta is None:
-        return tb
+        return _passed(tb, out)
     if tb is None:
-        return ta
+        return _passed(ta, out)
     return np.add(ta, tb)
 
 
@@ -91,9 +99,9 @@ define_primitive(
 def _sub_jvp(t, args, out):
     ta, tb = t
     if tb is None:
-        return ta
+        return _passed(ta, out)
     if ta is None:
-        return np.negative(tb)
+        return _passed(np.negative(tb), out)
     return np.subtract(ta, tb)
 
 
@@ -234,14 +242,21 @@ def _where_pos_fn(w, a, b):
     return np.where(np.greater(w, 0.0), a, b)
 
 
+def _where_pos_jvp(t, args, out):
+    tw, ta, tb = t
+    if ta is None and tb is None:
+        return np.zeros(tw.shape[:1] + np.shape(out))
+    return np.where(
+        np.greater(args[0], 0.0), 0.0 if ta is None else ta, 0.0 if tb is None else tb
+    )
+
+
 define_primitive(
     "where_pos",
     _where_pos_fn,
     # The switch variable w gets no derivative: the selected branch acts as
     # the subgradient at a sign change.
-    jvp=lambda t, args, out: np.where(
-        np.greater(args[0], 0.0), _maybe(t[1], args[1]), _maybe(t[2], args[2])
-    ),
+    jvp=_where_pos_jvp,
     vjp=lambda ct, args, out: (
         None,
         _unbroadcast(np.where(np.greater(args[0], 0.0), ct, 0.0), args[1]),
@@ -252,11 +267,12 @@ define_primitive(
 
 
 # -- reductions ----------------------------------------------------------------
+# A full reduction of the primal reduces each direction of its tangent stack.
 
 define_primitive(
     "sum",
     np.sum,
-    jvp=lambda t, args, out: np.sum(t[0]),
+    jvp=lambda t, args, out: np.sum(t[0], axis=_trailing(t[0])),
     vjp=lambda ct, args, out: (_expand(ct, args[0]),),
     saves=((), False),
 )
@@ -264,7 +280,7 @@ define_primitive(
 define_primitive(
     "mean",
     np.mean,
-    jvp=lambda t, args, out: np.mean(t[0]),
+    jvp=lambda t, args, out: np.mean(t[0], axis=_trailing(t[0])),
     vjp=lambda ct, args, out: (_expand(ct / np.size(args[0]), args[0]),),
     saves=((), False),
 )
@@ -274,21 +290,21 @@ define_primitive(
 
 _linear(
     "roll_x",
-    lambda a, n: np.roll(a, n, axis=0),
-    lambda ct, n: np.roll(ct, -n, axis=0),
+    lambda a, n: np.roll(a, n, axis=-2),
+    lambda ct, n: np.roll(ct, -n, axis=-2),
 )
 
 
 def _shift_yp_fn(a, fill):
-    top = np.zeros_like(a[:, :1]) if fill == "zero" else a[:, -1:]
-    return np.concatenate([a[:, 1:], top], axis=1)
+    top = np.zeros_like(a[..., :1]) if fill == "zero" else a[..., -1:]
+    return np.concatenate([a[..., 1:], top], axis=-1)
 
 
 def _shift_yp_t(ct, fill):
     g = np.zeros_like(ct)
-    g[:, 1:] = ct[:, :-1]
+    g[..., 1:] = ct[..., :-1]
     if fill == "edge":
-        g[:, -1] += ct[:, -1]
+        g[..., -1] += ct[..., -1]
     return g
 
 
@@ -298,22 +314,22 @@ _linear("shift_yp", _shift_yp_fn, _shift_yp_t)
 # -- difference stencils ---------------------------------------------------------
 
 def _ddx_fwd_fn(a, dx):
-    return (np.roll(a, -1, axis=0) - a) / dx
+    return (np.roll(a, -1, axis=-2) - a) / dx
 
 
 def _ddx_fwd_t(ct, dx):
-    return (np.roll(ct, 1, axis=0) - ct) / dx
+    return (np.roll(ct, 1, axis=-2) - ct) / dx
 
 
 _linear("ddx_fwd", _ddx_fwd_fn, _ddx_fwd_t)
 
 
 def _ddx_bwd_fn(a, dx):
-    return (a - np.roll(a, 1, axis=0)) / dx
+    return (a - np.roll(a, 1, axis=-2)) / dx
 
 
 def _ddx_bwd_t(ct, dx):
-    return (ct - np.roll(ct, -1, axis=0)) / dx
+    return (ct - np.roll(ct, -1, axis=-2)) / dx
 
 
 _linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
@@ -321,16 +337,16 @@ _linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
 
 def _ddy_fwd_fn(a, dy):
     out = np.zeros_like(a)
-    out[:, :-1] = (a[:, 1:] - a[:, :-1]) / dy
+    out[..., :-1] = (a[..., 1:] - a[..., :-1]) / dy
     return out
 
 
 def _ddy_fwd_t(ct, dy):
-    t = ct[:, :-1] / dy
+    t = ct[..., :-1] / dy
     g = np.empty_like(ct)
-    g[:, 0] = -t[:, 0]
-    g[:, 1:-1] = t[:, :-1] - t[:, 1:]
-    g[:, -1] = t[:, -1]
+    g[..., 0] = -t[..., 0]
+    g[..., 1:-1] = t[..., :-1] - t[..., 1:]
+    g[..., -1] = t[..., -1]
     return g
 
 
@@ -339,15 +355,15 @@ _linear("ddy_fwd", _ddy_fwd_fn, _ddy_fwd_t)
 
 def _ddy_bwd_fn(a, dy):
     out = np.empty_like(a)
-    out[:, 0] = a[:, 0] / dy
-    out[:, 1:] = (a[:, 1:] - a[:, :-1]) / dy
+    out[..., 0] = a[..., 0] / dy
+    out[..., 1:] = (a[..., 1:] - a[..., :-1]) / dy
     return out
 
 
 def _ddy_bwd_t(ct, dy):
     g = np.empty_like(ct)
-    g[:, :-1] = (ct[:, :-1] - ct[:, 1:]) / dy
-    g[:, -1] = ct[:, -1] / dy
+    g[..., :-1] = (ct[..., :-1] - ct[..., 1:]) / dy
+    g[..., -1] = ct[..., -1] / dy
     return g
 
 
@@ -357,11 +373,11 @@ _linear("ddy_bwd", _ddy_bwd_fn, _ddy_bwd_t)
 # -- two-point interpolation -----------------------------------------------------
 
 def _interp_x_fwd_fn(a):
-    return 0.5 * (a + np.roll(a, -1, axis=0))
+    return 0.5 * (a + np.roll(a, -1, axis=-2))
 
 
 def _interp_x_bwd_fn(a):
-    return 0.5 * (a + np.roll(a, 1, axis=0))
+    return 0.5 * (a + np.roll(a, 1, axis=-2))
 
 
 _linear("interp_x_fwd", _interp_x_fwd_fn, _interp_x_bwd_fn)
@@ -370,16 +386,16 @@ _linear("interp_x_bwd", _interp_x_bwd_fn, _interp_x_fwd_fn)
 
 def _interp_y_fwd_fn(a):
     out = np.empty_like(a)
-    out[:, :-1] = 0.5 * (a[:, :-1] + a[:, 1:])
-    out[:, -1] = a[:, -1]
+    out[..., :-1] = 0.5 * (a[..., :-1] + a[..., 1:])
+    out[..., -1] = a[..., -1]
     return out
 
 
 def _interp_y_fwd_t(ct):
     g = np.empty_like(ct)
-    g[:, 0] = 0.5 * ct[:, 0]
-    g[:, 1:-1] = 0.5 * (ct[:, 1:-1] + ct[:, :-2])
-    g[:, -1] = 0.5 * ct[:, -2] + ct[:, -1]
+    g[..., 0] = 0.5 * ct[..., 0]
+    g[..., 1:-1] = 0.5 * (ct[..., 1:-1] + ct[..., :-2])
+    g[..., -1] = 0.5 * ct[..., -2] + ct[..., -1]
     return g
 
 
@@ -388,16 +404,16 @@ _linear("interp_y_fwd", _interp_y_fwd_fn, _interp_y_fwd_t)
 
 def _interp_y_bwd_fn(a):
     out = np.empty_like(a)
-    out[:, 0] = a[:, 0]
-    out[:, 1:] = 0.5 * (a[:, 1:] + a[:, :-1])
+    out[..., 0] = a[..., 0]
+    out[..., 1:] = 0.5 * (a[..., 1:] + a[..., :-1])
     return out
 
 
 def _interp_y_bwd_t(ct):
     g = np.empty_like(ct)
-    g[:, :-1] = 0.5 * (ct[:, :-1] + ct[:, 1:])
-    g[:, 0] += 0.5 * ct[:, 0]
-    g[:, -1] = 0.5 * ct[:, -1]
+    g[..., :-1] = 0.5 * (ct[..., :-1] + ct[..., 1:])
+    g[..., 0] += 0.5 * ct[..., 0]
+    g[..., -1] = 0.5 * ct[..., -1]
     return g
 
 
@@ -407,17 +423,17 @@ _linear("interp_y_bwd", _interp_y_bwd_fn, _interp_y_bwd_t)
 # -- Laplacian -------------------------------------------------------------------
 
 def _lap_fn(a, dx, dy, ybc):
-    xx = (np.roll(a, -1, axis=0) - 2.0 * a + np.roll(a, 1, axis=0)) / (dx * dx)
+    xx = (np.roll(a, -1, axis=-2) - 2.0 * a + np.roll(a, 1, axis=-2)) / (dx * dx)
     if ybc == "neumann":
-        south, north = a[:, :1], a[:, -1:]
+        south, north = a[..., :1], a[..., -1:]
     elif ybc == "dirichlet":
-        south = north = np.zeros_like(a[:, :1])
+        south = north = np.zeros_like(a[..., :1])
     elif ybc == "noslip":
-        south, north = -a[:, :1], -a[:, -1:]
+        south, north = -a[..., :1], -a[..., -1:]
     else:
         raise ValueError(f"unknown y boundary condition {ybc!r}")
-    up = np.concatenate([a[:, 1:], north], axis=1)
-    down = np.concatenate([south, a[:, :-1]], axis=1)
+    up = np.concatenate([a[..., 1:], north], axis=-1)
+    down = np.concatenate([south, a[..., :-1]], axis=-1)
     yy = (up - 2.0 * a + down) / (dy * dy)
     return xx + yy
 
@@ -430,11 +446,11 @@ _linear("laplacian", _lap_fn, lambda ct, dx, dy, ybc: _lap_fn(ct, dx, dy, ybc))
 # -- meridional cumulative sum ----------------------------------------------------
 
 def _cumsum_y_fn(a):
-    return np.cumsum(a, axis=1)
+    return np.cumsum(a, axis=-1)
 
 
 def _cumsum_y_t(ct):
-    return np.ascontiguousarray(np.cumsum(ct[:, ::-1], axis=1)[:, ::-1])
+    return np.ascontiguousarray(np.cumsum(ct[..., ::-1], axis=-1)[..., ::-1])
 
 
 _linear("cumsum_y", _cumsum_y_fn, _cumsum_y_t)

@@ -110,14 +110,14 @@ def reconstruct_initial_state(
     ref_values = np.asarray(unbox(ref_T0.values))
     selector = DiffSelector.only("T")
     state0 = state_with_T(base_state, perturbed_T0)
-    alpha = _three_point_alpha(loss_of, state0, selector, alpha)
+    alpha, first = _three_point_alpha(loss_of, state0, selector, alpha)
 
     history = OptimHistory([])
     increases = 0
     prev_loss = None
     floor = None  # round-off chatter at the loss floor is not divergence
     for it in range(iters + 1):
-        loss_value, gstate = grad(loss_of, state0, select=selector)
+        loss_value, gstate = first if it == 0 else grad(loss_of, state0, select=selector)
         gT = np.asarray(gstate.T.values)
         distance = float(np.sum((np.asarray(unbox(state0.T.values)) - ref_values) ** 2))
         history.append(
@@ -180,12 +180,16 @@ def _trial_value(loss, x) -> float:
     return value if np.isfinite(value) else np.inf
 
 
-def _three_point_alpha(loss_of, state0, selector, alpha0: float) -> float:
-    """Pick the best of {alpha0/4, alpha0, 4*alpha0} from one gradient."""
-    base, gstate = grad(loss_of, state0, select=selector)
-    gT = np.asarray(gstate.T.values)
+def _three_point_alpha(loss_of, state0, selector, alpha0: float):
+    """Pick the best of {alpha0/4, alpha0, 4*alpha0} from one gradient.
+
+    Returns (alpha, (loss, gradient) at state0), so the descent starts from
+    the gradient taken here.
+    """
+    first = grad(loss_of, state0, select=selector)
+    gT = np.asarray(first[1].T.values)
     if not np.any(gT):
-        return alpha0
+        return alpha0, first
     best_alpha, best_loss = alpha0, np.inf
     T0 = unbox(state0.T.values)
     for candidate in (0.25 * alpha0, alpha0, 4.0 * alpha0):
@@ -193,7 +197,7 @@ def _three_point_alpha(loss_of, state0, selector, alpha0: float) -> float:
         value = _trial_value(loss_of, trial)
         if value < best_loss:
             best_alpha, best_loss = candidate, value
-    return best_alpha
+    return best_alpha, first
 
 
 @dataclass
@@ -374,9 +378,9 @@ def sensitivity_grid(
 ) -> SensitivityGrid:
     """Sample the calibration loss and its forward-mode gradient on a log grid.
 
-    Each cell costs two jvp evaluations (one per parameter direction); a
-    cell whose run blows up or is refused as unstable (DampingError) is
-    recorded as NaN, not raised.
+    Each cell is one forward pass: a single jvp pushes both parameter
+    directions as a stack. A cell whose run blows up or is refused as
+    unstable (DampingError) is recorded as NaN, not raised.
     """
     if n_a < 3 or n_r < 3:
         raise DomainError("sensitivity grid needs at least 3 samples per axis")
@@ -387,18 +391,16 @@ def sensitivity_grid(
     loss = np.full((n_a, n_r), np.nan)
     dA = np.full((n_a, n_r), np.nan)
     dr = np.full((n_a, n_r), np.nan)
+    directions = tuple(np.eye(2))  # d/dA_h and d/dr_bot
     for i, a in enumerate(A_values):
         for j, r in enumerate(r_values):
             try:
-                value, tangent_a = jvp(raw_loss, (float(a), float(r)), (1.0, 0.0))
-                _, tangent_r = jvp(raw_loss, (float(a), float(r)), (0.0, 1.0))
+                value, (d_a, d_r) = jvp(raw_loss, (float(a), float(r)), directions)
             except _BLOWUP:
                 continue
             if not np.isfinite(value):
                 continue
-            loss[i, j] = value
-            dA[i, j] = tangent_a
-            dr[i, j] = tangent_r
+            loss[i, j], dA[i, j], dr[i, j] = value, d_a, d_r
     return SensitivityGrid(
         A_values=A_values, r_values=r_values, loss=loss, dL_dAh=dA, dL_drbot=dr
     )

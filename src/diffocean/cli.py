@@ -280,7 +280,8 @@ def _cmd_sensitivity(args):
         list(grid_result.rows()),
     )
     print(
-        f"sensitivity: {sec.n_a}x{sec.n_r} grid over one decade around "
+        f"sensitivity: {sec.n_a}x{sec.n_r} grid over {sec.decades:g} "
+        f"decade{'' if sec.decades == 1 else 's'} around "
         f"(A_h={truth_a:.6g}, r_bot={truth_r:.6g})"
     )
 

@@ -1,5 +1,7 @@
 """Engine-level differentiation behavior: rules, tapes, selectors."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from diffocean.autodiff import (
     vjp,
 )
 from diffocean.autodiff.engine import _OVERRIDES, _PRIMITIVES, apply
+from diffocean.dyncore import step_n
 from diffocean.errors import (
     DomainError,
     DuplicateGradientError,
@@ -25,6 +28,7 @@ from diffocean.errors import (
     TapeMemoryError,
     UnregisteredPrimitiveError,
 )
+from diffocean.scenarios import dissipative_test_setup
 
 
 def test_jvp_square_scalar():
@@ -128,6 +132,21 @@ def test_stencil_vjp_is_exact_transpose(name, static):
         (ct_in,) = prim.vjp(e.reshape(nx, ny), (np.zeros((nx, ny)),), None, **static)
         backward[:, j] = ct_in.ravel()
     np.testing.assert_allclose(backward, forward.T, atol=1e-13)
+
+
+@pytest.mark.parametrize("name,static", STENCILS)
+def test_stencil_acts_on_each_slice_of_a_stack(name, static):
+    """A (3, 5, 4) stack of tangents or cotangents goes through the stencil
+    and its transpose slice by slice, bitwise."""
+    prim = _PRIMITIVES[name]
+    stack = np.random.default_rng(43).standard_normal((3, 5, 4))
+    shapes = (np.zeros((5, 4)),)
+    out = prim.fn(stack, **static)
+    (back,) = prim.vjp(stack, shapes, None, **static)
+    for k in range(3):
+        assert out[k].tobytes() == prim.fn(stack[k], **static).tobytes()
+        (back_k,) = prim.vjp(stack[k], shapes, None, **static)
+        assert back[k].tobytes() == back_k.tobytes()
 
 
 @pytest.mark.parametrize("name,static", STENCILS)
@@ -332,6 +351,66 @@ def test_vjp_cotangent_shape_checked():
 def test_jvp_tangent_shape_checked():
     with pytest.raises(ShapeError):
         jvp(lambda x: ops.mul(x, 2.0), np.ones((3, 3)), np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("k,match", [
+    ((np.ones((2, 2)), np.ones((2, 2))), r"expected \(\) or \(m,\)"),
+    # a stack of directions on one leaf, a single direction on the other
+    ((np.ones(2), 1.0), r"leading axes \(\), an earlier leaf \(2,\)"),
+    # stacks that disagree on m
+    ((np.ones(2), np.ones(3)), r"leading axes \(3,\), an earlier leaf \(2,\)"),
+])
+def test_jvp_direction_stacks_checked(k, match):
+    with pytest.raises(ShapeError, match=match):
+        jvp(lambda t: ops.mul(t[0], t[1]), (1.0, 2.0), k)
+
+
+def test_jvp_broadcast_scalar_tangent_matches_grad():
+    """A scalar added to (or subtracted from) a field moves every cell; a
+    scalar that only switches a where_pos moves none."""
+    field = np.ones((4, 3))
+    for f in (
+        lambda a: ops.asum(ops.add(a, field)),
+        lambda a: ops.asum(ops.sub(field, a)),
+        lambda a: ops.asum(ops.where_pos(a, field, field)),
+    ):
+        _, g = grad(f, 2.0)
+        _, tangent = jvp(f, 2.0, 1.0)
+        _, stacked = jvp(f, 2.0, np.array([1.0, -2.0]))
+        assert tangent == g
+        np.testing.assert_array_equal(stacked, [g, -2.0 * g])
+
+
+@pytest.mark.parametrize("reduce", [ops.asum, ops.amean])
+def test_jvp_direction_stack_equals_single_directions_bitwise(reduce):
+    """Three stacked directions over a model state and its scalar parameters
+    give bitwise what three one-direction passes give, frozen leaves
+    included."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    p = replace(p, kappa_T=2e3, tau0=0.05)
+
+    def f(x):
+        state, params = x
+        out = step_n(state, 3, params, g, c)
+        loss = reduce(ops.power(ops.sub(out.T.values, 10.0), 2.0))
+        return loss, out.u, state.T  # state.T is frozen: zero tangent
+
+    x = (s, p)
+    select = DiffSelector.only("u", "v", "eta", "A_h", "r_bot")
+    leaves, rebuild = tree.flatten(x)
+    rng = np.random.default_rng(5)
+    stacks = [rng.standard_normal((3,) + np.shape(leaf.value)) for leaf in leaves]
+    value, tangent = jvp(f, x, rebuild(stacks), select=select)
+    out_stacks = tree.leaf_values(tangent)
+    assert np.shape(out_stacks[0]) == (3,)
+    assert np.shape(out_stacks[-1]) == (3,) + g.shape
+    assert np.all(out_stacks[0] != 0.0) and not np.any(out_stacks[-1])
+    for k in range(3):
+        value_k, tangent_k = jvp(f, x, rebuild([t[k] for t in stacks]), select=select)
+        assert tree.leaf_values(value_k)[0] == tree.leaf_values(value)[0]
+        for stack, single in zip(out_stacks, tree.leaf_values(tangent_k)):
+            assert np.shape(stack[k]) == np.shape(single)
+            assert np.asarray(stack[k]).tobytes() == np.asarray(single).tobytes()
 
 
 def test_random_direction_is_unit_and_deterministic():

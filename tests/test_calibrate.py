@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from diffocean import scenarios
+from diffocean import calibrate, scenarios
+from diffocean.autodiff import grad, jvp
 from diffocean.calibrate import (
     BsfObservations,
     OptimHistory,
@@ -117,6 +118,37 @@ def test_reconstruct_single_cell_descent(small_setup):
     losses = history.column("loss")
     assert losses[1] < losses[0]
     assert losses[2] <= losses[1]
+
+
+def test_reconstruct_takes_each_gradient_once(small_setup, monkeypatch):
+    """The step-size search's gradient is the descent's first one: iters=2
+    visits 3 points and takes 3 gradients. The pinned history is the one
+    the search and the descent gave when each took its own gradient."""
+    g, p, c, start = small_setup
+    calls = []
+
+    def counted_grad(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+
+    monkeypatch.setattr(calibrate, "grad", counted_grad)
+    perturbed = Field(start.T.values.copy(), Staggering.CENTER)
+    perturbed.values[10, 10] += 1.0
+    history, _ = reconstruct_initial_state(
+        start.T, perturbed, 1, 0.25, 2,
+        base_state=start, params=p, g=g, stepcfg=c,
+    )
+    assert len(calls) == 3
+    assert [float.hex(r.loss) for r in history.records] == [
+        "0x1.ffb06eede0134p-1", "0x1.0027c0b7fcf4cp-2", "0x1.0077693678ea0p-4"
+    ]
+    assert [float.hex(r.grad_norm) for r in history.records] == [
+        "0x1.ffb0708ec6114p+0", "0x1.fffff061480bep-1", "0x1.0027c187af072p-1"
+    ]
+    assert [float.hex(r.metrics["distance"]) for r in history.records] == [
+        "0x1.0000000000000p+0", "0x1.004f98e17bfa6p-2", "0x1.009f5107445fap-4"
+    ]
+    assert history.column("alpha") == [0.25, 0.25, 0.25]
 
 
 def test_reconstruct_descent_property_and_freezing(small_setup):
@@ -307,6 +339,25 @@ def test_sensitivity_corner_gradients_point_toward_truth(small_grid_result):
             to_truth = (np.log(truth_a) - la[i], np.log(truth_r) - lr[j])
             inner = -ga * to_truth[0] - gr * to_truth[1]
             assert inner > 0.0
+
+
+def test_sensitivity_grid_equals_one_direction_jvps_bitwise(
+    small_setup, small_grid_result
+):
+    """One stacked pass per cell gives bitwise the two one-direction passes."""
+    result, _, _ = small_grid_result
+    g, p, c, start = small_setup
+    obs = reference_bsf_observations(start, p, g, c, [20, 40])
+    loss = bsf_calibration_loss(obs, start, p, g, c)
+    for i, a in enumerate(result.A_values):
+        for j, r in enumerate(result.r_values):
+            x = (float(a), float(r))
+            value, d_a = jvp(loss, x, (1.0, 0.0))
+            _, d_r = jvp(loss, x, (0.0, 1.0))
+            for grid_values, single in (
+                (result.loss, value), (result.dL_dAh, d_a), (result.dL_drbot, d_r)
+            ):
+                assert grid_values[i, j].tobytes() == np.float64(single).tobytes()
 
 
 @pytest.mark.xfail(

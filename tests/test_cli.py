@@ -170,6 +170,15 @@ def test_sensitivity_subcommand(small_conf, tmp_path):
     assert all(np.isfinite(losses))
 
 
+def test_sensitivity_reports_configured_decades(small_conf, tmp_path, capsys):
+    out = str(tmp_path / "sens2")
+    assert main(["sensitivity", "--config", small_conf, "--out", out,
+                 "--set", "sensitivity.decades=2"]) == 0
+    assert "3x3 grid over 2 decades around (A_h=" in capsys.readouterr().out
+    rows = read_csv(os.path.join(out, "sensitivity.csv"))
+    assert float(rows[-1]["A_h"]) / float(rows[0]["A_h"]) == pytest.approx(1e4)
+
+
 def test_benchmark_subcommand(small_conf, tmp_path):
     out = str(tmp_path / "bench")
     assert main(["benchmark", "--config", small_conf, "--out", out]) == 0
