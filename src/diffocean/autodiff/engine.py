@@ -183,12 +183,7 @@ class Box:
                 f"unregistered primitive: {ufunc.__name__}"
             )
         if name == "power":
-            base, p = inputs
-            if isinstance(p, Box):
-                raise UnregisteredPrimitiveError(
-                    "exponent may not be differentiated"
-                )
-            return apply("power", base, p=float(p))
+            return Box.__pow__(*inputs)
         return apply(name, *inputs)
 
     def __bool__(self):

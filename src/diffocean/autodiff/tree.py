@@ -15,6 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..errors import ShapeError
+from .engine import Box, unbox
 
 # Containers registered by grid/dyncore at import time.
 _CONTAINERS: dict[type, "_ContainerSpec"] = {}
@@ -46,9 +47,7 @@ class Leaf:
 def _is_leaf(x) -> bool:
     if isinstance(x, (bool, str, bytes)) or x is None:
         return False
-    return isinstance(x, (int, float, np.floating, np.integer, np.ndarray)) or hasattr(
-        x, "primal"
-    )
+    return isinstance(x, (int, float, np.floating, np.integer, np.ndarray, Box))
 
 
 def _build(x, path, name, leaves):
@@ -131,16 +130,12 @@ def congruent_leaves(x, other) -> list:
             f"tree mismatch: expected {len(ref)} leaves, got {len(got)}"
         )
     for r, g in zip(ref, got):
-        if np.shape(_primal(r.value)) != np.shape(_primal(g.value)):
+        if np.shape(unbox(r.value)) != np.shape(unbox(g.value)):
             raise ShapeError(
                 f"leaf {r.path} shape mismatch: "
-                f"{np.shape(_primal(g.value))} vs {np.shape(_primal(r.value))}"
+                f"{np.shape(unbox(g.value))} vs {np.shape(unbox(r.value))}"
             )
     return [g.value for g in got]
-
-
-def _primal(v):
-    return v.primal if hasattr(v, "primal") else v
 
 
 def tree_dot(a, b) -> float:
@@ -181,7 +176,7 @@ def unravel(vec, like) -> list:
     out = []
     pos = 0
     for v in like:
-        p = _primal(v)
+        p = unbox(v)
         if isinstance(p, np.ndarray):
             n = p.size
             out.append(vec[pos : pos + n].reshape(p.shape))

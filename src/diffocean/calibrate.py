@@ -105,11 +105,11 @@ def reconstruct_initial_state(
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
     loss_of = temperature_mismatch_loss(
-        state_with_T(base_state, ref_T0), l, params, g, stepcfg
+        replace(base_state, T=ref_T0), l, params, g, stepcfg
     )
     ref_values = np.asarray(unbox(ref_T0.values))
     selector = DiffSelector.only("T")
-    state0 = state_with_T(base_state, perturbed_T0)
+    state0 = replace(base_state, T=perturbed_T0)
     alpha, first = _three_point_alpha(loss_of, state0, selector, alpha)
 
     history = OptimHistory([])
@@ -143,9 +143,7 @@ def reconstruct_initial_state(
         prev_loss = loss_value
         if it == iters:
             break
-        state0 = state_with_T(
-            state0, Field(unbox(state0.T.values) - alpha * gT, Staggering.CENTER)
-        )
+        state0 = replace(state0, T=state0.T - alpha * gT)
     return history, state0.T
 
 
@@ -164,11 +162,6 @@ def temperature_mismatch_loss(
         return ops.asum(ops.power(ops.sub(out.T.values, target_T), 2.0))
 
     return loss
-
-
-def state_with_T(s: ModelState, T: Field) -> ModelState:
-    """Copy of the state with T replaced; everything else shared."""
-    return ModelState(u=s.u, v=s.v, eta=s.eta, T=T, time=s.time)
 
 
 def _trial_value(loss, x) -> float:
@@ -191,9 +184,8 @@ def _three_point_alpha(loss_of, state0, selector, alpha0: float):
     if not np.any(gT):
         return alpha0, first
     best_alpha, best_loss = alpha0, np.inf
-    T0 = unbox(state0.T.values)
     for candidate in (0.25 * alpha0, alpha0, 4.0 * alpha0):
-        trial = state_with_T(state0, Field(T0 - candidate * gT, Staggering.CENTER))
+        trial = replace(state0, T=state0.T - candidate * gT)
         value = _trial_value(loss_of, trial)
         if value < best_loss:
             best_alpha, best_loss = candidate, value

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -102,17 +103,11 @@ class _Workspace:
     def write_csv(self, name: str, header, rows):
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(_csv_cell(row[h]) for h in header))
+            lines.append(",".join(format_value(row[h]) for h in header))
         self._write_text(name, "\n".join(lines) + "\n")
 
     def snapshot(self, state, name: str):
         write_snapshot(state, self.path(name))
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return format_value(value) if not isinstance(value, str) else value
 
 
 def _cmd_run(args):
@@ -205,9 +200,8 @@ def _cmd_reconstruct(args):
         _history_rows(history, ["distance"]),
     )
     ws.snapshot(base, "reference_initial.dosn")
-    perturbed_state = cal.state_with_T(base, perturbed)
-    ws.snapshot(perturbed_state, "perturbed_initial.dosn")
-    ws.snapshot(cal.state_with_T(base, recovered), "recovered_initial.dosn")
+    ws.snapshot(replace(base, T=perturbed), "perturbed_initial.dosn")
+    ws.snapshot(replace(base, T=recovered), "recovered_initial.dosn")
     first, last = history.records[0], history.final
     print(
         f"reconstruct: loss {first.loss:.6g} -> {last.loss:.6g}, "

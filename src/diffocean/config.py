@@ -305,7 +305,7 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
                 raise ConfigError(f"{source}: missing required key {key!r} in {place}")
             else:
                 value, where = spec.default, "default"
-            if spec.check is not None and value != AUTO_CFL:
+            if spec.check is not None:
                 message = spec.check(value)
                 if message is not None:
                     raise ConfigError(f"{where}: {key}: {message}")

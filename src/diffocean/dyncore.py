@@ -173,7 +173,7 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     u, eta, T = s.u, s.eta, s.T
     # The wall row of v is not a degree of freedom: mask it on entry so
     # neither the physics nor the gradients ever see wall-normal flow.
-    v = Field(ops.mul(s.v.values, g.vwall_mask), Staggering.V_FACE)
+    v = s.v * g.vwall_mask
 
     # Continuity first (forward-backward: momentum sees the updated eta).
     eta_new = eta - (c.dt * g.H) * divergence(u, v, g)
@@ -185,35 +185,15 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
         drag_u = p.r_bot * u
         drag_v = p.r_bot * v
     else:
-        speed_u = ops.sqrt_reg(
-            ops.add(
-                ops.mul(u.values, u.values), ops.mul(v_at_u.values, v_at_u.values)
-            )
-        )
-        speed_v = ops.sqrt_reg(
-            ops.add(
-                ops.mul(u_at_v.values, u_at_v.values), ops.mul(v.values, v.values)
-            )
-        )
-        drag_u = Field(
-            ops.div(ops.mul(p.C_d, ops.mul(speed_u, u.values)), g.H),
-            Staggering.U_FACE,
-        )
-        drag_v = Field(
-            ops.div(ops.mul(p.C_d, ops.mul(speed_v, v.values)), g.H),
-            Staggering.V_FACE,
-        )
+        speed_u = ops.sqrt_reg((u * u + v_at_u * v_at_u).values)
+        speed_v = ops.sqrt_reg((u_at_v * u_at_v + v * v).values)
+        drag_u = p.C_d * (speed_u * u) / g.H
+        drag_v = p.C_d * (speed_v * v) / g.H
 
-    wind_accel = Field(
-        ops.div(
-            wind_stress_profile(g, p.tau0, p.wind_band).values,
-            ops.mul(p.rho0, g.H),
-        ),
-        Staggering.U_FACE,
-    )
+    wind_accel = wind_stress_profile(g, p.tau0, p.wind_band) / ops.mul(p.rho0, g.H)
 
-    coriolis_u = Field(ops.mul(g.f_at_u, v_at_u.values), Staggering.U_FACE)
-    coriolis_v = Field(ops.mul(g.f_at_v, u_at_v.values), Staggering.V_FACE)
+    coriolis_u = g.f_at_u * v_at_u
+    coriolis_v = g.f_at_v * u_at_v
 
     u_new = u + c.dt * (
         coriolis_u
@@ -228,10 +208,7 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
         + p.A_h * laplacian(v, g, boundary=c.boundary)
         - drag_v
     )
-    v_new = Field(
-        ops.mul(ops.add(v.values, ops.mul(c.dt, v_tend.values)), g.vwall_mask),
-        Staggering.V_FACE,
-    )
+    v_new = (v + c.dt * v_tend) * g.vwall_mask
 
     T_new = T + c.dt * (
         -_advect(u_new, v_new, T, g)
@@ -254,12 +231,9 @@ def _advect(u: Field, v: Field, T: Field, g: GridSpec) -> Field:
     t = T.values
     t_east = ops.roll_x(t, -1)
     t_north = ops.shift_yp(t, fill="edge")  # multiplied by the zero wall row
-    flux_x = ops.mul(u.values, ops.where_pos(u.values, t, t_east))
-    flux_y = ops.mul(v.values, ops.where_pos(v.values, t, t_north))
-    return Field(
-        ops.add(ops.ddx_bwd(flux_x, g.dx), ops.ddy_bwd(flux_y, g.dy)),
-        Staggering.CENTER,
-    )
+    flux_x = u * ops.where_pos(u.values, t, t_east)
+    flux_y = v * ops.where_pos(v.values, t, t_north)
+    return divergence(flux_x, flux_y, g)
 
 
 def step_n(s: ModelState, n: int, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState:

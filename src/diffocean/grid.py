@@ -119,10 +119,16 @@ def make_channel_grid(
 
 @dataclass
 class Field:
-    """A 2-D 64-bit real array tagged with its grid position."""
+    """A 2-D 64-bit real array tagged with its grid position.
+
+    With an ndarray on the left, `+`, `-` and `*` defer to the Field and
+    return a Field at its staggering; `/` raises TypeError.
+    """
 
     values: object
     staggering: Staggering = Staggering.CENTER
+    # NumPy defers binary operators to a type that opts out of ufuncs.
+    __array_ufunc__ = None
 
     def __post_init__(self):
         self.staggering = Staggering(self.staggering)

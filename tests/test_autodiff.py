@@ -243,6 +243,12 @@ def test_unregistered_ufunc_raises():
         vjp(lambda x: np.arctan(x), np.ones(3), np.ones(3))
 
 
+def test_np_power_is_box_pow():
+    assert jvp(lambda x: np.power(x, 3), 2.0, 1.0) == jvp(lambda x: x**3, 2.0, 1.0)
+    with pytest.raises(UnregisteredPrimitiveError, match="exponent"):
+        grad(lambda x: np.power(2.0, x), 1.0)
+
+
 def test_control_flow_on_traced_value_raises():
     def f(x):
         if x > 0:

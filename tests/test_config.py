@@ -102,9 +102,18 @@ def test_small_grid_rejected(tmp_path):
         parse_config(write(tmp_path, text))
 
 
-def test_bad_drag_mode_rejected(tmp_path):
-    text = MINIMAL + "\n[physics]\ndrag_mode = cubic\n"
-    with pytest.raises(ConfigError, match="drag_mode must be one of"):
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("physics", "drag_mode", "cubic"),
+        # auto-cfl is a value of dt only; other keys check it like any string.
+        ("physics", "drag_mode", "auto-cfl"),
+        ("stepping", "boundary", "auto-cfl"),
+    ],
+)
+def test_bad_choice_rejected(tmp_path, section, key, value):
+    text = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"{key}: {key} must be one of"):
         parse_config(write(tmp_path, text))
 
 

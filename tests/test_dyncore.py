@@ -1,9 +1,13 @@
 """Dynamical-core behavior: stepping, diagnostics, conservation."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from diffocean import dyncore
+from diffocean.autodiff import Tape
 from diffocean.dyncore import (
     ModelState,
     PhysParams,
@@ -22,6 +26,7 @@ from diffocean.errors import (
     DomainError,
     NonFiniteError,
     ShapeError,
+    StaggeringError,
 )
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import (
@@ -236,6 +241,65 @@ def test_step_shape_mismatch():
     p = quiet_params(g)
     with pytest.raises(ShapeError):
         step(zero_state(g2), p, g, StepConfig(dt=100.0))
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("u", Staggering.CENTER),
+        ("v", Staggering.CENTER),
+        ("eta", Staggering.U_FACE),
+        ("T", Staggering.V_FACE),
+    ],
+)
+def test_step_rejects_mistagged_field(name, wrong):
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 1e-4, 0.0)
+    p = quiet_params(g, A_h=100.0, r_bot=1e-5, kappa_T=50.0)
+    s = zero_state(g)
+    s = replace(s, **{name: Field(getattr(s, name).values, wrong)})
+    with pytest.raises(StaggeringError):
+        step(s, p, g, StepConfig(dt=300.0))
+
+
+# The tape is swept in reverse node order and each node's cotangents
+# accumulate in that order, so a step that records its primitives or
+# operands in another order can change gradient bits while its forward
+# values stay the same. The pin covers names and parent indices only.
+@pytest.mark.parametrize(
+    "drag_mode, boundary, nodes, nbytes, digest",
+    [
+        ("linear", "free-slip", 60, 21184,
+         "446999a0ac9532adb7b02bf2547cead1b0cf0c8941950476e91dd3cced2eb1b7"),
+        ("quadratic", "no-slip", 72, 36544,
+         "a34bc7806c53f8add508c37b168b1caa3878eb911b93958ef67dc03d6eedb155"),
+    ],
+    ids=["linear-free-slip", "quadratic-no-slip"],
+)
+def test_step_tape_structure_pinned(drag_mode, boundary, nodes, nbytes, digest):
+    g = make_channel_grid(12, 10, 1e6, 1e6, 500.0, -1e-4, 1e-11)
+    s = random_state(g, np.random.default_rng(0))
+    tape = Tape()
+
+    def leaf(f):
+        return Field(tape.leaf(f.values), f.staggering)
+
+    boxed = ModelState(u=leaf(s.u), v=leaf(s.v), eta=leaf(s.eta), T=leaf(s.T))
+    p = quiet_params(
+        g,
+        A_h=tape.leaf(300.0),
+        r_bot=tape.leaf(1e-5),
+        C_d=tape.leaf(1e-3),
+        drag_mode=drag_mode,
+        tau0=0.05,
+        kappa_T=100.0,
+        lambda_relax=1e-6,
+        T_star=linear_profile_field(g, 5.0, 15.0),
+    )
+    step(boxed, p, g, StepConfig(dt=200.0, boundary=boundary))
+    structure = repr([(n.name, n.parents) for n in tape.nodes]).encode()
+    assert len(tape.nodes) == nodes
+    assert tape.bytes_used == nbytes
+    assert hashlib.sha256(structure).hexdigest() == digest
 
 
 def test_streamfunction_zero_velocity():

@@ -1,5 +1,7 @@
 """Grid construction and discrete operator behavior."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -254,3 +256,19 @@ def test_field_rejects_mixed_staggering_arithmetic():
     c = center(np.zeros(g.shape))
     with pytest.raises(StaggeringError):
         _ = u + c
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_ndarray_left_operand_defers_to_field(op):
+    rng = np.random.default_rng(3)
+    row = rng.standard_normal((1, 8))  # like the Coriolis rows f_at_u, f_at_v
+    f = Field(rng.standard_normal((8, 8)), Staggering.V_FACE)
+    out = op(row, f)
+    assert isinstance(out, Field)
+    assert out.staggering is Staggering.V_FACE
+    assert out.values.tobytes() == op(row, f.values).tobytes()
+
+
+def test_ndarray_left_division_by_field_raises():
+    with pytest.raises(TypeError):
+        _ = np.ones((8, 8)) / center(np.ones((8, 8)))
