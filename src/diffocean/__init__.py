@@ -8,12 +8,10 @@ viscosity and bottom friction from barotropic streamfunction observations.
 """
 
 from .autodiff import (
-    CustomGradientEntry,
     DiffSelector,
     Tape,
     grad,
     jvp,
-    register_custom_gradient,
     sqrt_reg,
     vjp,
 )
@@ -44,14 +42,12 @@ from .grid import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CustomGradientEntry",
     "DiffSelector",
     "Tape",
     "grad",
     "jvp",
     "vjp",
     "sqrt_reg",
-    "register_custom_gradient",
     "ModelState",
     "PhysParams",
     "StepConfig",

@@ -21,14 +21,12 @@ from ..errors import ShapeError
 from . import tree
 from .engine import (
     Box,
-    CustomGradientEntry,
     DualBox,
     Tape,
     TapeBox,
     _activate,
     apply,
     mark_step,
-    register_custom_gradient,
     unbox,
 )
 from .primitives import (
@@ -45,7 +43,6 @@ from .primitives import (
 
 __all__ = [
     "DiffSelector",
-    "CustomGradientEntry",
     "DualBox",
     "Tape",
     "TapeBox",
@@ -54,7 +51,6 @@ __all__ = [
     "vjp",
     "grad",
     "sqrt_reg",
-    "register_custom_gradient",
     "random_direction",
     "mark_step",
     "unbox",

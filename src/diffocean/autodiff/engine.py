@@ -1,99 +1,75 @@
 """Forward- and reverse-mode differentiation over registered array primitives.
 
-Every differentiable operation in the package is a named primitive with
-three pieces: a raw computation `fn`, a tangent rule `jvp`, and a cotangent
-rule `vjp`. `apply` always evaluates `fn` on the unwrapped values, so the
-primal numbers are bitwise identical whether or not derivatives are being
-propagated. Forward mode wraps values in DualBox (value, tangent), where
-the tangent stacks m directions on a leading axis, (m,) + value shape;
-reverse mode wraps them in TapeBox and records each application on a Tape
-that is later swept backwards.
+Every differentiable operation in the package is a named primitive with a
+raw computation `fn`, a tangent rule `jvp`, and one cotangent rule per
+argument, each declaring which primal values it reads. `apply` always
+evaluates `fn` on the unwrapped values, so the primal numbers are bitwise
+identical whether or not derivatives are being propagated. Forward mode
+wraps values in DualBox (value, tangent), where the tangent stacks m
+directions on a leading axis, (m,) + value shape; reverse mode wraps them
+in TapeBox and records each application on a Tape, which keeps only what
+the rules of the taped arguments read, and is later swept backwards.
 
 Tapes are single-owner objects: one tape is built and swept by one logical
-thread. The primitive registry and the custom-gradient overrides are
-written during startup and read-only afterwards.
+thread. The primitive registry is written during startup and read-only
+afterwards.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ..errors import (
-    DuplicateGradientError,
-    TapeMemoryError,
-    UnregisteredPrimitiveError,
-)
+from ..errors import TapeMemoryError, UnregisteredPrimitiveError
 
 
 class Primitive:
-    """A named operation with default differentiation rules.
+    """A named operation with its differentiation rules.
 
-    `saves` declares which primal values the backward rule reads: a tuple
-    of argument indices plus whether the output is needed. Tapes drop
-    everything else, which keeps reverse-mode memory proportional to what
-    the sweep actually touches.
+    `jvp` pushes the stacked tangents of all arguments at once. `vjps`
+    holds one cotangent rule per argument, `rule(ct, args, out, **static)`,
+    or None for an argument that gets no derivative. `reads[i]` names the
+    primal values rule i reads: argument indices, and "out" for the output.
+    A rule may use the shape of any argument; a tape keeps only the values
+    that the rules of its taped arguments read.
     """
 
-    __slots__ = ("name", "fn", "jvp", "vjp", "saves")
+    __slots__ = ("name", "fn", "jvp", "vjps", "reads")
 
-    def __init__(self, name, fn, jvp, vjp, saves=None):
+    def __init__(self, name, fn, jvp, vjps, reads):
         self.name = name
         self.fn = fn
         self.jvp = jvp
-        self.vjp = vjp
-        self.saves = saves  # (arg_indices, out_needed); None = keep everything
+        self.vjps = vjps
+        self.reads = reads
+
+    def vjp(self, ct, args, out, **static):
+        """Every argument's cotangent, None where it gets no derivative."""
+        return tuple(
+            None if rule is None else rule(ct, args, out, **static) for rule in self.vjps
+        )
 
 
 _PRIMITIVES: dict[str, Primitive] = {}
 
 
-def define_primitive(name: str, fn, jvp, vjp, saves=None) -> Primitive:
+def define_primitive(name: str, fn, jvp, vjps, reads) -> Primitive:
     if name in _PRIMITIVES:
         raise ValueError(f"primitive {name!r} already defined")
-    prim = Primitive(name, fn, jvp, vjp, saves)
+    if len(vjps) != len(reads):
+        raise ValueError(
+            f"primitive {name!r}: {len(vjps)} cotangent rules but {len(reads)} read-sets"
+        )
+    for read in reads:
+        for r in read:
+            if r != "out" and r not in range(len(vjps)):
+                raise ValueError(
+                    f"primitive {name!r}: read-set names argument {r!r} of {len(vjps)}"
+                )
+    prim = Primitive(name, fn, jvp, tuple(vjps), tuple(frozenset(r) for r in reads))
     _PRIMITIVES[name] = prim
     return prim
-
-
-@dataclass(frozen=True)
-class CustomGradientEntry:
-    """Replacement differentiation rules for one primitive.
-
-    Registering an entry never changes primal outputs: only the jvp/vjp
-    rules consulted by later tapes and tangent pushes are swapped. `saves`
-    mirrors Primitive.saves; None keeps every primal for safety.
-    """
-
-    primitive: str
-    vjp: Callable
-    jvp: Callable
-    saves: tuple | None = None
-
-
-_OVERRIDES: dict[str, CustomGradientEntry] = {}
-
-
-def register_custom_gradient(entry: CustomGradientEntry) -> str:
-    """Install custom rules for a primitive; returns the primitive id."""
-    if entry.primitive not in _PRIMITIVES:
-        raise UnregisteredPrimitiveError(
-            f"unregistered primitive: {entry.primitive!r}"
-        )
-    if entry.primitive in _OVERRIDES:
-        raise DuplicateGradientError(
-            f"custom gradient for {entry.primitive!r} already registered"
-        )
-    _OVERRIDES[entry.primitive] = entry
-    return entry.primitive
-
-
-def _rules(prim: Primitive):
-    override = _OVERRIDES.get(prim.name)
-    return override if override is not None else prim
 
 
 class Box:
@@ -257,19 +233,20 @@ def _nbytes(v):
     return v.nbytes if isinstance(v, np.ndarray) else 16
 
 
-_ZERO = np.float64(0.0)
-
-
 class Tape:
     """Ordered record of primitive applications for one reverse-mode sweep.
 
     Every intermediate primal needed by a backward rule is saved on the
     tape (no recomputation checkpointing); desk-scale rollouts fit in
-    memory. In the default "minimal" mode only the primals each rule
-    declared are kept alive; "full" mode retains every input and output so
-    the whole record can be replayed and compared bitwise. An optional
-    byte budget turns exhaustion into TapeMemoryError naming how many
-    model steps had been recorded.
+    memory. In the default "minimal" mode a node keeps the primals read by
+    the cotangent rules of its taped arguments, plus its constant
+    arguments (tiny or shared across steps); a taped array that no such
+    rule reads is dropped for a shared read-only zero stand-in of its
+    shape. So `c * x` keeps neither operand when only x is taped, and the
+    sweep calls only the taped arguments' rules. "full" mode retains every
+    input and output so the whole record can be replayed and compared
+    bitwise. An optional byte budget turns exhaustion into TapeMemoryError
+    naming how many model steps had been recorded.
     """
 
     def __init__(self, max_bytes=None, save: str = "minimal"):
@@ -280,35 +257,39 @@ class Tape:
         self.bytes_used = 0
         self.max_bytes = max_bytes
         self.save = save
+        self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
 
     def leaf(self, value) -> TapeBox:
         self.nodes.append(_Node(None, (), (), value, {}))
         return TapeBox(self, len(self.nodes) - 1, value)
 
+    def _stand_in(self, shape):
+        zeros = self._zeros.get(shape)
+        if zeros is None:
+            zeros = self._zeros[shape] = np.broadcast_to(np.float64(0.0), shape)
+        return zeros
+
     def _record(self, prim, parents, args, out, static) -> int:
-        saves = _rules(prim).saves
-        if self.save == "full" or saves is None:
+        if self.save == "full":
             kept_args, kept_out = args, out
             self.bytes_used += _nbytes(out)
         else:
-            arg_indices, out_needed = saves
-            # Constants (non-parent args) are kept for replay; they are
-            # either tiny or shared across steps. Parent values are kept
-            # only when the backward rule reads them; rules that merely
-            # need a shape get a zero-strided stand-in so the real array
-            # can be freed.
+            reads = set()
+            for parent, read in zip(parents, prim.reads):
+                if parent is not None:
+                    reads |= read
             kept_args = []
             for i, a in enumerate(args):
-                if parents[i] is None or i in arg_indices:
+                if parents[i] is None or i in reads:
                     kept_args.append(a)
                     if parents[i] is not None:
                         self.bytes_used += _nbytes(a)
                 elif isinstance(a, np.ndarray):
-                    kept_args.append(np.broadcast_to(_ZERO, a.shape))
+                    kept_args.append(self._stand_in(a.shape))
                 else:
                     kept_args.append(a)
             kept_args = tuple(kept_args)
-            kept_out = out if out_needed else None
+            kept_out = out if "out" in reads else None
             if kept_out is not None:
                 self.bytes_used += _nbytes(kept_out)
         node = _Node(prim.name, parents, kept_args, kept_out, static)
@@ -324,7 +305,8 @@ class Tape:
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
         """Backward pass: cotangents per seed node -> cotangents per leaf.
 
-        Visits every node exactly once, in reverse recording order.
+        Visits every node exactly once, in reverse recording order, and
+        calls the rules of its taped arguments in argument order.
         """
         adjoint: dict[int, object] = {}
         for idx, ct in seeds.items():
@@ -338,10 +320,10 @@ class Tape:
             if node.name is None:
                 grads[idx] = ct
                 continue
-            rules = _rules(_PRIMITIVES[node.name])
-            input_cts = rules.vjp(ct, node.args, node.out, **node.static)
-            for parent, c in zip(node.parents, input_cts):
-                if parent is not None and c is not None:
+            rules = _PRIMITIVES[node.name].vjps
+            for parent, rule in zip(node.parents, rules):
+                if parent is not None and rule is not None:
+                    c = rule(ct, node.args, node.out, **node.static)
                     _accumulate(adjoint, parent, c)
         return grads
 
@@ -450,6 +432,6 @@ def apply(name: str, *args, **static):
         for i, t in enumerate(links):
             if t is not None and t.ndim < rank:
                 links[i] = t.reshape(t.shape[:1] + (1,) * (rank - t.ndim) + t.shape[1:])
-        return DualBox(out, _rules(prim).jvp(tuple(links), values, out, **static))
+        return DualBox(out, prim.jvp(tuple(links), values, out, **static))
     tape = box.tape
     return TapeBox(tape, tape._record(prim, tuple(links), values, out, static), out)

@@ -19,12 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .engine import (
-    CustomGradientEntry,
-    apply,
-    define_primitive,
-    register_custom_gradient,
-)
+from .engine import apply, define_primitive
 
 REG_EPS_DEFAULT = 1e-12
 
@@ -65,14 +60,21 @@ def _trailing(t):
     return tuple(range(1, t.ndim))
 
 
+def _roll_x(a, n):
+    """np.roll(a, n, axis=-2) as one concatenation of two slices, which
+    costs a fraction of np.roll's call overhead on model-sized arrays."""
+    n %= a.shape[-2]
+    return np.concatenate((a[..., -n:, :], a[..., :-n, :]), axis=-2)
+
+
 def _linear(name, fn, transpose):
     """Define a linear primitive: jvp is fn itself, vjp its transpose."""
     define_primitive(
         name,
         fn,
         jvp=lambda t, args, out, **kw: fn(t[0], **kw),
-        vjp=lambda ct, args, out, **kw: (transpose(ct, **kw),),
-        saves=((), False),
+        vjps=(lambda ct, args, out, **kw: transpose(ct, **kw),),
+        reads=((),),
     )
 
 
@@ -91,8 +93,11 @@ define_primitive(
     "add",
     np.add,
     jvp=_add_jvp,
-    vjp=lambda ct, args, out: (_unbroadcast(ct, args[0]), _unbroadcast(ct, args[1])),
-    saves=((), False),  # unbroadcast needs shapes only
+    vjps=(
+        lambda ct, args, out: _unbroadcast(ct, args[0]),
+        lambda ct, args, out: _unbroadcast(ct, args[1]),
+    ),
+    reads=((), ()),  # unbroadcast needs shapes only
 )
 
 
@@ -109,11 +114,11 @@ define_primitive(
     "sub",
     np.subtract,
     jvp=_sub_jvp,
-    vjp=lambda ct, args, out: (
-        _unbroadcast(ct, args[0]),
-        _unbroadcast(np.negative(ct), args[1]),
+    vjps=(
+        lambda ct, args, out: _unbroadcast(ct, args[0]),
+        lambda ct, args, out: _unbroadcast(np.negative(ct), args[1]),
     ),
-    saves=((), False),
+    reads=((), ()),
 )
 
 
@@ -131,11 +136,11 @@ define_primitive(
     "mul",
     np.multiply,
     jvp=_mul_jvp,
-    vjp=lambda ct, args, out: (
-        _unbroadcast(np.multiply(ct, args[1]), args[0]),
-        _unbroadcast(np.multiply(ct, args[0]), args[1]),
+    vjps=(
+        lambda ct, args, out: _unbroadcast(np.multiply(ct, args[1]), args[0]),
+        lambda ct, args, out: _unbroadcast(np.multiply(ct, args[0]), args[1]),
     ),
-    saves=((0, 1), False),
+    reads=((1,), (0,)),
 )
 
 
@@ -154,13 +159,13 @@ define_primitive(
     "div",
     np.true_divide,
     jvp=_div_jvp,
-    vjp=lambda ct, args, out: (
-        _unbroadcast(np.true_divide(ct, args[1]), args[0]),
-        _unbroadcast(
+    vjps=(
+        lambda ct, args, out: _unbroadcast(np.true_divide(ct, args[1]), args[0]),
+        lambda ct, args, out: _unbroadcast(
             np.negative(np.multiply(ct, np.true_divide(out, args[1]))), args[1]
         ),
     ),
-    saves=((1,), True),
+    reads=((1,), (1, "out")),
 )
 
 _linear("neg", np.negative, np.negative)
@@ -176,32 +181,32 @@ define_primitive(
     "power",
     lambda a, p: np.power(a, p),
     jvp=lambda t, args, out, p: np.multiply(_power_grad(args[0], p), t[0]),
-    vjp=lambda ct, args, out, p: (np.multiply(ct, _power_grad(args[0], p)),),
-    saves=((0,), False),
+    vjps=(lambda ct, args, out, p: np.multiply(ct, _power_grad(args[0], p)),),
+    reads=((0,),),
 )
 
 define_primitive(
     "exp",
     np.exp,
     jvp=lambda t, args, out: np.multiply(out, t[0]),
-    vjp=lambda ct, args, out: (np.multiply(ct, out),),
-    saves=((), True),
+    vjps=(lambda ct, args, out: np.multiply(ct, out),),
+    reads=(("out",),),
 )
 
 define_primitive(
     "log",
     np.log,
     jvp=lambda t, args, out: np.true_divide(t[0], args[0]),
-    vjp=lambda ct, args, out: (np.true_divide(ct, args[0]),),
-    saves=((0,), False),
+    vjps=(lambda ct, args, out: np.true_divide(ct, args[0]),),
+    reads=((0,),),
 )
 
 define_primitive(
     "sqrt",
     np.sqrt,
     jvp=lambda t, args, out: np.true_divide(t[0], 2.0 * out),
-    vjp=lambda ct, args, out: (np.true_divide(ct, 2.0 * out),),
-    saves=((), True),
+    vjps=(lambda ct, args, out: np.true_divide(ct, 2.0 * out),),
+    reads=(("out",),),
 )
 
 
@@ -211,31 +216,19 @@ def _sqrt_reg_fn(x, eps):
     return np.sqrt(x)
 
 
-# Default rules are the exact square-root derivative; the regularized rules
-# below are installed through the custom-gradient registry at import time.
-define_primitive(
-    "sqrt_reg",
-    _sqrt_reg_fn,
-    jvp=lambda t, args, out, eps: np.true_divide(t[0], 2.0 * out),
-    vjp=lambda ct, args, out, eps: (np.true_divide(ct, 2.0 * out),),
-    saves=((0,), True),
-)
-
-
 def _sqrt_reg_factor(x, eps):
     # max(x, eps) takes the x branch at equality, so the clamped and
     # unclamped derivatives agree exactly at x == eps.
     return 2.0 * np.sqrt(np.maximum(x, eps))
 
 
-SQRT_REG_ENTRY = CustomGradientEntry(
-    primitive="sqrt_reg",
-    vjp=lambda ct, args, out, eps: (np.true_divide(ct, _sqrt_reg_factor(args[0], eps)),),
+define_primitive(
+    "sqrt_reg",
+    _sqrt_reg_fn,
     jvp=lambda t, args, out, eps: np.true_divide(t[0], _sqrt_reg_factor(args[0], eps)),
-    saves=((0,), False),
+    vjps=(lambda ct, args, out, eps: np.true_divide(ct, _sqrt_reg_factor(args[0], eps)),),
+    reads=((0,),),
 )
-
-register_custom_gradient(SQRT_REG_ENTRY)
 
 
 def _where_pos_fn(w, a, b):
@@ -257,12 +250,16 @@ define_primitive(
     # The switch variable w gets no derivative: the selected branch acts as
     # the subgradient at a sign change.
     jvp=_where_pos_jvp,
-    vjp=lambda ct, args, out: (
+    vjps=(
         None,
-        _unbroadcast(np.where(np.greater(args[0], 0.0), ct, 0.0), args[1]),
-        _unbroadcast(np.where(np.greater(args[0], 0.0), 0.0, ct), args[2]),
+        lambda ct, args, out: _unbroadcast(
+            np.where(np.greater(args[0], 0.0), ct, 0.0), args[1]
+        ),
+        lambda ct, args, out: _unbroadcast(
+            np.where(np.greater(args[0], 0.0), 0.0, ct), args[2]
+        ),
     ),
-    saves=((0,), False),
+    reads=((), (0,), (0,)),
 )
 
 
@@ -273,26 +270,22 @@ define_primitive(
     "sum",
     np.sum,
     jvp=lambda t, args, out: np.sum(t[0], axis=_trailing(t[0])),
-    vjp=lambda ct, args, out: (_expand(ct, args[0]),),
-    saves=((), False),
+    vjps=(lambda ct, args, out: _expand(ct, args[0]),),
+    reads=((),),
 )
 
 define_primitive(
     "mean",
     np.mean,
     jvp=lambda t, args, out: np.mean(t[0], axis=_trailing(t[0])),
-    vjp=lambda ct, args, out: (_expand(ct / np.size(args[0]), args[0]),),
-    saves=((), False),
+    vjps=(lambda ct, args, out: _expand(ct / np.size(args[0]), args[0]),),
+    reads=((),),
 )
 
 
 # -- shifts --------------------------------------------------------------------
 
-_linear(
-    "roll_x",
-    lambda a, n: np.roll(a, n, axis=-2),
-    lambda ct, n: np.roll(ct, -n, axis=-2),
-)
+_linear("roll_x", _roll_x, lambda ct, n: _roll_x(ct, -n))
 
 
 def _shift_yp_fn(a, fill):
@@ -314,22 +307,22 @@ _linear("shift_yp", _shift_yp_fn, _shift_yp_t)
 # -- difference stencils ---------------------------------------------------------
 
 def _ddx_fwd_fn(a, dx):
-    return (np.roll(a, -1, axis=-2) - a) / dx
+    return (_roll_x(a, -1) - a) / dx
 
 
 def _ddx_fwd_t(ct, dx):
-    return (np.roll(ct, 1, axis=-2) - ct) / dx
+    return (_roll_x(ct, 1) - ct) / dx
 
 
 _linear("ddx_fwd", _ddx_fwd_fn, _ddx_fwd_t)
 
 
 def _ddx_bwd_fn(a, dx):
-    return (a - np.roll(a, 1, axis=-2)) / dx
+    return (a - _roll_x(a, 1)) / dx
 
 
 def _ddx_bwd_t(ct, dx):
-    return (ct - np.roll(ct, -1, axis=-2)) / dx
+    return (ct - _roll_x(ct, -1)) / dx
 
 
 _linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
@@ -373,11 +366,11 @@ _linear("ddy_bwd", _ddy_bwd_fn, _ddy_bwd_t)
 # -- two-point interpolation -----------------------------------------------------
 
 def _interp_x_fwd_fn(a):
-    return 0.5 * (a + np.roll(a, -1, axis=-2))
+    return 0.5 * (a + _roll_x(a, -1))
 
 
 def _interp_x_bwd_fn(a):
-    return 0.5 * (a + np.roll(a, 1, axis=-2))
+    return 0.5 * (a + _roll_x(a, 1))
 
 
 _linear("interp_x_fwd", _interp_x_fwd_fn, _interp_x_bwd_fn)
@@ -423,7 +416,7 @@ _linear("interp_y_bwd", _interp_y_bwd_fn, _interp_y_bwd_t)
 # -- Laplacian -------------------------------------------------------------------
 
 def _lap_fn(a, dx, dy, ybc):
-    xx = (np.roll(a, -1, axis=-2) - 2.0 * a + np.roll(a, 1, axis=-2)) / (dx * dx)
+    xx = (_roll_x(a, -1) - 2.0 * a + _roll_x(a, 1)) / (dx * dx)
     if ybc == "neumann":
         south, north = a[..., :1], a[..., -1:]
     elif ybc == "dirichlet":

@@ -33,10 +33,6 @@ class UnregisteredPrimitiveError(DiffOceanError, TypeError):
     """A differentiated function used an operation with no registered rules."""
 
 
-class DuplicateGradientError(DiffOceanError, ValueError):
-    """A custom gradient was registered twice for the same primitive."""
-
-
 class TapeMemoryError(DiffOceanError, RuntimeError):
     """The reverse-mode tape exceeded its configured memory budget."""
 

@@ -131,7 +131,8 @@ class Field:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        self.staggering = Staggering(self.staggering)
+        if type(self.staggering) is not Staggering:
+            self.staggering = Staggering(self.staggering)
         if isinstance(self.values, (int, float, list, tuple, np.ndarray)):
             self.values = np.asarray(self.values, dtype=float)
 

@@ -7,23 +7,20 @@ import pytest
 
 import diffocean.autodiff.primitives as ops
 from diffocean.autodiff import (
-    CustomGradientEntry,
     DiffSelector,
     DualBox,
     Tape,
     grad,
     jvp,
     random_direction,
-    register_custom_gradient,
     sqrt_reg,
     tree,
     vjp,
 )
-from diffocean.autodiff.engine import _OVERRIDES, _PRIMITIVES, apply
+from diffocean.autodiff.engine import _PRIMITIVES, apply, define_primitive
 from diffocean.dyncore import step_n
 from diffocean.errors import (
     DomainError,
-    DuplicateGradientError,
     ShapeError,
     TapeMemoryError,
     UnregisteredPrimitiveError,
@@ -206,34 +203,28 @@ def test_sqrt_reg_primal_is_exact_sqrt():
     np.testing.assert_array_equal(sqrt_reg(x), np.sqrt(x))
 
 
-def test_duplicate_registration_rejected():
-    # the package installs the sqrt_reg rules at import
-    assert "sqrt_reg" in _OVERRIDES
-    with pytest.raises(DuplicateGradientError):
-        register_custom_gradient(ops.SQRT_REG_ENTRY)
+def test_define_primitive_rejects_rule_and_read_set_counts_that_differ():
+    with pytest.raises(ValueError, match="2 cotangent rules but 1 read-sets"):
+        define_primitive(
+            "bad_rule_count",
+            np.add,
+            jvp=None,
+            vjps=(lambda ct, args, out: ct, lambda ct, args, out: ct),
+            reads=((),),
+        )
+    assert "bad_rule_count" not in _PRIMITIVES
 
 
-def test_registration_changes_rules_not_primal():
-    entry = CustomGradientEntry(
-        primitive="log",
-        vjp=lambda ct, args, out: (np.multiply(ct, 100.0),),
-        jvp=lambda t, args, out: np.multiply(t[0], 100.0),
-    )
-    before = apply("log", 2.5)
-    register_custom_gradient(entry)
-    try:
-        after = apply("log", 2.5)
-        assert np.float64(before).tobytes() == np.float64(after).tobytes()
-        _, g = grad(lambda x: ops.log(x), 2.5)
-        assert g == 100.0  # subsequent tapes use the custom rule
-    finally:
-        del _OVERRIDES["log"]
-
-
-def test_register_unknown_primitive_rejected():
-    entry = CustomGradientEntry("definitely_not_registered", vjp=None, jvp=None)
-    with pytest.raises(UnregisteredPrimitiveError):
-        register_custom_gradient(entry)
+def test_define_primitive_rejects_read_set_out_of_range():
+    with pytest.raises(ValueError, match="names argument 2 of 2"):
+        define_primitive(
+            "bad_read_set",
+            np.multiply,
+            jvp=None,
+            vjps=(lambda ct, args, out: ct, lambda ct, args, out: ct),
+            reads=((1,), (2,)),
+        )
+    assert "bad_read_set" not in _PRIMITIVES
 
 
 def test_unregistered_ufunc_raises():
@@ -332,20 +323,60 @@ def test_tape_full_mode_detects_tampering():
     assert not tape.replay()
 
 
+def test_tape_keeps_only_what_active_rules_read():
+    x = np.full((3, 4), 2.0)
+    y = np.full((3, 4), 5.0)
+    w = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+
+    # a constant partner needs no cotangent, so nothing is kept for it
+    tape = Tape()
+    a = tape.leaf(x)
+    ops.mul(ops.mul(a, 2.0), 3.0)
+    assert tape.bytes_used == 0
+    first, second = tape.nodes[1], tape.nodes[2]
+    assert first.out is None and not first.args[0].any()
+    # one shared read-only zero stand-in per shape
+    assert first.args[0] is second.args[0] and not first.args[0].flags.writeable
+
+    tape = Tape()
+    ops.mul(tape.leaf(x), tape.leaf(y))
+    node = tape.nodes[-1]
+    assert node.args[0] is x and node.args[1] is y
+    assert tape.bytes_used == x.nbytes + y.nbytes
+
+    tape = Tape()
+    q = ops.div(2.0, tape.leaf(y))
+    node = tape.nodes[-1]
+    assert node.args[1] is y and node.out is q.primal
+    assert tape.bytes_used == 2 * y.nbytes
+
+    # the switch w is read by the branch's rule, not by its own (it has none)
+    tape = Tape()
+    ops.where_pos(tape.leaf(w), tape.leaf(x), 0.0)
+    node = tape.nodes[-1]
+    assert node.args[0] is w and not node.args[1].any()
+    assert tape.bytes_used == w.nbytes
+    tape = Tape()
+    ops.where_pos(tape.leaf(w), 1.0, 0.0)
+    assert tape.bytes_used == 0 and not tape.nodes[-1].args[0].any()
+
+
 def test_tape_memory_budget_error_names_steps():
     from diffocean.autodiff.engine import _activate, mark_step
 
     x = np.zeros((64, 64))
-    tape = Tape(max_bytes=3 * x.nbytes)
+    tape = Tape(max_bytes=6 * x.nbytes)
     leaf = tape.leaf(x)
-    # each loop records one mul (keeps one array for its rule): the budget
-    # of three arrays breaks inside the fourth step
+    weight = tape.leaf(np.full(x.shape, 2.0))
+    # each loop records one mul of two taped arrays, and each operand's rule
+    # reads the other, so a step keeps two arrays: the budget of six breaks
+    # inside the fourth step
     with _activate(tape):
         with pytest.raises(TapeMemoryError, match="4 recorded model steps"):
             value = leaf
             for _ in range(8):
                 mark_step()
-                value = ops.mul(value, 2.0)
+                value = ops.mul(value, weight)
                 value = ops.add(value, 1.0)
 
 

@@ -1,12 +1,15 @@
 """Inverse problems: perturbation recovery, parameter calibration, sensitivity."""
 
+import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diffocean import calibrate, scenarios
-from diffocean.autodiff import grad, jvp
+from diffocean.autodiff import DiffSelector, grad, jvp
+from diffocean.autodiff import primitives as ops
 from diffocean.calibrate import (
     BsfObservations,
     OptimHistory,
@@ -17,6 +20,7 @@ from diffocean.calibrate import (
     reconstruct_initial_state,
     reference_bsf_observations,
     sensitivity_grid,
+    temperature_mismatch_loss,
     _trial_value,
 )
 from diffocean.dyncore import PhysParams, StepConfig, step_n
@@ -244,6 +248,35 @@ def test_calibrate_more_observations_do_not_hurt(small_setup):
     single = recovery_error([10])
     ten = recovery_error(range(10, 101, 10))
     assert ten <= single
+
+
+def test_gradients_pinned_bitwise(small_setup):
+    """The sweep calls each node's cotangent rules in argument order, so
+    changing what the tape keeps or which rules it calls must leave every
+    gradient bit as it is: the calibration gradient over (log A_h, log
+    r_bot), and a reconstruction gradient with only T selected."""
+    g, p, c, start = small_setup
+    obs = reference_bsf_observations(start, p, g, c, [20, 40])
+    raw_loss = bsf_calibration_loss(obs, start, p, g, c)
+    theta = (float(np.log(1.3 * p.A_h)), float(np.log(0.7 * p.r_bot)))
+    loss, (ga, gr) = grad(lambda t: raw_loss((ops.exp(t[0]), ops.exp(t[1]))), theta)
+    assert [float.hex(v) for v in (loss, ga, gr)] == [
+        "0x1.257cba597c870p-12", "-0x1.19a1e8ad85d0fp-12", "-0x1.7f903434dff43p-10"
+    ]
+
+    perturbed = gaussian_perturbation(start.T, g, 1.0, g.Lx / 16, (0.5 * g.Lx, 0.5 * g.Ly))
+    loss, gstate = grad(
+        temperature_mismatch_loss(start, 5, p, g, c),
+        replace(start, T=perturbed),
+        select=DiffSelector.only("T"),
+    )
+    gT = np.asarray(gstate.T.values)
+    assert [float.hex(v) for v in (loss, float(gT[10, 10]), float(gT[16, 12]))] == [
+        "0x1.91f08a92cf988p+3", "0x1.19cba4f5db9d9p-5", "0x1.e0994a735f293p+0"
+    ]
+    assert hashlib.sha256(gT.tobytes()).hexdigest() == (
+        "000f01f1ba513697845ee9bf200d944e93a2ae58530a37c2f6f51916ce02e018"
+    )
 
 
 def test_calibrate_histories_reproducible(small_setup):
