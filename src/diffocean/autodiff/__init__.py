@@ -24,7 +24,6 @@ from .engine import (
     DualBox,
     Tape,
     TapeBox,
-    _activate,
     apply,
     mark_step,
     unbox,
@@ -81,10 +80,6 @@ class DiffSelector:
     @classmethod
     def only(cls, *names: str) -> "DiffSelector":
         return cls(frozenset(names))
-
-    @classmethod
-    def nothing(cls) -> "DiffSelector":
-        return cls(frozenset())
 
     def selects(self, name: str | None) -> bool:
         if self.names is None:
@@ -160,23 +155,24 @@ def jvp(f, x, k, select=None):
     return primal, out_rebuild(tangents if lead else [t[0] for t in tangents])
 
 
-def vjp(f, x, v=None, select=None, max_tape_bytes=None):
+def vjp(f, x, v=None, select=None):
     """Evaluate f at x, then pull cotangent v back to the selected inputs.
 
     v must be congruent to the output of f (default 1.0 for a scalar loss).
     Returns (value, gradient_tree); frozen leaves receive zero gradients.
+    Each call records on a tape of its own, so f may differentiate plain
+    values of its own; a traced x is refused (no reverse over reverse).
     """
     sel = _selector(select)
     leaves, rebuild = tree.flatten(x)
-    tape = Tape(max_bytes=max_tape_bytes)
+    tape = Tape()
     boxed = []
     for leaf in leaves:
         if sel.selects(leaf.name):
             boxed.append(tape.leaf(_as_value(leaf.value)))
         else:
             boxed.append(leaf.value)
-    with _activate(tape):
-        y = f(rebuild(boxed))
+    y = f(rebuild(boxed))
 
     out_leaves, out_rebuild = tree.flatten(y)
     primal = out_rebuild([unbox(l.value) for l in out_leaves])
@@ -187,11 +183,6 @@ def vjp(f, x, v=None, select=None, max_tape_bytes=None):
     for leaf, ct in zip(out_leaves, cts):
         if isinstance(leaf.value, TapeBox):
             ct = np.asarray(ct, dtype=float) if isinstance(ct, np.ndarray) else float(ct)
-            if np.shape(ct) != np.shape(leaf.value.primal):
-                raise ShapeError(
-                    f"cotangent for output leaf {leaf.path} has shape "
-                    f"{np.shape(ct)}, expected {np.shape(leaf.value.primal)}"
-                )
             idx = leaf.value.index
             seeds[idx] = ct if idx not in seeds else seeds[idx] + ct
 
@@ -210,13 +201,13 @@ def vjp(f, x, v=None, select=None, max_tape_bytes=None):
     return primal, rebuild(grad_leaves)
 
 
-def grad(f, x, select=None, max_tape_bytes=None):
+def grad(f, x, select=None):
     """Gradient of a scalar loss: vjp with unit cotangent.
 
     Returns (loss, gradient_tree). The gradient mirrors the structure of x
     with zeros at frozen leaves.
     """
-    value, g = vjp(f, x, 1.0, select=select, max_tape_bytes=max_tape_bytes)
+    value, g = vjp(f, x, 1.0, select=select)
     if np.shape(value) != ():
         raise ShapeError(f"grad requires a scalar loss, got shape {np.shape(value)}")
     return float(value), g

@@ -10,14 +10,15 @@ directions on a leading axis, (m,) + value shape; reverse mode wraps them
 in TapeBox and records each application on a Tape, which keeps only what
 the rules of the taped arguments read, and is later swept backwards.
 
-Tapes are single-owner objects: one tape is built and swept by one logical
+A tape is reached only through its boxes: there is no ambient "current
+tape", so independent traces may nest, and code that needs the tape of a
+traced computation (mark_step) finds it on the values it is given. Tapes
+are single-owner objects: one tape is built and swept by one logical
 thread. The primitive registry is written during startup and read-only
 afterwards.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -43,12 +44,6 @@ class Primitive:
         self.jvp = jvp
         self.vjps = vjps
         self.reads = reads
-
-    def vjp(self, ct, args, out, **static):
-        """Every argument's cotangent, None where it gets no derivative."""
-        return tuple(
-            None if rule is None else rule(ct, args, out, **static) for rule in self.vjps
-        )
 
 
 _PRIMITIVES: dict[str, Primitive] = {}
@@ -238,29 +233,30 @@ class Tape:
 
     Every intermediate primal needed by a backward rule is saved on the
     tape (no recomputation checkpointing); desk-scale rollouts fit in
-    memory. In the default "minimal" mode a node keeps the primals read by
-    the cotangent rules of its taped arguments, plus its constant
-    arguments (tiny or shared across steps); a taped array that no such
-    rule reads is dropped for a shared read-only zero stand-in of its
-    shape. So `c * x` keeps neither operand when only x is taped, and the
-    sweep calls only the taped arguments' rules. "full" mode retains every
-    input and output so the whole record can be replayed and compared
-    bitwise. An optional byte budget turns exhaustion into TapeMemoryError
-    naming how many model steps had been recorded.
+    memory. A node keeps the primals read by the cotangent rules of its
+    taped arguments, plus its constant arguments (tiny or shared across
+    steps); a taped array that no such rule reads is dropped for a shared
+    read-only zero stand-in of its shape. So `c * x` keeps neither operand
+    when only x is taped, and the sweep calls only the taped arguments'
+    rules. `bytes_used` counts each kept array once, however many nodes
+    keep it. `steps` counts the model steps completed on the tape (see
+    mark_step). An optional byte budget turns exhaustion into
+    TapeMemoryError naming how many model steps had been completed.
     """
 
-    def __init__(self, max_bytes=None, save: str = "minimal"):
-        if save not in ("minimal", "full"):
-            raise ValueError(f"unknown tape save mode {save!r}")
+    def __init__(self, max_bytes=None):
         self.nodes: list[_Node] = []
         self.steps = 0
         self.bytes_used = 0
         self.max_bytes = max_bytes
-        self.save = save
         self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
+        # per node, 1 once its value is counted in bytes_used; each node's
+        # value is a fresh primitive result, so a kept array counts once
+        self._counted = bytearray()
 
     def leaf(self, value) -> TapeBox:
         self.nodes.append(_Node(None, (), (), value, {}))
+        self._counted.append(0)
         return TapeBox(self, len(self.nodes) - 1, value)
 
     def _stand_in(self, shape):
@@ -269,38 +265,39 @@ class Tape:
             zeros = self._zeros[shape] = np.broadcast_to(np.float64(0.0), shape)
         return zeros
 
+    def _keep(self, index, value):
+        """value, the value of node index, counted the first time it is kept."""
+        if not self._counted[index]:
+            self._counted[index] = 1
+            self.bytes_used += _nbytes(value)
+        return value
+
     def _record(self, prim, parents, args, out, static) -> int:
-        if self.save == "full":
-            kept_args, kept_out = args, out
-            self.bytes_used += _nbytes(out)
-        else:
-            reads = set()
-            for parent, read in zip(parents, prim.reads):
-                if parent is not None:
-                    reads |= read
-            kept_args = []
-            for i, a in enumerate(args):
-                if parents[i] is None or i in reads:
-                    kept_args.append(a)
-                    if parents[i] is not None:
-                        self.bytes_used += _nbytes(a)
-                elif isinstance(a, np.ndarray):
-                    kept_args.append(self._stand_in(a.shape))
-                else:
-                    kept_args.append(a)
-            kept_args = tuple(kept_args)
-            kept_out = out if "out" in reads else None
-            if kept_out is not None:
-                self.bytes_used += _nbytes(kept_out)
-        node = _Node(prim.name, parents, kept_args, kept_out, static)
-        self.nodes.append(node)
+        index = len(self.nodes)
+        self._counted.append(0)
+        reads = set()
+        for parent, read in zip(parents, prim.reads):
+            if parent is not None:
+                reads |= read
+        kept_args = []
+        for i, a in enumerate(args):
+            if parents[i] is None:
+                kept_args.append(a)
+            elif i in reads:
+                kept_args.append(self._keep(parents[i], a))
+            elif isinstance(a, np.ndarray):
+                kept_args.append(self._stand_in(a.shape))
+            else:
+                kept_args.append(a)
+        kept_out = self._keep(index, out) if "out" in reads else None
+        self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
         if self.max_bytes is not None and self.bytes_used > self.max_bytes:
             raise TapeMemoryError(
                 f"tape memory budget exceeded ({self.bytes_used} > "
-                f"{self.max_bytes} bytes) after {self.steps} recorded model "
+                f"{self.max_bytes} bytes) after {self.steps} complete model "
                 f"steps ({len(self.nodes)} primitives)"
             )
-        return len(self.nodes) - 1
+        return index
 
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
         """Backward pass: cotangents per seed node -> cotangents per leaf.
@@ -328,8 +325,8 @@ class Tape:
         return grads
 
     def replay(self) -> bool:
-        """Re-run the record from the leaves; True iff every saved output
-        matches bitwise. In full mode this checks every node."""
+        """Re-run the record from the leaves; True iff every kept output
+        matches bitwise (the outputs a tape keeps are those its rules read)."""
         recomputed: dict[int, object] = {}
         for idx, node in enumerate(self.nodes):
             if node.name is None:
@@ -357,33 +354,13 @@ def _accumulate(adjoint, idx, ct):
     adjoint[idx] = ct if held is None else np.add(held, ct)
 
 
-_LOCAL = threading.local()
-
-
-class _activate:
-    """Make a tape visible to mark_step() for the duration of a forward pass."""
-
-    def __init__(self, tape):
-        self.tape = tape
-
-    def __enter__(self):
-        if getattr(_LOCAL, "tape", None) is not None:
-            raise UnregisteredPrimitiveError(
-                "nested reverse-mode traces are not supported"
-            )
-        _LOCAL.tape = self.tape
-        return self.tape
-
-    def __exit__(self, *exc):
-        _LOCAL.tape = None
-        return False
-
-
-def mark_step():
-    """Count one model step on the active tape (used by memory diagnostics)."""
-    tape = getattr(_LOCAL, "tape", None)
-    if tape is not None:
-        tape.steps += 1
+def mark_step(*values):
+    """Count one complete model step on the tape of the first TapeBox among
+    values; a no-op when none is taped (used by memory diagnostics)."""
+    for v in values:
+        if isinstance(v, TapeBox):
+            v.tape.steps += 1
+            return
 
 
 def apply(name: str, *args, **static):

@@ -110,7 +110,7 @@ def reconstruct_initial_state(
     ref_values = np.asarray(unbox(ref_T0.values))
     selector = DiffSelector.only("T")
     state0 = replace(base_state, T=perturbed_T0)
-    alpha, first = _three_point_alpha(loss_of, state0, selector, alpha)
+    chosen, first = _three_point_alpha(loss_of, state0, selector, alpha)
 
     history = OptimHistory([])
     increases = 0
@@ -126,7 +126,7 @@ def reconstruct_initial_state(
                 loss=loss_value,
                 metrics={"distance": distance},
                 grad_norm=float(np.sqrt(np.sum(gT * gT))),
-                alpha=alpha,
+                alpha=chosen,
             )
         )
         if floor is None:
@@ -135,15 +135,16 @@ def reconstruct_initial_state(
             increases += 1
             if increases >= 10:
                 raise DivergenceError(
-                    f"loss increased over {increases} consecutive iterations; "
-                    f"try a smaller alpha than {alpha}"
+                    f"loss increased over {increases} consecutive iterations "
+                    f"at the chosen step {chosen} (alpha = {alpha}); try a "
+                    f"smaller alpha than {alpha}"
                 )
         else:
             increases = 0
         prev_loss = loss_value
         if it == iters:
             break
-        state0 = replace(state0, T=state0.T - alpha * gT)
+        state0 = replace(state0, T=state0.T - chosen * gT)
     return history, state0.T
 
 

@@ -168,7 +168,6 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
                 f"state field '{name}' has shape {getattr(s, name).shape}, "
                 f"grid is {g.shape}"
             )
-    mark_step()
 
     u, eta, T = s.u, s.eta, s.T
     # The wall row of v is not a degree of freedom: mask it on entry so
@@ -219,6 +218,7 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     new_time = s.time + c.dt
     for name, f in (("u", u_new), ("v", v_new), ("eta", eta_new), ("T", T_new)):
         _check_finite(name, f.values, new_time)
+    mark_step(u_new.values, v_new.values, eta_new.values, T_new.values)
     return ModelState(u=u_new, v=v_new, eta=eta_new, T=T_new, time=new_time)
 
 

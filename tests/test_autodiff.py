@@ -55,7 +55,7 @@ def test_grad_frozen_selector_returns_zero_gradient():
     loss, g = grad(
         lambda t: t[0] * t[0] + t[1] * t[1],
         (1.0, 2.0),
-        select=DiffSelector.nothing(),
+        select=DiffSelector.only(),
     )
     assert loss == 5.0
     assert g == (0.0, 0.0)
@@ -126,7 +126,7 @@ def test_stencil_vjp_is_exact_transpose(name, static):
         e = np.zeros(dim)
         e[j] = 1.0
         forward[:, j] = prim.fn(e.reshape(nx, ny), **static).ravel()
-        (ct_in,) = prim.vjp(e.reshape(nx, ny), (np.zeros((nx, ny)),), None, **static)
+        ct_in = prim.vjps[0](e.reshape(nx, ny), (np.zeros((nx, ny)),), None, **static)
         backward[:, j] = ct_in.ravel()
     np.testing.assert_allclose(backward, forward.T, atol=1e-13)
 
@@ -139,10 +139,10 @@ def test_stencil_acts_on_each_slice_of_a_stack(name, static):
     stack = np.random.default_rng(43).standard_normal((3, 5, 4))
     shapes = (np.zeros((5, 4)),)
     out = prim.fn(stack, **static)
-    (back,) = prim.vjp(stack, shapes, None, **static)
+    back = prim.vjps[0](stack, shapes, None, **static)
     for k in range(3):
         assert out[k].tobytes() == prim.fn(stack[k], **static).tobytes()
-        (back_k,) = prim.vjp(stack[k], shapes, None, **static)
+        back_k = prim.vjps[0](stack[k], shapes, None, **static)
         assert back[k].tobytes() == back_k.tobytes()
 
 
@@ -295,15 +295,14 @@ def test_inputs_never_mutated():
 def test_tape_replay_reproduces_primals():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((4, 4)) + 3.0
-    for mode in ("full", "minimal"):
-        tape = Tape(save=mode)
-        leaf = tape.leaf(x)
-        out = ops.mul(ops.laplacian(leaf, 1.0, 1.0, ybc="neumann"), leaf)
-        out = ops.exp(ops.mul(out, 0.01))
-        _ = ops.amean(out)
-        # full mode re-executes and compares every node bitwise; minimal
-        # mode checks the subset of outputs its rules keep
-        assert tape.replay()
+    tape = Tape()
+    leaf = tape.leaf(x)
+    out = ops.mul(ops.laplacian(leaf, 1.0, 1.0, ybc="neumann"), leaf)
+    out = ops.exp(ops.mul(out, 0.01))
+    _ = ops.amean(out)
+    # replay re-executes every node and compares the outputs the tape keeps
+    assert tape.nodes[-2].out is not None
+    assert tape.replay()
 
 
 def test_tape_topological_order():
@@ -315,10 +314,12 @@ def test_tape_topological_order():
         assert all(p < idx for p in node.parents if p is not None)
 
 
-def test_tape_full_mode_detects_tampering():
-    tape = Tape(save="full")
+def test_tape_replay_detects_tampering():
+    tape = Tape()
     leaf = tape.leaf(np.ones((3, 3)))
-    _ = ops.mul(ops.add(leaf, 1.0), 2.0)
+    _ = ops.exp(ops.mul(ops.add(leaf, 1.0), 2.0))
+    # exp's cotangent rule reads its output, so the tape keeps it
+    assert tape.replay()
     tape.nodes[-1].out[0, 0] += 1.0
     assert not tape.replay()
 
@@ -361,23 +362,46 @@ def test_tape_keeps_only_what_active_rules_read():
     assert tape.bytes_used == 0 and not tape.nodes[-1].args[0].any()
 
 
+def test_tape_counts_each_kept_array_once():
+    a_values = np.full((3, 4), 3.0)
+    tape = Tape()
+    a = tape.leaf(a_values)
+    # each operand's rule reads the other, so the node keeps a twice
+    ops.mul(a, a)
+    assert all(arg is a_values for arg in tape.nodes[-1].args)
+    assert tape.bytes_used == a_values.nbytes
+    # a later node keeping the same array adds nothing
+    ops.mul(a, 2.0)
+    assert tape.bytes_used == a_values.nbytes
+
+
 def test_tape_memory_budget_error_names_steps():
-    from diffocean.autodiff.engine import _activate, mark_step
+    from diffocean.autodiff.engine import mark_step
 
     x = np.zeros((64, 64))
     tape = Tape(max_bytes=6 * x.nbytes)
-    leaf = tape.leaf(x)
-    weight = tape.leaf(np.full(x.shape, 2.0))
+    value = tape.leaf(x)
     # each loop records one mul of two taped arrays, and each operand's rule
-    # reads the other, so a step keeps two arrays: the budget of six breaks
-    # inside the fourth step
-    with _activate(tape):
-        with pytest.raises(TapeMemoryError, match="4 recorded model steps"):
-            value = leaf
-            for _ in range(8):
-                mark_step()
-                value = ops.mul(value, weight)
-                value = ops.add(value, 1.0)
+    # reads the other, so a step keeps two new arrays: the budget of six
+    # breaks inside the fourth step, after three complete ones
+    with pytest.raises(TapeMemoryError, match="after 3 complete model steps"):
+        for _ in range(8):
+            weight = tape.leaf(np.full(x.shape, 2.0))
+            value = ops.mul(value, weight)
+            value = ops.add(value, 1.0)
+            mark_step(value)
+    assert tape.steps == 3
+
+
+def test_tape_counts_the_steps_recorded_on_it():
+    """step marks itself on the tape its new fields are recorded on; plain
+    steps count nowhere."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    tape = Tape()
+    boxed = replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
+    step_n(boxed, 5, p, g, c)
+    step_n(s, 3, p, g, c)
+    assert tape.steps == 5
 
 
 def test_vjp_cotangent_shape_checked():
@@ -486,6 +510,11 @@ def test_mixing_two_tapes_rejected():
     b = Tape().leaf(2.0)
     with pytest.raises(UnregisteredPrimitiveError):
         apply("add", a, b)
+
+
+def test_independent_grad_inside_a_traced_function():
+    # the inner grad traces its own plain value on a tape of its own
+    assert grad(lambda x: x * grad(lambda y: y * y, 3.0)[1], 2.0) == (12.0, 6.0)
 
 
 def test_nested_reverse_traces_rejected():

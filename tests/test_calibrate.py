@@ -24,7 +24,7 @@ from diffocean.calibrate import (
     _trial_value,
 )
 from diffocean.dyncore import PhysParams, StepConfig, step_n
-from diffocean.errors import DampingError, DomainError, NonFiniteError
+from diffocean.errors import DampingError, DivergenceError, DomainError, NonFiniteError
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import linear_profile_field
 
@@ -182,6 +182,22 @@ def test_reconstruct_descent_property_and_freezing(small_setup):
     assert (float(p.A_h), float(p.r_bot), p.T_star.values.tobytes()) == params_before
 
 
+def test_reconstruct_divergence_names_the_requested_alpha(small_setup):
+    """The three-point search picks alpha / 4 here; the error reports both
+    that step and the alpha the caller passed."""
+    g, p, c, start = small_setup
+    perturbed = Field(start.T.values.copy(), Staggering.CENTER)
+    perturbed.values[10, 10] += 1.0
+    with pytest.raises(DivergenceError) as err:
+        reconstruct_initial_state(
+            start.T, perturbed, 1, 5.0, 12,
+            base_state=start, params=p, g=g, stepcfg=c,
+        )
+    message = str(err.value)
+    assert "chosen step 1.25" in message
+    assert message.endswith("try a smaller alpha than 5.0")
+
+
 def test_observations_validated():
     g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
     psi = Field(np.zeros(g.shape), Staggering.CENTER)
@@ -322,6 +338,23 @@ def test_trial_value_counts_blowup_as_inf(outcome):
 
     assert _trial_value(loss, 1.0) == np.inf
     assert _trial_value(lambda x: 2.0 * x, 1.5) == 3.0
+
+
+def test_calibrate_nan_observation_raises_at_the_start(small_setup):
+    g, p, c, start = small_setup
+    obs = BsfObservations((20,), [Field(np.full(g.shape, np.nan))], 1.0)
+    init = (1.5 * float(p.A_h), 0.5 * float(p.r_bot))
+    theta = (float(np.log(init[0])), float(np.log(init[1])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError) as err:
+            calibrate_params(
+                obs, init, state0=start, base_params=p, g=g, stepcfg=c, iters=3
+            )
+    # the iteration-0 parameters, as the descent reads them back from theta
+    assert str(err.value).endswith(
+        f"A_h={np.exp(theta[0])}, r_bot={np.exp(theta[1])}"
+    )
 
 
 def test_calibrate_rejects_nonpositive_init(small_setup):
