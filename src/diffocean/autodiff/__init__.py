@@ -1,10 +1,11 @@
 """Forward- and reverse-mode automatic differentiation entry points.
 
 jvp pushes one tangent direction, or a stack of them on a leading axis,
-alongside the primal computation; vjp records a tape and sweeps it
-backwards; grad is vjp with a unit cotangent on a scalar loss. A
-DiffSelector freezes every input leaf except a named subset, so gradients
-flow only into the quantities of interest.
+alongside the primal computation; vjp records a tape and returns the value
+with a pullback that sweeps the tape backwards; grad is vjp followed by a
+pullback of a unit cotangent on a scalar loss. A DiffSelector freezes
+every input leaf except a named subset, so gradients flow only into the
+quantities of interest.
 
 The primal value returned by any entry point is bitwise identical to the
 plain, undifferentiated evaluation: differentiation wraps values but never
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, UnregisteredPrimitiveError
 from . import tree
 from .engine import (
     Box,
@@ -155,62 +156,69 @@ def jvp(f, x, k, select=None):
     return primal, out_rebuild(tangents if lead else [t[0] for t in tangents])
 
 
-def vjp(f, x, v=None, select=None):
-    """Evaluate f at x, then pull cotangent v back to the selected inputs.
+def vjp(f, x, select=None):
+    """Evaluate f at x on a tape of its own; returns (value, pullback).
 
-    v must be congruent to the output of f (default 1.0 for a scalar loss).
-    Returns (value, gradient_tree); frozen leaves receive zero gradients.
-    Each call records on a tape of its own, so f may differentiate plain
-    values of its own; a traced x is refused (no reverse over reverse).
+    pullback(v) pulls a cotangent v congruent to the value back to the
+    inputs and returns a tree shaped like x, with zeros at frozen leaves.
+    Each call sweeps the record afresh, so a pullback may be called any
+    number of times; the record lives as long as the pullback does. f may
+    differentiate plain values of its own, but a traced leaf of x is
+    refused: nesting vjp under grad, vjp or jvp is not supported.
     """
     sel = _selector(select)
     leaves, rebuild = tree.flatten(x)
-    tape = Tape()
-    boxed = []
     for leaf in leaves:
-        if sel.selects(leaf.name):
-            boxed.append(tape.leaf(_as_value(leaf.value)))
-        else:
-            boxed.append(leaf.value)
-    y = f(rebuild(boxed))
+        if isinstance(leaf.value, Box):
+            outer = "reverse" if isinstance(leaf.value, TapeBox) else "forward"
+            raise UnregisteredPrimitiveError(
+                f"{outer} over reverse is not supported: input leaf {leaf.path} "
+                f"of vjp is traced by an enclosing "
+                f"{'grad or vjp' if outer == 'reverse' else 'jvp'}"
+            )
+    tape = Tape()
+    boxed = [
+        tape.leaf(_as_value(leaf.value)) if sel.selects(leaf.name) else leaf.value
+        for leaf in leaves
+    ]
+    out_leaves, out_rebuild = tree.flatten(f(rebuild(boxed)))
+    outs = [l.value for l in out_leaves]
+    primal = out_rebuild([unbox(o) for o in outs])
 
-    out_leaves, out_rebuild = tree.flatten(y)
-    primal = out_rebuild([unbox(l.value) for l in out_leaves])
-    if v is None:
-        v = 1.0
-    cts = tree.congruent_leaves(primal, v)
-    seeds = {}
-    for leaf, ct in zip(out_leaves, cts):
-        if isinstance(leaf.value, TapeBox):
-            ct = np.asarray(ct, dtype=float) if isinstance(ct, np.ndarray) else float(ct)
-            idx = leaf.value.index
-            seeds[idx] = ct if idx not in seeds else seeds[idx] + ct
+    def pullback(v):
+        seeds = {}
+        for out, ct in zip(outs, tree.congruent_leaves(primal, v)):
+            if isinstance(out, TapeBox):
+                ct = np.asarray(ct, dtype=float) if isinstance(ct, np.ndarray) else float(ct)
+                idx = out.index
+                seeds[idx] = ct if idx not in seeds else seeds[idx] + ct
+        grads_by_node = tape.sweep(seeds)
+        grad_leaves = []
+        for leaf, box in zip(leaves, boxed):
+            if isinstance(box, TapeBox):
+                g = grads_by_node.get(box.index)
+                if g is None:
+                    g = _zero_like(box.primal)
+                elif not isinstance(box.primal, np.ndarray):
+                    g = float(g)
+                grad_leaves.append(g)
+            else:
+                grad_leaves.append(_zero_like(leaf.value))
+        return rebuild(grad_leaves)
 
-    grads_by_node = tape.sweep(seeds)
-    grad_leaves = []
-    for leaf, box in zip(leaves, boxed):
-        if isinstance(box, TapeBox):
-            g = grads_by_node.get(box.index)
-            if g is None:
-                g = _zero_like(box.primal)
-            elif not isinstance(box.primal, np.ndarray):
-                g = float(g)
-            grad_leaves.append(g)
-        else:
-            grad_leaves.append(_zero_like(leaf.value))
-    return primal, rebuild(grad_leaves)
+    return primal, pullback
 
 
 def grad(f, x, select=None):
-    """Gradient of a scalar loss: vjp with unit cotangent.
+    """Gradient of a scalar loss: vjp, then the pullback of 1.0.
 
     Returns (loss, gradient_tree). The gradient mirrors the structure of x
     with zeros at frozen leaves.
     """
-    value, g = vjp(f, x, 1.0, select=select)
+    value, pullback = vjp(f, x, select=select)
     if np.shape(value) != ():
         raise ShapeError(f"grad requires a scalar loss, got shape {np.shape(value)}")
-    return float(value), g
+    return float(value), pullback(1.0)
 
 
 def random_direction(x, select=None, seed=0):

@@ -8,7 +8,11 @@ identical whether or not derivatives are being propagated. Forward mode
 wraps values in DualBox (value, tangent), where the tangent stacks m
 directions on a leading axis, (m,) + value shape; reverse mode wraps them
 in TapeBox and records each application on a Tape, which keeps only what
-the rules of the taped arguments read, and is later swept backwards.
+the rules of the taped arguments read, and is later swept backwards. A
+checkpoint group stands on a tape for a whole pure computation that ran
+plain: it keeps only its inputs, tapes only the outputs a taped input
+reaches, and the sweep re-records it on a fresh tape when it reaches it,
+trading one extra forward for memory.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -224,6 +228,20 @@ class _Node:
         self.static = static
 
 
+# Names of the nodes a checkpoint group records; no primitive carries them.
+_GROUP = "<checkpoint group>"
+_OUTPUT = "<checkpoint output>"  # args holds the output's position
+
+
+class _Group(_Node):
+    """A checkpoint group: args are its input values, links[i] the node
+    args[i] stands for (None for a constant), parents the distinct links,
+    run(inputs) re-runs it, returning its outputs as a list, and taped[i]
+    says whether output i has a node."""
+
+    __slots__ = ("run", "links", "taped")
+
+
 def _nbytes(v):
     return v.nbytes if isinstance(v, np.ndarray) else 16
 
@@ -232,8 +250,9 @@ class Tape:
     """Ordered record of primitive applications for one reverse-mode sweep.
 
     Every intermediate primal needed by a backward rule is saved on the
-    tape (no recomputation checkpointing); desk-scale rollouts fit in
-    memory. A node keeps the primals read by the cotangent rules of its
+    tape, except inside a checkpoint group (see group), which keeps only
+    its inputs and is recorded again, one group at a time, by the sweep.
+    A node keeps the primals read by the cotangent rules of its
     taped arguments, plus its constant arguments (tiny or shared across
     steps); a taped array that no such rule reads is dropped for a shared
     read-only zero stand-in of its shape. So `c * x` keeps neither operand
@@ -291,19 +310,52 @@ class Tape:
                 kept_args.append(a)
         kept_out = self._keep(index, out) if "out" in reads else None
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
+        self._check_budget()
+        return index
+
+    def _check_budget(self):
         if self.max_bytes is not None and self.bytes_used > self.max_bytes:
             raise TapeMemoryError(
                 f"tape memory budget exceeded ({self.bytes_used} > "
                 f"{self.max_bytes} bytes) after {self.steps} complete model "
                 f"steps ({len(self.nodes)} primitives)"
             )
-        return index
+
+    def group(self, run, values, links, outs, taped) -> list:
+        """Record a computation that ran plain as one checkpoint group.
+
+        values are its plain inputs and links[i] the node of values[i] on
+        this tape (None for a constant); outs are its plain outputs, and
+        run(inputs) must give them bitwise from any inputs equal to values,
+        boxed or not. taped[i] says whether output i depends on a taped
+        input: those come back as TapeBoxes, the others plain, and the
+        sweep refuses a re-recording that tapes the outputs otherwise. The
+        group keeps only values, each taped array counted once.
+        """
+        index = len(self.nodes)
+        parents = tuple(dict.fromkeys(p for p in links if p is not None))
+        kept = tuple(v if p is None else self._keep(p, v) for v, p in zip(values, links))
+        node = _Group(_GROUP, parents, kept, None, {})
+        node.run, node.links, node.taped = run, tuple(links), tuple(taped)
+        self.nodes.append(node)
+        self._counted.append(0)
+        results = []
+        for position, (out, is_taped) in enumerate(zip(outs, node.taped)):
+            if is_taped:
+                self.nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
+                self._counted.append(0)
+                out = TapeBox(self, len(self.nodes) - 1, out)
+            results.append(out)
+        self._check_budget()
+        return results
 
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
         """Backward pass: cotangents per seed node -> cotangents per leaf.
 
         Visits every node exactly once, in reverse recording order, and
-        calls the rules of its taped arguments in argument order.
+        calls the rules of its taped arguments in argument order. A group's
+        outputs hand their cotangents to the group, which sweeps its own
+        re-recording (_sweep_group).
         """
         adjoint: dict[int, object] = {}
         for idx, ct in seeds.items():
@@ -316,6 +368,12 @@ class Tape:
             node = self.nodes[idx]
             if node.name is None:
                 grads[idx] = ct
+                continue
+            if node.name is _OUTPUT:
+                adjoint.setdefault(node.parents[0], {})[node.args] = ct
+                continue
+            if node.name is _GROUP:
+                _sweep_group(node, ct, adjoint)
                 continue
             rules = _PRIMITIVES[node.name].vjps
             for parent, rule in zip(node.parents, rules):
@@ -331,6 +389,15 @@ class Tape:
         for idx, node in enumerate(self.nodes):
             if node.name is None:
                 recomputed[idx] = node.out
+                continue
+            if node.name is _OUTPUT:
+                recomputed[idx] = recomputed[node.parents[0]][node.args]
+                continue
+            if node.name is _GROUP:
+                inputs = [v if p is None else recomputed[p] for v, p in zip(node.args, node.links)]
+                if not all(map(_bitwise_equal, inputs, node.args)):
+                    return False
+                recomputed[idx] = node.run(inputs)
                 continue
             args = tuple(
                 recomputed[p] if p is not None else a
@@ -352,6 +419,44 @@ def _bitwise_equal(a, b):
 def _accumulate(adjoint, idx, ct):
     held = adjoint.get(idx)
     adjoint[idx] = ct if held is None else np.add(held, ct)
+
+
+def _sweep_group(group, cts, adjoint):
+    """Sweep a checkpoint group, given the cotangents of its outputs by
+    position, inside the sweep of its tape, whose adjoints it updates.
+
+    The group runs again on a fresh tape with one leaf per distinct input
+    node. Each leaf starts from the running adjoint of the node it stands
+    for, and only outputs that have a cotangent are seeded, so every
+    adjoint sums its terms in the order a tape of the whole computation
+    would, and the result is bitwise the same.
+    """
+    tape = Tape()
+    leaves = {}
+    for v, p in zip(group.args, group.links):
+        if p is not None and p not in leaves:
+            leaves[p] = tape.leaf(v)
+    outs = group.run([v if p is None else leaves[p] for v, p in zip(group.args, group.links)])
+    for position, (out, taped) in enumerate(zip(outs, group.taped)):
+        if isinstance(out, TapeBox) != taped:
+            # what was computed from a plain output holds no derivative
+            raise RuntimeError(
+                f"checkpoint group output {position} was "
+                f"{'taped' if taped else 'plain'} when the group ran, but "
+                f"not when it was recorded again"
+            )
+    seeds = {}
+    for p, leaf in leaves.items():
+        held = adjoint.pop(p, None)
+        if held is not None:
+            seeds[leaf.index] = held
+    for position, ct in cts.items():
+        _accumulate(seeds, outs[position].index, ct)
+    grads = tape.sweep(seeds)
+    for p, leaf in leaves.items():
+        g = grads.get(leaf.index)
+        if g is not None:
+            adjoint[p] = g
 
 
 def mark_step(*values):

@@ -105,12 +105,13 @@ def flatten(x) -> tuple[list[Leaf], Callable[[list], Any]]:
     """Flatten x into leaves plus a rebuild function taking new leaf values."""
     leaves: list[Leaf] = []
     spec = _build(x, (), None, leaves)
+    # rebuild keeps the structure only: a checkpoint group keeps its rebuild,
+    # and holding the leaves would tie a tape to the boxes recorded on it
+    n = len(leaves)
 
     def rebuild(values):
-        if len(values) != len(leaves):
-            raise ShapeError(
-                f"rebuild expected {len(leaves)} leaf values, got {len(values)}"
-            )
+        if len(values) != n:
+            raise ShapeError(f"rebuild expected {n} leaf values, got {len(values)}")
         it = iter(values)
         return _rebuild(spec, it)
 

@@ -15,10 +15,11 @@ positive by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .autodiff import DiffSelector, grad, jvp, unbox
+from .autodiff import DiffSelector, grad, jvp, unbox, vjp
 from .autodiff import primitives as ops
 from .dyncore import (
     ModelState,
@@ -165,13 +166,21 @@ def temperature_mismatch_loss(
     return loss
 
 
+def _trial(evaluate, x):
+    """evaluate(x), a (value, extra) pair, with the value as a float; (inf,
+    None) when the trial run blows up, is refused as unstable, or its value
+    is not finite."""
+    try:
+        value, extra = evaluate(x)
+    except _BLOWUP:
+        return np.inf, None
+    value = float(unbox(value))
+    return (value, extra) if np.isfinite(value) else (np.inf, None)
+
+
 def _trial_value(loss, x) -> float:
     """loss(x) as a float; inf when the trial run blows up or is unstable."""
-    try:
-        value = float(unbox(loss(x)))
-    except _BLOWUP:
-        return np.inf
-    return value if np.isfinite(value) else np.inf
+    return _trial(lambda y: (loss(y), None), x)[0]
 
 
 def _three_point_alpha(loss_of, state0, selector, alpha0: float):
@@ -282,6 +291,9 @@ def calibrate_params(
     the loss. The history records raw-space parameter values and, on each
     iterate a step was taken from, the step size accepted there
     (alpha / 2^halvings); the last iterate keeps alpha.
+
+    Every trial runs through vjp, so the gradient at an accepted trial is
+    its pullback, with no second forward run; only iterate 0 takes a grad.
     """
     a0, r0 = init
     if a0 <= 0 or r0 <= 0:
@@ -293,8 +305,15 @@ def calibrate_params(
 
     theta = (float(np.log(a0)), float(np.log(r0)))
     history = OptimHistory([])
+    pullback = None  # of the trial accepted at theta; None at iterate 0
     for it in range(iters + 1):
-        loss_value, (ga, gr) = grad(loss_theta, theta)
+        if pullback is None:
+            loss_value, (ga, gr) = grad(loss_theta, theta)
+        else:
+            ga, gr = pullback(1.0)
+            # drop the accepted record before the next trials, so that one
+            # record is alive at a time
+            pullback = accepted = None
         if not np.isfinite(loss_value):
             raise NonFiniteError(
                 f"calibration loss not finite at A_h={np.exp(theta[0])}, "
@@ -314,7 +333,7 @@ def calibrate_params(
         accepted = _backtrack(loss_theta, theta, (ga, gr), loss_value, alpha)
         if accepted is None:
             break  # no descent step within the halving budget: converged
-        record.alpha, theta = accepted
+        record.alpha, theta, loss_value, pullback = accepted
     final = history.final.metrics
     return history, (final["A_h"], final["r_bot"])
 
@@ -322,15 +341,17 @@ def calibrate_params(
 def _backtrack(loss_theta, theta, grads, loss_value, alpha):
     """First of alpha, alpha/2, ... whose step does not raise the loss.
 
-    Returns (accepted step size, new theta), or None when every halving
-    was rejected.
+    Returns (accepted step size, new theta, its loss, its pullback), or
+    None when every halving was rejected.
     """
     ga, gr = grads
     a = alpha
     for _ in range(MAX_HALVINGS + 1):
         candidate = (theta[0] - a * ga, theta[1] - a * gr)
-        if _trial_value(loss_theta, candidate) <= loss_value:
-            return a, candidate
+        value, pullback = _trial(partial(vjp, loss_theta), candidate)
+        if value <= loss_value:
+            return a, candidate, value, pullback
+        pullback = None  # drop the rejected record before the next trial
         a *= 0.5
     return None
 

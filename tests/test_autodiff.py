@@ -10,6 +10,7 @@ from diffocean.autodiff import (
     DiffSelector,
     DualBox,
     Tape,
+    TapeBox,
     grad,
     jvp,
     random_direction,
@@ -17,7 +18,7 @@ from diffocean.autodiff import (
     tree,
     vjp,
 )
-from diffocean.autodiff.engine import _PRIMITIVES, apply, define_primitive
+from diffocean.autodiff.engine import _PRIMITIVES, _Group, apply, define_primitive
 from diffocean.dyncore import step_n
 from diffocean.errors import (
     DomainError,
@@ -35,9 +36,9 @@ def test_jvp_square_scalar():
 
 
 def test_vjp_square_scalar():
-    value, gradient = vjp(lambda x: x * x, 3.0, 1.0)
+    value, pullback = vjp(lambda x: x * x, 3.0)
     assert value == 9.0
-    assert gradient == 6.0
+    assert pullback(1.0) == 6.0
 
 
 def test_grad_norm_squared_tuple():
@@ -87,7 +88,7 @@ def test_transpose_identity_elementwise_chain():
 
     v_ct = rng.standard_normal((6, 5))
     _, jk = jvp(f, x, k)
-    _, g = vjp(f, x, v_ct)
+    g = vjp(f, x)[1](v_ct)
     lhs = float(np.vdot(v_ct, jk))
     rhs = float(np.vdot(g, k))
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
@@ -162,11 +163,11 @@ def test_where_pos_subgradient_rules():
     b = np.array([1.0, 2.0, 3.0])
     out = ops.where_pos(w, a, b)
     np.testing.assert_array_equal(out, [1.0, 2.0, 30.0])
-    _, g = vjp(lambda t: ops.asum(ops.where_pos(w, t[0], t[1])), (a, b))
+    g = vjp(lambda t: ops.asum(ops.where_pos(w, t[0], t[1])), (a, b))[1](1.0)
     np.testing.assert_array_equal(g[0], [0.0, 0.0, 1.0])
     np.testing.assert_array_equal(g[1], [1.0, 1.0, 0.0])
     # the switch variable itself gets no derivative
-    _, gw = vjp(lambda s: ops.asum(ops.where_pos(s, a, b)), w)
+    gw = vjp(lambda s: ops.asum(ops.where_pos(s, a, b)), w)[1](1.0)
     np.testing.assert_array_equal(gw, 0.0)
 
 
@@ -231,7 +232,7 @@ def test_unregistered_ufunc_raises():
     with pytest.raises(UnregisteredPrimitiveError):
         jvp(lambda x: np.tanh(x), 0.5, 1.0)
     with pytest.raises(UnregisteredPrimitiveError):
-        vjp(lambda x: np.arctan(x), np.ones(3), np.ones(3))
+        vjp(lambda x: np.arctan(x), np.ones(3))
 
 
 def test_np_power_is_box_pow():
@@ -259,7 +260,7 @@ def test_primal_preservation_bitwise():
 
     plain = f(x)
     val_j, _ = jvp(f, x, np.zeros_like(x) + 0.3)
-    val_v, _ = vjp(f, x, 1.0)
+    val_v, _ = vjp(f, x)
     assert np.float64(plain).tobytes() == np.float64(val_j).tobytes()
     assert np.float64(plain).tobytes() == np.float64(val_v).tobytes()
 
@@ -287,7 +288,7 @@ def test_inputs_never_mutated():
         return ops.asum(ops.mul(t, t))
 
     jvp(f, x, np.ones_like(x))
-    vjp(f, x, 1.0)
+    vjp(f, x)[1](1.0)
     grad(f, x)
     assert x.tobytes() == snapshot
 
@@ -404,9 +405,38 @@ def test_tape_counts_the_steps_recorded_on_it():
     assert tape.steps == 5
 
 
+def test_tape_replay_reruns_checkpoint_groups():
+    """A taped step_n records checkpoint groups; replay runs each group
+    plain and checks the inputs it kept against what the replay gives."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    tape = Tape()
+    boxed = replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
+    ops.asum(step_n(boxed, 5, p, g, c).T.values)
+    groups = [node for node in tape.nodes if isinstance(node, _Group)]
+    assert len(groups) == 2  # one recorded step, then 3 + 1 steps
+    assert tape.replay()
+    # the second group keeps the state the first one ended in
+    kept = next(v for v, link in zip(groups[1].args, groups[1].links) if link is not None)
+    kept[0, 0] += 1.0
+    assert not tape.replay()
+
+
+def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():
+    """An output a group hands out plain holds no derivative, so a sweep
+    whose re-recording finds it taped refuses to go on."""
+    tape = Tape()
+    x = tape.leaf(2.0)
+    run = lambda inputs: [ops.mul(inputs[0], 3.0), ops.mul(inputs[0], 2.0)]
+    y, z = tape.group(run, [2.0], [x.index], [6.0, 4.0], [True, False])
+    assert isinstance(y, TapeBox) and z == 4.0
+    with pytest.raises(RuntimeError, match="output 1 was plain"):
+        tape.sweep({y.index: 1.0})
+
+
 def test_vjp_cotangent_shape_checked():
+    _, pullback = vjp(lambda x: ops.mul(x, 2.0), np.ones((3, 3)))
     with pytest.raises(ShapeError):
-        vjp(lambda x: ops.mul(x, 2.0), np.ones((3, 3)), np.ones((2, 2)))
+        pullback(np.ones((2, 2)))
 
 
 def test_jvp_tangent_shape_checked():
@@ -521,8 +551,16 @@ def test_nested_reverse_traces_rejected():
     def inner(x):
         return grad(lambda y: y * y, x)[1]
 
-    with pytest.raises(UnregisteredPrimitiveError):
+    with pytest.raises(
+        UnregisteredPrimitiveError,
+        match=r"^reverse over reverse is not supported: input leaf \(\) of vjp",
+    ):
         grad(inner, 2.0)
+    with pytest.raises(
+        UnregisteredPrimitiveError,
+        match=r"^forward over reverse is not supported: input leaf \(\) of vjp",
+    ):
+        jvp(inner, 2.0, 1.0)
 
 
 def test_central_difference_second_order():

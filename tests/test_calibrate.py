@@ -1,6 +1,7 @@
 """Inverse problems: perturbation recovery, parameter calibration, sensitivity."""
 
 import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffocean import calibrate, scenarios
-from diffocean.autodiff import DiffSelector, grad, jvp
+from diffocean.autodiff import DiffSelector, Tape, TapeBox, grad, jvp, vjp
 from diffocean.autodiff import primitives as ops
 from diffocean.calibrate import (
     BsfObservations,
@@ -23,7 +24,7 @@ from diffocean.calibrate import (
     temperature_mismatch_loss,
     _trial_value,
 )
-from diffocean.dyncore import PhysParams, StepConfig, step_n
+from diffocean.dyncore import PhysParams, StepConfig, step, step_n
 from diffocean.errors import DampingError, DivergenceError, DomainError, NonFiniteError
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import linear_profile_field
@@ -293,6 +294,108 @@ def test_gradients_pinned_bitwise(small_setup):
     assert hashlib.sha256(gT.tobytes()).hexdigest() == (
         "000f01f1ba513697845ee9bf200d944e93a2ae58530a37c2f6f51916ce02e018"
     )
+
+
+def _step_loop(s, n, p, g, c):
+    """step_n without checkpoint groups: every step recorded on the tape."""
+    for _ in range(n):
+        s = step(s, p, g, c)
+    return s
+
+
+def _theta_problem(setup, indices):
+    """The calibration loss over (log A_h, log r_bot) with observations at
+    indices, and the point (1.3x, 0.7x) truth."""
+    g, p, c, start = setup
+    raw_loss = bsf_calibration_loss(
+        reference_bsf_observations(start, p, g, c, indices), start, p, g, c
+    )
+    theta = (float(np.log(1.3 * p.A_h)), float(np.log(0.7 * p.r_bot)))
+    return (lambda t: raw_loss((ops.exp(t[0]), ops.exp(t[1])))), theta
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+def test_checkpointed_gradients_equal_full_tape_bitwise(small_setup, monkeypatch, n):
+    """A taped step_n records ceil(sqrt(n))-step checkpoint groups; the
+    gradients through it equal, bit for bit, those through a loop of step
+    that records every step: the calibration gradient over (log A_h,
+    log r_bot), and a reconstruction gradient with only T selected."""
+    g, p, c, start = small_setup
+    loss_theta, theta = _theta_problem(small_setup, sorted({max(n // 2, 1), n}))
+    mismatch = temperature_mismatch_loss(start, n, p, g, c)
+    perturbed = gaussian_perturbation(start.T, g, 1.0, g.Lx / 16, (0.5 * g.Lx, 0.5 * g.Ly))
+    state0 = replace(start, T=perturbed)
+
+    def gradients():
+        loss, (ga, gr) = grad(loss_theta, theta)
+        t_loss, gstate = grad(mismatch, state0, select=DiffSelector.only("T"))
+        gT = np.asarray(gstate.T.values)
+        assert ga != 0.0 and gr != 0.0 and np.any(gT)
+        return [float.hex(v) for v in (loss, ga, gr, t_loss)], gT.tobytes()
+
+    checkpointed = gradients()
+    monkeypatch.setattr(calibrate, "step_n", _step_loop)
+    assert gradients() == checkpointed
+
+
+def test_checkpointed_gradient_memory(small_setup, monkeypatch):
+    """A gradient over step_n(256) keeps 16 input states and one 16-step
+    group's tape at a time, well under a quarter of a tape of every step."""
+    loss_theta, theta = _theta_problem(small_setup, [256])
+
+    def peak_bytes():
+        tracemalloc.start()
+        try:
+            grad(loss_theta, theta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    checkpointed = peak_bytes()
+    monkeypatch.setattr(calibrate, "step_n", _step_loop)
+    assert checkpointed < peak_bytes() / 4
+
+
+def test_checkpointed_gradient_records_what_a_full_tape_records(small_setup, monkeypatch):
+    """The sweep records each checkpoint group once more, and nothing else:
+    a gradient through step_n records as many primitives as one through a
+    loop of step. With only T taped, u, v and eta stay plain, as on a tape
+    of every step, so no group records or sweeps their chains."""
+    g, p, c, start = small_setup
+    loss_theta, theta = _theta_problem(small_setup, [9, 16])
+    mismatch = temperature_mismatch_loss(start, 16, p, g, c)
+    recorded = []
+    record = Tape._record
+
+    def counting(self, *args):
+        recorded.append(args[0].name)
+        return record(self, *args)
+
+    monkeypatch.setattr(Tape, "_record", counting)
+
+    def counts():
+        out = []
+        for f, x, select in ((loss_theta, theta, None), (mismatch, start, DiffSelector.only("T"))):
+            recorded.clear()
+            grad(f, x, select=select)
+            out.append(len(recorded))
+        return out
+
+    checkpointed = counts()
+    monkeypatch.setattr(calibrate, "step_n", _step_loop)
+    assert counts() == checkpointed
+
+    tape = Tape()
+    boxed = replace(start, T=replace(start.T, values=tape.leaf(start.T.values)))
+    out = step_n(boxed, 16, p, g, c)
+    taped = [isinstance(f.values, TapeBox) for f in (out.u, out.v, out.eta, out.T)]
+    assert taped == [False, False, False, True]
+
+
+def test_pullback_called_twice_gives_the_same_bits(small_setup):
+    _, pullback = vjp(*_theta_problem(small_setup, [7]))
+    first, second = pullback(1.0), pullback(1.0)
+    assert [float.hex(v) for v in first] == [float.hex(v) for v in second]
 
 
 def test_calibrate_histories_reproducible(small_setup):
