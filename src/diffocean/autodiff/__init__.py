@@ -27,6 +27,7 @@ from .engine import (
     TapeBox,
     apply,
     mark_step,
+    trace,
     unbox,
 )
 from .primitives import (
@@ -53,6 +54,7 @@ __all__ = [
     "sqrt_reg",
     "random_direction",
     "mark_step",
+    "trace",
     "unbox",
     "apply",
     "tree",

@@ -12,7 +12,9 @@ the rules of the taped arguments read, and is later swept backwards. A
 checkpoint group stands on a tape for a whole pure computation that ran
 plain: it keeps only its inputs, tapes only the outputs a taped input
 reaches, and the sweep re-records it on a fresh tape when it reaches it,
-trading one extra forward for memory.
+trading one extra forward for memory. A tape also is a trace: a Program
+keeps the structure of a record and its constants, drops its primals, and
+replays it on new inputs (trace).
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -23,6 +25,9 @@ afterwards.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -258,7 +263,8 @@ class Tape:
     read-only zero stand-in of its shape. So `c * x` keeps neither operand
     when only x is taped, and the sweep calls only the taped arguments'
     rules. `bytes_used` counts each kept array once, however many nodes
-    keep it. `steps` counts the model steps completed on the tape (see
+    keep it, constant arrays included (a scalar constant is not counted).
+    `steps` counts the model steps completed on the tape (see
     mark_step). An optional byte budget turns exhaustion into
     TapeMemoryError naming how many model steps had been completed.
     """
@@ -269,13 +275,12 @@ class Tape:
         self.bytes_used = 0
         self.max_bytes = max_bytes
         self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
-        # per node, 1 once its value is counted in bytes_used; each node's
-        # value is a fresh primitive result, so a kept array counts once
-        self._counted = bytearray()
+        # ids of the values counted in bytes_used; the tape keeps each of
+        # them alive, so no id is reused while it is here
+        self._counted: set[int] = set()
 
     def leaf(self, value) -> TapeBox:
         self.nodes.append(_Node(None, (), (), value, {}))
-        self._counted.append(0)
         return TapeBox(self, len(self.nodes) - 1, value)
 
     def _stand_in(self, shape):
@@ -284,16 +289,18 @@ class Tape:
             zeros = self._zeros[shape] = np.broadcast_to(np.float64(0.0), shape)
         return zeros
 
-    def _keep(self, index, value):
-        """value, the value of node index, counted the first time it is kept."""
-        if not self._counted[index]:
-            self._counted[index] = 1
+    def _keep(self, value):
+        """value, counted the first time the tape keeps it."""
+        if id(value) not in self._counted:
+            self._counted.add(id(value))
             self.bytes_used += _nbytes(value)
         return value
 
+    def _keep_constant(self, value):
+        return self._keep(value) if isinstance(value, np.ndarray) else value
+
     def _record(self, prim, parents, args, out, static) -> int:
         index = len(self.nodes)
-        self._counted.append(0)
         reads = set()
         for parent, read in zip(parents, prim.reads):
             if parent is not None:
@@ -301,14 +308,14 @@ class Tape:
         kept_args = []
         for i, a in enumerate(args):
             if parents[i] is None:
-                kept_args.append(a)
+                kept_args.append(self._keep_constant(a))
             elif i in reads:
-                kept_args.append(self._keep(parents[i], a))
+                kept_args.append(self._keep(a))
             elif isinstance(a, np.ndarray):
                 kept_args.append(self._stand_in(a.shape))
             else:
                 kept_args.append(a)
-        kept_out = self._keep(index, out) if "out" in reads else None
+        kept_out = self._keep(out) if "out" in reads else None
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
         self._check_budget()
         return index
@@ -330,20 +337,21 @@ class Tape:
         boxed or not. taped[i] says whether output i depends on a taped
         input: those come back as TapeBoxes, the others plain, and the
         sweep refuses a re-recording that tapes the outputs otherwise. The
-        group keeps only values, each taped array counted once.
+        group keeps only values, each array counted once.
         """
         index = len(self.nodes)
         parents = tuple(dict.fromkeys(p for p in links if p is not None))
-        kept = tuple(v if p is None else self._keep(p, v) for v, p in zip(values, links))
+        kept = tuple(
+            self._keep_constant(v) if p is None else self._keep(v)
+            for v, p in zip(values, links)
+        )
         node = _Group(_GROUP, parents, kept, None, {})
         node.run, node.links, node.taped = run, tuple(links), tuple(taped)
         self.nodes.append(node)
-        self._counted.append(0)
         results = []
         for position, (out, is_taped) in enumerate(zip(outs, node.taped)):
             if is_taped:
                 self.nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
-                self._counted.append(0)
                 out = TapeBox(self, len(self.nodes) - 1, out)
             results.append(out)
         self._check_budget()
@@ -381,39 +389,6 @@ class Tape:
                     c = rule(ct, node.args, node.out, **node.static)
                     _accumulate(adjoint, parent, c)
         return grads
-
-    def replay(self) -> bool:
-        """Re-run the record from the leaves; True iff every kept output
-        matches bitwise (the outputs a tape keeps are those its rules read)."""
-        recomputed: dict[int, object] = {}
-        for idx, node in enumerate(self.nodes):
-            if node.name is None:
-                recomputed[idx] = node.out
-                continue
-            if node.name is _OUTPUT:
-                recomputed[idx] = recomputed[node.parents[0]][node.args]
-                continue
-            if node.name is _GROUP:
-                inputs = [v if p is None else recomputed[p] for v, p in zip(node.args, node.links)]
-                if not all(map(_bitwise_equal, inputs, node.args)):
-                    return False
-                recomputed[idx] = node.run(inputs)
-                continue
-            args = tuple(
-                recomputed[p] if p is not None else a
-                for p, a in zip(node.parents, node.args)
-            )
-            out = _PRIMITIVES[node.name].fn(*args, **node.static)
-            if node.out is not None and not _bitwise_equal(out, node.out):
-                return False
-            recomputed[idx] = out
-        return True
-
-
-def _bitwise_equal(a, b):
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.tobytes() == b.tobytes()
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 def _accumulate(adjoint, idx, ct):
@@ -457,6 +432,105 @@ def _sweep_group(group, cts, adjoint):
         g = grads.get(leaf.index)
         if g is not None:
             adjoint[p] = g
+
+
+class Program:
+    """A record replayed as a flat program, keeping none of its primals.
+
+    Built from a tape of primitive applications, its leaves (inputs, in
+    the order the program takes them) and the values it returns (outputs:
+    boxes on the tape, or plain constants). Every node of the tape becomes
+    one operation, in recording order: a primitive and the slots of its
+    arguments in a flat value list that starts with the constants, then
+    the inputs, then one value per operation, each dropped after its last
+    use. Each distinct constant argument is kept once.
+
+    Called on plain inputs, it calls each primitive's fn directly. With any
+    boxed input it calls apply per node, so a DualBox pushes tangents and a
+    TapeBox records on its tape exactly the nodes the traced function would
+    record.
+    """
+
+    __slots__ = ("consts", "ops", "outputs")
+
+    def __init__(self, tape, inputs, outputs):
+        nodes = tape.nodes
+        if sorted(leaf.index for leaf in inputs) != [
+            i for i, node in enumerate(nodes) if node.name is None
+        ]:
+            raise ValueError("the inputs of a program must be every leaf of its tape")
+        for node in nodes:
+            if node.name is not None and node.name not in _PRIMITIVES:
+                raise ValueError(f"a program replays primitives only, not {node.name}")
+        taped = [isinstance(out, TapeBox) and out.tape is tape for out in outputs]
+        # the constants come first, so their slots are known before the ops'
+        self.consts, constant = [], {}  # slot by id; consts keeps each alive
+        untaped = [out for out, t in zip(outputs, taped) if not t]
+        for value in [*_constants(nodes), *untaped]:
+            if id(value) not in constant:
+                constant[id(value)] = len(self.consts)
+                self.consts.append(value)
+        slots = {leaf.index: len(self.consts) + k for k, leaf in enumerate(inputs)}
+        ops = []
+        for index, node in enumerate(nodes):
+            if node.name is None:
+                continue
+            prim = _PRIMITIVES[node.name]
+            refs = tuple(
+                constant[id(a)] if p is None else slots[p]
+                for p, a in zip(node.parents, node.args)
+            )
+            fn = partial(prim.fn, **node.static) if node.static else prim.fn
+            slots[index] = len(self.consts) + len(inputs) + len(ops)
+            ops.append((fn, refs, node.name, node.static))
+        self.outputs = tuple(
+            slots[out.index] if t else constant[id(out)] for out, t in zip(outputs, taped)
+        )
+        # An operation's value is dropped at its last use, as the traced
+        # code drops a temporary, so a replay holds no more than a run.
+        first = len(self.consts) + len(inputs)
+        last = {j: i for i, (_, refs, _, _) in enumerate(ops) for j in refs if j >= first}
+        last.update(dict.fromkeys(self.outputs, len(ops)))
+        self.ops = tuple(
+            (fn, _getter(refs), tuple(j for j in set(refs) if last.get(j) == i), name, static)
+            for i, (fn, refs, name, static) in enumerate(ops)
+        )
+
+    def __call__(self, inputs) -> list:
+        env = [*self.consts, *inputs]
+        push = env.append
+        boxed = any(isinstance(x, Box) for x in inputs)
+        for fn, get, dead, name, static in self.ops:
+            args = get(env)
+            for j in dead:
+                env[j] = None
+            push(apply(name, *args, **static) if boxed else fn(*args))
+        return [env[j] for j in self.outputs]
+
+
+def _getter(refs):
+    """env -> the arguments at slots refs, as one C-level call: itemgetter
+    of several slots gives a tuple, and of a one-slot slice a list."""
+    if len(refs) == 1:
+        return itemgetter(slice(refs[0], refs[0] + 1))
+    return itemgetter(*refs)
+
+
+def _constants(nodes):
+    """The constant arguments of nodes, in recording order."""
+    for node in nodes:
+        for p, a in zip(node.parents, node.args):
+            if p is None:
+                yield a
+
+
+def trace(f, values) -> Program:
+    """Record f once on a fresh tape, with one leaf per value (unboxed), and
+    return the Program of the record, which keeps none of its primals. f
+    takes the list of leaves and returns a list of outputs."""
+    tape = Tape()
+    leaves = [tape.leaf(unbox(v)) for v in values]
+    return Program(tape, leaves, f(leaves))
 
 
 def mark_step(*values):

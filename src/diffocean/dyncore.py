@@ -7,6 +7,12 @@ updated flow. Momentum is linearized; the tracer is advected by the
 evolving velocities, so losses built on the trajectory remain nonlinear in
 the physical parameters.
 
+step traces its arithmetic (_step_body) once per structure key (the grid,
+the step config, the drag mode and wind band, the staggerings and the leaf
+shapes) and replays the recorded program on every later call, plain or
+boxed; the stability, shape and finiteness checks and the time advance
+still run on every step, outside the program.
+
 step/step_n never mutate their input state and are bitwise deterministic;
 concurrent rollouts from shared immutable states are safe.
 """
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import TapeBox, mark_step, tree, unbox
+from .autodiff import TapeBox, mark_step, trace, tree, unbox
 from .autodiff import primitives as ops
 from .errors import CFLError, DampingError, DomainError, NonFiniteError, ShapeError
 from .grid import Field, GridSpec, Staggering, ddx, ddy, divergence, interp, laplacian
@@ -159,17 +165,92 @@ def _check_finite(name: str, values, time: float):
         )
 
 
+_FIELDS = ("u", "v", "eta", "T")
+
+# Step programs by structure key (_program), shared by every caller: a
+# program is a pure function of its key. Emptied when full, so a sweep over
+# many grids or time steps cannot grow it without bound.
+_PROGRAMS: dict = {}
+_MAX_PROGRAMS = 64
+
+
 def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState:
-    """Advance the state by one forward-backward step; the input is untouched."""
+    """Advance the state by one forward-backward step; the input is untouched.
+
+    The arithmetic is _step_body's, traced once per structure key and
+    replayed (_program): plain values run the primitives directly, boxed
+    ones through apply, which tapes exactly what the body would. The
+    stability and shape checks, the finiteness checks and the time advance
+    run here on every step.
+    """
     check_cfl(c, p, g)
     check_damping(c, p, g)
-    for name in ("u", "v", "eta", "T"):
+    for name in _FIELDS:
         if getattr(s, name).shape != g.shape:
             raise ShapeError(
                 f"state field '{name}' has shape {getattr(s, name).shape}, "
                 f"grid is {g.shape}"
             )
+    values = _leaf_values(s, p)
+    program, staggerings = _program(s, p, g, c, values)
+    new = program(values)
+    new_time = s.time + c.dt
+    for name, f in zip(_FIELDS, new):
+        _check_finite(name, f, new_time)
+    mark_step(*new)
+    u, v, eta, T = (Field(f, at) for f, at in zip(new, staggerings))
+    return ModelState(u=u, v=v, eta=eta, T=T, time=new_time)
 
+
+def _leaf_values(s: ModelState, p: PhysParams) -> list:
+    """The leaves of (s, p) in tree order, read without walking the tree."""
+    return [
+        s.u.values, s.v.values, s.eta.values, s.T.values,
+        p.A_h, p.r_bot, p.C_d, p.g, p.rho0, p.tau0, p.kappa_T, p.lambda_relax,
+        p.T_star.values,
+    ]
+
+
+def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
+    """The traced step for the structure of (s, p, g, c), with the
+    staggerings of its four outputs.
+
+    The key holds what fixes the program: the grid and the step config
+    (their numbers are trace constants), the drag mode and wind band (the
+    wind profile is a trace constant), the staggering of each field and
+    the shape of each leaf. The values of the leaves do not enter it: the
+    body has no branch on them (where_pos is a primitive).
+    """
+    key = (
+        g, c, p.drag_mode, p.wind_band,
+        s.u.staggering, s.v.staggering, s.eta.staggering, s.T.staggering,
+        p.T_star.staggering, *[getattr(x, "shape", ()) for x in values],
+    )
+    traced = _PROGRAMS.get(key)
+    if traced is None:
+        traced = _trace(s, p, g, c)
+        if len(_PROGRAMS) >= _MAX_PROGRAMS:
+            _PROGRAMS.clear()
+        _PROGRAMS[key] = traced
+    return traced
+
+
+def _trace(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig):
+    """Record _step_body once with every leaf of (s, p) a tape leaf."""
+    _, rebuild = tree.flatten((s, p))
+    staggerings = []
+
+    def body(leaves):
+        fields = _step_body(*rebuild(leaves), g, c)
+        staggerings.extend(f.staggering for f in fields)
+        return [f.values for f in fields]
+
+    return trace(body, _leaf_values(s, p)), tuple(staggerings)
+
+
+def _step_body(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> tuple:
+    """The arithmetic of one step, the definition step traces: the new
+    (u, v, eta, T)."""
     u, eta, T = s.u, s.eta, s.T
     # The wall row of v is not a degree of freedom: mask it on entry so
     # neither the physics nor the gradients ever see wall-normal flow.
@@ -216,11 +297,7 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
         + p.lambda_relax * (p.T_star - T)
     )
 
-    new_time = s.time + c.dt
-    for name, f in (("u", u_new), ("v", v_new), ("eta", eta_new), ("T", T_new)):
-        _check_finite(name, f.values, new_time)
-    mark_step(u_new.values, v_new.values, eta_new.values, T_new.values)
-    return ModelState(u=u_new, v=v_new, eta=eta_new, T=T_new, time=new_time)
+    return u_new, v_new, eta_new, T_new
 
 
 def _advect(u: Field, v: Field, T: Field, g: GridSpec) -> Field:

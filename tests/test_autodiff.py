@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import diffocean.autodiff.primitives as ops
+from diffocean import dyncore
 from diffocean.autodiff import (
     DiffSelector,
     DualBox,
@@ -15,11 +16,18 @@ from diffocean.autodiff import (
     jvp,
     random_direction,
     sqrt_reg,
+    trace,
     tree,
     vjp,
 )
-from diffocean.autodiff.engine import _PRIMITIVES, _Group, apply, define_primitive
-from diffocean.dyncore import step_n
+from diffocean.autodiff.engine import (
+    _PRIMITIVES,
+    Program,
+    _Group,
+    apply,
+    define_primitive,
+)
+from diffocean.dyncore import step, step_n
 from diffocean.errors import (
     DomainError,
     ShapeError,
@@ -293,17 +301,32 @@ def test_inputs_never_mutated():
     assert x.tobytes() == snapshot
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def test_tape_replay_reproduces_primals():
+    """A traced function replayed as a program gives the function's values
+    bitwise, at the traced inputs and at new ones, plain or boxed."""
+    def f(leaves):
+        (x,) = leaves
+        out = ops.mul(ops.laplacian(x, 1.0, 1.0, ybc="neumann"), x)
+        out = ops.exp(ops.mul(out, 0.01))
+        return [out, ops.amean(out)]
+
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((4, 4)) + 3.0
-    tape = Tape()
-    leaf = tape.leaf(x)
-    out = ops.mul(ops.laplacian(leaf, 1.0, 1.0, ybc="neumann"), leaf)
-    out = ops.exp(ops.mul(out, 0.01))
-    _ = ops.amean(out)
-    # replay re-executes every node and compares the outputs the tape keeps
-    assert tape.nodes[-2].out is not None
-    assert tape.replay()
+    program = trace(f, [rng.standard_normal((4, 4)) + 3.0])
+    assert len(program.ops) == 5
+    for x in (rng.standard_normal((4, 4)) + 3.0, np.full((4, 4), 2.0)):
+        want = f([x])
+        assert list(map(_bits, program([x]))) == list(map(_bits, want))
+        # a boxed input replays through apply: the same primals, and the
+        # tangents of the traced function
+        got = program([DualBox(x, np.ones((1, 4, 4)))])
+        ref = f([DualBox(x, np.ones((1, 4, 4)))])
+        for a, b in zip(got, ref):
+            assert _bits(a.primal) == _bits(b.primal)
+            assert _bits(a.tangent) == _bits(b.tangent)
 
 
 def test_tape_topological_order():
@@ -316,13 +339,19 @@ def test_tape_topological_order():
 
 
 def test_tape_replay_detects_tampering():
+    """A program keeps no primal of its record: changing what the tape kept
+    after the program was built changes nothing it computes, and an input
+    that is not a leaf of the tape is refused."""
     tape = Tape()
     leaf = tape.leaf(np.ones((3, 3)))
-    _ = ops.exp(ops.mul(ops.add(leaf, 1.0), 2.0))
+    out = ops.exp(ops.mul(ops.add(leaf, 1.0), 2.0))
+    program = Program(tape, [leaf], [out])
     # exp's cotangent rule reads its output, so the tape keeps it
-    assert tape.replay()
     tape.nodes[-1].out[0, 0] += 1.0
-    assert not tape.replay()
+    x = np.full((3, 3), 0.5)
+    assert _bits(program([x])[0]) == _bits(np.exp((x + 1.0) * 2.0))
+    with pytest.raises(ValueError, match="every leaf"):
+        Program(tape, [], [out])
 
 
 def test_tape_keeps_only_what_active_rules_read():
@@ -394,6 +423,29 @@ def test_tape_memory_budget_error_names_steps():
     assert tape.steps == 3
 
 
+def test_tape_counts_the_constant_arrays_of_t_only_steps():
+    """A T-only step keeps the u and v it reads and the relaxation target as
+    constants. Each counts once in bytes_used, so a budget trips on a
+    T-only rollout."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    field = s.T.values.nbytes
+
+    def taped(tape):
+        return replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
+
+    tape = Tape()
+    one = step(taped(tape), p, g, c)
+    assert tape.bytes_used == 3 * field  # u, v and T_star
+    step(one, p, g, c)
+    assert tape.bytes_used == 5 * field  # a fresh u and v; T_star again
+    tape = Tape()
+    step_n(taped(tape), 16, p, g, c)
+    assert tape.bytes_used > 3 * field
+    tape = Tape(max_bytes=field)
+    with pytest.raises(TapeMemoryError, match="after 0 complete model steps"):
+        step_n(taped(tape), 16, p, g, c)
+
+
 def test_tape_counts_the_steps_recorded_on_it():
     """step marks itself on the tape its new fields are recorded on; plain
     steps count nowhere."""
@@ -406,19 +458,33 @@ def test_tape_counts_the_steps_recorded_on_it():
 
 
 def test_tape_replay_reruns_checkpoint_groups():
-    """A taped step_n records checkpoint groups; replay runs each group
-    plain and checks the inputs it kept against what the replay gives."""
+    """A taped step_n records checkpoint groups, and the sweep records each
+    group again through the replayed step program: the gradient is bitwise
+    that of a tape of the traced definition, step by step. A program
+    replays primitives only, so a record holding groups is refused."""
     g, p, c, s = dissipative_test_setup(seed=4)
+
+    def with_T(T):
+        return replace(s, T=replace(s.T, values=T))
+
+    def defined(T):
+        state = with_T(T)
+        for _ in range(5):
+            u, v, eta, T = dyncore._step_body(state, p, g, c)
+            state = replace(state, u=u, v=v, eta=eta, T=T)
+        return ops.asum(state.T.values)
+
     tape = Tape()
-    boxed = replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
-    ops.asum(step_n(boxed, 5, p, g, c).T.values)
+    leaf = tape.leaf(s.T.values)
+    out = ops.asum(step_n(with_T(leaf), 5, p, g, c).T.values)
     groups = [node for node in tape.nodes if isinstance(node, _Group)]
     assert len(groups) == 2  # one recorded step, then 3 + 1 steps
-    assert tape.replay()
-    # the second group keeps the state the first one ended in
-    kept = next(v for v, link in zip(groups[1].args, groups[1].links) if link is not None)
-    kept[0, 0] += 1.0
-    assert not tape.replay()
+    with pytest.raises(ValueError, match="primitives only"):
+        Program(tape, [leaf], [out])
+    T = s.T.values + 0.5
+    got = grad(lambda T: ops.asum(step_n(with_T(T), 5, p, g, c).T.values), T)
+    want = grad(defined, T)
+    assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
 
 def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():

@@ -1,13 +1,16 @@
 """Dynamical-core behavior: stepping, diagnostics, conservation."""
 
 import hashlib
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from diffocean import dyncore
-from diffocean.autodiff import Tape
+from diffocean.autodiff import Tape, grad, jvp, tree, vjp
+from diffocean.autodiff import primitives as ops
 from diffocean.dyncore import (
     ModelState,
     PhysParams,
@@ -268,9 +271,9 @@ def test_step_rejects_mistagged_field(name, wrong):
 @pytest.mark.parametrize(
     "drag_mode, boundary, nodes, nbytes, digest",
     [
-        ("linear", "free-slip", 60, 7712,
+        ("linear", "free-slip", 60, 8992,
          "446999a0ac9532adb7b02bf2547cead1b0cf0c8941950476e91dd3cced2eb1b7"),
-        ("quadratic", "no-slip", 72, 15392,
+        ("quadratic", "no-slip", 72, 16672,
          "a34bc7806c53f8add508c37b168b1caa3878eb911b93958ef67dc03d6eedb155"),
     ],
     ids=["linear-free-slip", "quadratic-no-slip"],
@@ -300,6 +303,127 @@ def test_step_tape_structure_pinned(drag_mode, boundary, nodes, nbytes, digest):
     assert len(tape.nodes) == nodes
     assert tape.bytes_used == nbytes
     assert hashlib.sha256(structure).hexdigest() == digest
+
+
+@pytest.fixture
+def traces(monkeypatch):
+    """A fresh step-program cache; the list records the key of every trace."""
+    keys = []
+    original = dyncore._trace
+
+    def counting(s, p, g, c):
+        keys.append((g, c, p.drag_mode, p.wind_band, s.v.staggering))
+        return original(s, p, g, c)
+
+    monkeypatch.setattr(dyncore, "_PROGRAMS", {})
+    monkeypatch.setattr(dyncore, "_trace", counting)
+    return keys
+
+
+def test_leaf_values_follow_tree_order():
+    g, p, c, s = dissipative_test_setup(seed=1)
+    assert all(a is b for a, b in zip(dyncore._leaf_values(s, p), tree.leaf_values((s, p))))
+    assert len(dyncore._leaf_values(s, p)) == len(tree.leaf_values((s, p)))
+
+
+def test_step_program_is_traced_once_per_structure(traces):
+    """States and parameter values share one program, plain or boxed; what
+    fixes the structure gets a program of its own."""
+    g, p, c, s = dissipative_test_setup(seed=1)
+    other = random_state(g, np.random.default_rng(2), amp=0.05)
+    step(s, p, g, c)
+    step(other, p, g, c)
+    step(s, replace(p, A_h=5.0e5, r_bot=2e-4), g, c)
+    jvp(lambda a: step(s, replace(p, A_h=a), g, c), 6.0e5, 1.0)
+    grad(lambda t: ops.asum(step(replace(s, T=Field(t, Staggering.CENTER)), p, g, c).T.values),
+         s.T.values)
+    assert len(traces) == 1
+    variants = [
+        (s, replace(p, drag_mode="quadratic", C_d=1e-3), g, c),
+        (s, p, g, StepConfig(dt=300.0, boundary="no-slip")),
+        (s, replace(p, wind_band=0.25), g, c),
+        (s, p, g, StepConfig(dt=250.0)),
+    ]
+    for args in variants:
+        step(*args)
+    g2 = make_channel_grid(16, 16, 1.6e6, 1.6e6, 120.0, 1e-4, 0.0)
+    step(s, replace(p, T_star=linear_profile_field(g2, 10.0, 10.0)), g2, c)
+    assert len(traces) == 6 and len(set(traces)) == 6
+    # a mis-tagged field gets a key of its own, and its trace raises
+    with pytest.raises(StaggeringError):
+        step(replace(s, v=Field(s.v.values, Staggering.U_FACE)), p, g, c)
+    assert len(traces) == 7 and len(dyncore._PROGRAMS) == 6
+    step(s, p, g, c)
+    assert len(traces) == 7
+
+
+def test_step_program_cache_is_safe_across_threads(traces, monkeypatch):
+    """Threads stepping two structures through a one-program cache, which
+    every miss empties, get the serial trajectories bitwise."""
+    g, p, c, s = dissipative_test_setup(seed=1)
+    configs = [c, StepConfig(dt=250.0)]
+    monkeypatch.setattr(dyncore, "_MAX_PROGRAMS", 1)
+    want = [state_bytes(step_n(s, 6, p, g, cfg)) for cfg in configs]
+    got = [None] * 8
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work(i):
+            got[i] = state_bytes(step_n(s, 6, p, g, configs[i % 2]))
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(previous)
+    assert got == [want[i % 2] for i in range(len(got))]
+    assert len(traces) > 2  # the cache was emptied and refilled
+
+
+def _body_step(s, p, g, c):
+    """One step straight through the traced definition, with no program."""
+    u, v, eta, T = dyncore._step_body(s, p, g, c)
+    return ModelState(u=u, v=v, eta=eta, T=T, time=s.time + c.dt)
+
+
+@pytest.mark.parametrize(
+    "drag_mode, boundary", [("linear", "free-slip"), ("quadratic", "no-slip")]
+)
+def test_replayed_step_is_bitwise_the_traced_definition(drag_mode, boundary):
+    g = make_channel_grid(12, 10, 1e6, 1e6, 500.0, -1e-4, 1e-11)
+    s = random_state(g, np.random.default_rng(3), amp=0.05)
+    c = StepConfig(dt=200.0, boundary=boundary)
+    p = quiet_params(
+        g, A_h=300.0, r_bot=1e-5, C_d=1e-3, drag_mode=drag_mode, tau0=0.05,
+        kappa_T=100.0, lambda_relax=1e-6, T_star=linear_profile_field(g, 5.0, 15.0),
+    )
+    n = 20
+
+    def rollout(stepper):
+        def run(x):
+            s, a, r = x
+            q = replace(p, A_h=a, r_bot=r) if drag_mode == "linear" else replace(p, A_h=a, C_d=r)
+            for _ in range(n):
+                s = stepper(s, q, g, c)
+            return s
+        return run
+
+    x = (s, 300.0, 1e-5 if drag_mode == "linear" else 1e-3)
+    replayed, defined = rollout(step), rollout(_body_step)
+    assert state_bytes(replayed(x)) == state_bytes(defined(x))
+    leaves, rebuild = tree.flatten(x)
+    rng = np.random.default_rng(5)
+    k = rebuild([rng.standard_normal((2,) + np.shape(leaf.value)) for leaf in leaves])
+    got, want = jvp(replayed, x, k), jvp(defined, x, k)
+    assert state_bytes(got[0]) == state_bytes(want[0])
+    assert state_bytes(got[1]) == state_bytes(want[1])
+    ct = random_state(g, np.random.default_rng(4), amp=1.0)
+    got, want = vjp(replayed, x)[1](ct), vjp(defined, x)[1](ct)
+    for a, b in zip(tree.leaf_values(got), tree.leaf_values(want)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def test_streamfunction_zero_velocity():
