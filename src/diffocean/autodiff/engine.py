@@ -2,10 +2,12 @@
 
 Every differentiable operation in the package is a named primitive with a
 raw computation `fn`, a tangent rule `jvp`, and one cotangent rule per
-argument, each declaring which primal values it reads. `apply` always
-evaluates `fn` on the unwrapped values, so the primal numbers are bitwise
-identical whether or not derivatives are being propagated. Forward mode
-wraps values in DualBox (value, tangent), where the tangent stacks m
+argument, each declaring which primal values it reads. define_primitive
+returns the Primitive, which callers call directly, array arguments
+positional and statics as keywords: the call is apply(name, ...). `apply`
+always evaluates `fn` on the unwrapped values, so the primal numbers are
+bitwise identical whether or not derivatives are being propagated. Forward
+mode wraps values in DualBox (value, tangent), where the tangent stacks m
 directions on a leading axis, (m,) + value shape; reverse mode wraps them
 in TapeBox and records each application on a Tape, which keeps only what
 the rules of the taped arguments read, and is later swept backwards. A
@@ -42,7 +44,8 @@ class Primitive:
     or None for an argument that gets no derivative. `reads[i]` names the
     primal values rule i reads: argument indices, and "out" for the output.
     A rule may use the shape of any argument; a tape keeps only the values
-    that the rules of its taped arguments read.
+    that the rules of its taped arguments read. Calling a primitive is
+    `apply(name, *args, **static)`, with one positional argument per rule.
     """
 
     __slots__ = ("name", "fn", "jvp", "vjps", "reads")
@@ -53,6 +56,15 @@ class Primitive:
         self.jvp = jvp
         self.vjps = vjps
         self.reads = reads
+
+    def __call__(self, *args, **static):
+        # a positional static runs on plain values but fails once boxed
+        if len(args) != len(self.vjps):
+            raise TypeError(
+                f"primitive {self.name!r} takes {len(self.vjps)} positional "
+                f"arguments but {len(args)} were given; static arguments are keywords"
+            )
+        return apply(self.name, *args, **static)
 
 
 _PRIMITIVES: dict[str, Primitive] = {}

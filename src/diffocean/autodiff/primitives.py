@@ -1,5 +1,9 @@
 """Primitive inventory: elementwise algebra, reductions, and grid stencils.
 
+Each primitive is defined once: define_primitive returns the callable
+(`add = define_primitive("add", ...)`). Arrays go by position and statics
+by keyword (`power(a, p=2.0)`); a positional static raises TypeError.
+
 Arrays are laid out (..., nx, ny): axis -2 is zonal and periodic, axis -1
 is meridional with solid walls, and any leading axes are a stack the
 stencils act on slice by slice. Primal fields are (nx, ny); forward-mode
@@ -19,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError
-from .engine import apply, define_primitive
+# apply stays a name here: perfbench's span tracer replaces it in this module
+from .engine import apply, define_primitive  # noqa: F401
 
 REG_EPS_DEFAULT = 1e-12
 
@@ -69,7 +74,7 @@ def _roll_x(a, n):
 
 def _linear(name, fn, transpose):
     """Define a linear primitive: jvp is fn itself, vjp its transpose."""
-    define_primitive(
+    return define_primitive(
         name,
         fn,
         jvp=lambda t, args, out, **kw: fn(t[0], **kw),
@@ -89,7 +94,7 @@ def _add_jvp(t, args, out):
     return np.add(ta, tb)
 
 
-define_primitive(
+add = define_primitive(
     "add",
     np.add,
     jvp=_add_jvp,
@@ -110,7 +115,7 @@ def _sub_jvp(t, args, out):
     return np.subtract(ta, tb)
 
 
-define_primitive(
+sub = define_primitive(
     "sub",
     np.subtract,
     jvp=_sub_jvp,
@@ -132,7 +137,7 @@ def _mul_jvp(t, args, out):
     return np.multiply(ta, b) + np.multiply(a, tb)
 
 
-define_primitive(
+mul = define_primitive(
     "mul",
     np.multiply,
     jvp=_mul_jvp,
@@ -155,7 +160,7 @@ def _div_jvp(t, args, out):
     return np.true_divide(ta, b) - part
 
 
-define_primitive(
+div = define_primitive(
     "div",
     np.true_divide,
     jvp=_div_jvp,
@@ -168,7 +173,7 @@ define_primitive(
     reads=((1,), (1, "out")),
 )
 
-_linear("neg", np.negative, np.negative)
+neg = _linear("neg", np.negative, np.negative)
 
 
 def _power_grad(a, p):
@@ -177,7 +182,7 @@ def _power_grad(a, p):
     return p * np.power(a, p - 1.0)
 
 
-define_primitive(
+power = define_primitive(
     "power",
     lambda a, p: np.power(a, p),
     jvp=lambda t, args, out, p: np.multiply(_power_grad(args[0], p), t[0]),
@@ -185,7 +190,7 @@ define_primitive(
     reads=((0,),),
 )
 
-define_primitive(
+exp = define_primitive(
     "exp",
     np.exp,
     jvp=lambda t, args, out: np.multiply(out, t[0]),
@@ -193,7 +198,7 @@ define_primitive(
     reads=(("out",),),
 )
 
-define_primitive(
+log = define_primitive(
     "log",
     np.log,
     jvp=lambda t, args, out: np.true_divide(t[0], args[0]),
@@ -201,7 +206,7 @@ define_primitive(
     reads=((0,),),
 )
 
-define_primitive(
+sqrt = define_primitive(
     "sqrt",
     np.sqrt,
     jvp=lambda t, args, out: np.true_divide(t[0], 2.0 * out),
@@ -210,27 +215,30 @@ define_primitive(
 )
 
 
-def _sqrt_reg_fn(x, eps):
+# Exact square root whose backward pass clamps the singularity at 0: the
+# primal is np.sqrt(a) unchanged, and derivatives are 1/(2*sqrt(max(a, eps))).
+def _sqrt_reg_fn(x, eps=REG_EPS_DEFAULT):
     if np.any(np.less(x, 0.0)):
         raise DomainError("sqrt_reg: negative input")
     return np.sqrt(x)
 
 
-def _sqrt_reg_factor(x, eps):
+def _sqrt_reg_factor(x, eps=REG_EPS_DEFAULT):
     # max(x, eps) takes the x branch at equality, so the clamped and
     # unclamped derivatives agree exactly at x == eps.
     return 2.0 * np.sqrt(np.maximum(x, eps))
 
 
-define_primitive(
+sqrt_reg = define_primitive(
     "sqrt_reg",
     _sqrt_reg_fn,
-    jvp=lambda t, args, out, eps: np.true_divide(t[0], _sqrt_reg_factor(args[0], eps)),
-    vjps=(lambda ct, args, out, eps: np.true_divide(ct, _sqrt_reg_factor(args[0], eps)),),
+    jvp=lambda t, args, out, **kw: np.true_divide(t[0], _sqrt_reg_factor(args[0], **kw)),
+    vjps=(lambda ct, args, out, **kw: np.true_divide(ct, _sqrt_reg_factor(args[0], **kw)),),
     reads=((0,),),
 )
 
 
+# a where w > 0 else b; w itself receives no derivative.
 def _where_pos_fn(w, a, b):
     return np.where(np.greater(w, 0.0), a, b)
 
@@ -244,7 +252,7 @@ def _where_pos_jvp(t, args, out):
     )
 
 
-define_primitive(
+where_pos = define_primitive(
     "where_pos",
     _where_pos_fn,
     # The switch variable w gets no derivative: the selected branch acts as
@@ -266,7 +274,7 @@ define_primitive(
 # -- reductions ----------------------------------------------------------------
 # A full reduction of the primal reduces each direction of its tangent stack.
 
-define_primitive(
+asum = define_primitive(
     "sum",
     np.sum,
     jvp=lambda t, args, out: np.sum(t[0], axis=_trailing(t[0])),
@@ -274,7 +282,7 @@ define_primitive(
     reads=((),),
 )
 
-define_primitive(
+amean = define_primitive(
     "mean",
     np.mean,
     jvp=lambda t, args, out: np.mean(t[0], axis=_trailing(t[0])),
@@ -285,7 +293,7 @@ define_primitive(
 
 # -- shifts --------------------------------------------------------------------
 
-_linear("roll_x", _roll_x, lambda ct, n: _roll_x(ct, -n))
+roll_x = _linear("roll_x", _roll_x, lambda ct, n: _roll_x(ct, -n))
 
 
 def _shift_yp_fn(a, fill):
@@ -301,7 +309,7 @@ def _shift_yp_t(ct, fill):
     return g
 
 
-_linear("shift_yp", _shift_yp_fn, _shift_yp_t)
+shift_yp = _linear("shift_yp", _shift_yp_fn, _shift_yp_t)
 
 
 # -- difference stencils ---------------------------------------------------------
@@ -314,7 +322,7 @@ def _ddx_fwd_t(ct, dx):
     return (_roll_x(ct, 1) - ct) / dx
 
 
-_linear("ddx_fwd", _ddx_fwd_fn, _ddx_fwd_t)
+ddx_fwd = _linear("ddx_fwd", _ddx_fwd_fn, _ddx_fwd_t)
 
 
 def _ddx_bwd_fn(a, dx):
@@ -325,7 +333,7 @@ def _ddx_bwd_t(ct, dx):
     return (ct - _roll_x(ct, -1)) / dx
 
 
-_linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
+ddx_bwd = _linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
 
 
 def _ddy_fwd_fn(a, dy):
@@ -343,7 +351,7 @@ def _ddy_fwd_t(ct, dy):
     return g
 
 
-_linear("ddy_fwd", _ddy_fwd_fn, _ddy_fwd_t)
+ddy_fwd = _linear("ddy_fwd", _ddy_fwd_fn, _ddy_fwd_t)
 
 
 def _ddy_bwd_fn(a, dy):
@@ -360,7 +368,7 @@ def _ddy_bwd_t(ct, dy):
     return g
 
 
-_linear("ddy_bwd", _ddy_bwd_fn, _ddy_bwd_t)
+ddy_bwd = _linear("ddy_bwd", _ddy_bwd_fn, _ddy_bwd_t)
 
 
 # -- two-point interpolation -----------------------------------------------------
@@ -373,8 +381,8 @@ def _interp_x_bwd_fn(a):
     return 0.5 * (a + _roll_x(a, 1))
 
 
-_linear("interp_x_fwd", _interp_x_fwd_fn, _interp_x_bwd_fn)
-_linear("interp_x_bwd", _interp_x_bwd_fn, _interp_x_fwd_fn)
+interp_x_fwd = _linear("interp_x_fwd", _interp_x_fwd_fn, _interp_x_bwd_fn)
+interp_x_bwd = _linear("interp_x_bwd", _interp_x_bwd_fn, _interp_x_fwd_fn)
 
 
 def _interp_y_fwd_fn(a):
@@ -392,7 +400,7 @@ def _interp_y_fwd_t(ct):
     return g
 
 
-_linear("interp_y_fwd", _interp_y_fwd_fn, _interp_y_fwd_t)
+interp_y_fwd = _linear("interp_y_fwd", _interp_y_fwd_fn, _interp_y_fwd_t)
 
 
 def _interp_y_bwd_fn(a):
@@ -410,7 +418,7 @@ def _interp_y_bwd_t(ct):
     return g
 
 
-_linear("interp_y_bwd", _interp_y_bwd_fn, _interp_y_bwd_t)
+interp_y_bwd = _linear("interp_y_bwd", _interp_y_bwd_fn, _interp_y_bwd_t)
 
 
 # -- Laplacian -------------------------------------------------------------------
@@ -433,7 +441,7 @@ def _lap_fn(a, dx, dy, ybc):
 
 # The Laplacian is symmetric for every supported boundary rule, so it is
 # its own transpose (checked against dense matrices in the tests).
-_linear("laplacian", _lap_fn, lambda ct, dx, dy, ybc: _lap_fn(ct, dx, dy, ybc))
+laplacian = _linear("laplacian", _lap_fn, _lap_fn)
 
 
 # -- meridional cumulative sum ----------------------------------------------------
@@ -446,112 +454,4 @@ def _cumsum_y_t(ct):
     return np.ascontiguousarray(np.cumsum(ct[..., ::-1], axis=-1)[..., ::-1])
 
 
-_linear("cumsum_y", _cumsum_y_fn, _cumsum_y_t)
-
-
-# -- functional wrappers ------------------------------------------------------
-# Thin names used by grid and dyncore; raw values pass straight through.
-
-def add(a, b):
-    return apply("add", a, b)
-
-
-def sub(a, b):
-    return apply("sub", a, b)
-
-
-def mul(a, b):
-    return apply("mul", a, b)
-
-
-def div(a, b):
-    return apply("div", a, b)
-
-
-def neg(a):
-    return apply("neg", a)
-
-
-def power(a, p):
-    return apply("power", a, p=float(p))
-
-
-def exp(a):
-    return apply("exp", a)
-
-
-def log(a):
-    return apply("log", a)
-
-
-def sqrt(a):
-    return apply("sqrt", a)
-
-
-def sqrt_reg(a, eps: float = REG_EPS_DEFAULT):
-    """Exact square root whose backward pass clamps the singularity at 0.
-
-    The primal is np.sqrt(a) unchanged; derivatives are 1/(2*sqrt(max(a, eps))).
-    """
-    return apply("sqrt_reg", a, eps=float(eps))
-
-
-def where_pos(w, a, b):
-    """a where w > 0 else b; w itself receives no derivative."""
-    return apply("where_pos", w, a, b)
-
-
-def asum(a):
-    return apply("sum", a)
-
-
-def amean(a):
-    return apply("mean", a)
-
-
-def roll_x(a, n: int):
-    return apply("roll_x", a, n=int(n))
-
-
-def shift_yp(a, fill: str):
-    return apply("shift_yp", a, fill=fill)
-
-
-def ddx_fwd(a, dx: float):
-    return apply("ddx_fwd", a, dx=dx)
-
-
-def ddx_bwd(a, dx: float):
-    return apply("ddx_bwd", a, dx=dx)
-
-
-def ddy_fwd(a, dy: float):
-    return apply("ddy_fwd", a, dy=dy)
-
-
-def ddy_bwd(a, dy: float):
-    return apply("ddy_bwd", a, dy=dy)
-
-
-def interp_x_fwd(a):
-    return apply("interp_x_fwd", a)
-
-
-def interp_x_bwd(a):
-    return apply("interp_x_bwd", a)
-
-
-def interp_y_fwd(a):
-    return apply("interp_y_fwd", a)
-
-
-def interp_y_bwd(a):
-    return apply("interp_y_bwd", a)
-
-
-def laplacian(a, dx: float, dy: float, ybc: str):
-    return apply("laplacian", a, dx=dx, dy=dy, ybc=ybc)
-
-
-def cumsum_y(a):
-    return apply("cumsum_y", a)
+cumsum_y = _linear("cumsum_y", _cumsum_y_fn, _cumsum_y_t)

@@ -161,7 +161,7 @@ def temperature_mismatch_loss(
 
     def loss(state0: ModelState):
         out = step_n(state0, n, params, g, stepcfg)
-        return ops.asum(ops.power(ops.sub(out.T.values, target_T), 2.0))
+        return ops.asum(ops.power(ops.sub(out.T.values, target_T), p=2.0))
 
     return loss
 
@@ -408,13 +408,9 @@ def sensitivity_grid(
     directions = tuple(np.eye(2))  # d/dA_h and d/dr_bot
     for i, a in enumerate(A_values):
         for j, r in enumerate(r_values):
-            try:
-                value, (d_a, d_r) = jvp(raw_loss, (float(a), float(r)), directions)
-            except _BLOWUP:
-                continue
-            if not np.isfinite(value):
-                continue
-            loss[i, j], dA[i, j], dr[i, j] = value, d_a, d_r
+            value, slopes = _trial(lambda x: jvp(raw_loss, x, directions), (float(a), float(r)))
+            if slopes is not None:
+                loss[i, j], (dA[i, j], dr[i, j]) = value, slopes
     return SensitivityGrid(
         A_values=A_values, r_values=r_values, loss=loss, dL_dAh=dA, dL_drbot=dr
     )

@@ -73,6 +73,8 @@ class PhysParams:
             raise DomainError(f"rho0 must be positive, got {self.rho0}")
         if not 0.0 < self.wind_band <= 1.0:
             raise DomainError(f"wind_band must lie in (0, 1], got {self.wind_band}")
+        if self.T_star is None:
+            raise DomainError("T_star, the relaxation target at centers, is required")
 
 
 tree.register_container(
@@ -307,7 +309,7 @@ def _advect(u: Field, v: Field, T: Field, g: GridSpec) -> Field:
     fluxes vanish because the wall v row is zero.
     """
     t = T.values
-    t_east = ops.roll_x(t, -1)
+    t_east = ops.roll_x(t, n=-1)
     t_north = ops.shift_yp(t, fill="edge")  # multiplied by the zero wall row
     flux_x = u * ops.where_pos(u.values, t, t_east)
     flux_y = v * ops.where_pos(v.values, t, t_north)
@@ -401,7 +403,7 @@ def bsf_mse_loss(s: ModelState, ref_psi: Field, g: GridSpec):
             f"{psi.shape}"
         )
     diff = psi - ref_psi
-    return ops.amean(ops.power(diff.values, 2.0))
+    return ops.amean(ops.power(diff.values, p=2.0))
 
 
 def total_energy(s: ModelState, p: PhysParams, g: GridSpec) -> float:

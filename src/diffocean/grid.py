@@ -175,7 +175,7 @@ class Field:
         return Field(ops.neg(self.values), self.staggering)
 
     def __pow__(self, p):
-        return Field(ops.power(self.values, p), self.staggering)
+        return Field(ops.power(self.values, p=float(p)), self.staggering)
 
 
 tree.register_container(Field, children=("values",), aux=("staggering",), transparent=True)
@@ -208,14 +208,14 @@ def ddx(f: Field, g: GridSpec) -> Field:
     """Two-point zonal difference with periodic wrap; shifts the staggering."""
     _check_shape(f, g)
     op, out_stag = _DDX[f.staggering]
-    return Field(op(f.values, g.dx), out_stag)
+    return Field(op(f.values, dx=g.dx), out_stag)
 
 
 def ddy(f: Field, g: GridSpec) -> Field:
     """Two-point meridional difference; wall-normal flux is suppressed."""
     _check_shape(f, g)
     op, out_stag = _DDY[f.staggering]
-    return Field(op(f.values, g.dy), out_stag)
+    return Field(op(f.values, dy=g.dy), out_stag)
 
 
 def divergence(u: Field, v: Field, g: GridSpec) -> Field:
@@ -232,7 +232,7 @@ def divergence(u: Field, v: Field, g: GridSpec) -> Field:
     _check_shape(u, g)
     _check_shape(v, g)
     return Field(
-        ops.add(ops.ddx_bwd(u.values, g.dx), ops.ddy_bwd(v.values, g.dy)),
+        ops.add(ops.ddx_bwd(u.values, dx=g.dx), ops.ddy_bwd(v.values, dy=g.dy)),
         Staggering.CENTER,
     )
 
@@ -258,7 +258,7 @@ def laplacian(f: Field, g: GridSpec, boundary: str = "free-slip") -> Field:
     """5-point Laplacian, periodic in x, wall rule per staggering in y."""
     _check_shape(f, g)
     ybc = _lap_ybc(f.staggering, boundary)
-    return Field(ops.laplacian(f.values, g.dx, g.dy, ybc=ybc), f.staggering)
+    return Field(ops.laplacian(f.values, dx=g.dx, dy=g.dy, ybc=ybc), f.staggering)
 
 
 _INTERP = {

@@ -162,10 +162,10 @@ def state_aggregate_loss(params: PhysParams, g: GridSpec, c: StepConfig, n: int)
     def loss(s: ModelState):
         out = step_n(s, n, params, g, c)
         return ops.add(
-            ops.add(ops.amean(ops.power(out.u.values, 2.0)),
-                    ops.amean(ops.power(out.v.values, 2.0))),
-            ops.add(ops.amean(ops.power(out.eta.values, 2.0)),
-                    ops.amean(ops.power(out.T.values, 2.0))),
+            ops.add(ops.amean(ops.power(out.u.values, p=2.0)),
+                    ops.amean(ops.power(out.v.values, p=2.0))),
+            ops.add(ops.amean(ops.power(out.eta.values, p=2.0)),
+                    ops.amean(ops.power(out.T.values, p=2.0))),
         )
 
     return loss

@@ -78,7 +78,7 @@ def test_jvp_linear_in_tangent():
     a, b = 1.7, -2.4
 
     def f(v):
-        return ops.asum(ops.power(v, 3.0))
+        return ops.asum(ops.power(v, p=3.0))
 
     _, d1 = jvp(f, x, k1)
     _, d2 = jvp(f, x, k2)
@@ -92,7 +92,7 @@ def test_transpose_identity_elementwise_chain():
     k = rng.standard_normal((6, 5))
 
     def f(v):
-        return ops.mul(ops.laplacian(v, 2.0, 3.0, ybc="neumann"), v)
+        return ops.mul(ops.laplacian(v, dx=2.0, dy=3.0, ybc="neumann"), v)
 
     v_ct = rng.standard_normal((6, 5))
     _, jk = jvp(f, x, k)
@@ -236,6 +236,70 @@ def test_define_primitive_rejects_read_set_out_of_range():
     assert "bad_read_set" not in _PRIMITIVES
 
 
+# The static arguments of one call of each primitive that takes any.
+PRIMITIVE_STATICS = {
+    "power": {"p": 3.0},
+    "roll_x": {"n": -1},
+    "shift_yp": {"fill": "edge"},
+    "ddx_fwd": {"dx": 0.5},
+    "ddx_bwd": {"dx": 0.5},
+    "ddy_fwd": {"dy": 0.7},
+    "ddy_bwd": {"dy": 0.7},
+    "laplacian": {"dx": 0.5, "dy": 0.7, "ybc": "noslip"},
+}
+
+
+def _bitwise(x, y):
+    return np.shape(x) == np.shape(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+def test_each_primitive_is_the_callable_of_its_name(name):
+    """The module attribute named after a primitive is the registered
+    Primitive (sum and mean are asum and amean), and calling it is
+    apply(name, ...) bitwise: plain, forward mode and on a tape."""
+    prim = _PRIMITIVES[name]
+    f = getattr(ops, {"sum": "asum", "mean": "amean"}.get(name, name))
+    assert f is prim
+    static = PRIMITIVE_STATICS.get(name, {})
+    rng = np.random.default_rng(7)
+    args = [rng.uniform(0.5, 2.0, (6, 5)) for _ in prim.vjps]
+    if name == "where_pos":
+        args[0] -= 1.25  # both signs of the switch
+    assert _bitwise(f(*args, **static), apply(name, *args, **static))
+
+    duals = [DualBox(a, rng.standard_normal((2, 6, 5))) for a in args]
+    got, want = f(*duals, **static), apply(name, *duals, **static)
+    assert _bitwise(got.primal, want.primal)
+    assert _bitwise(got.tangent, want.tangent)
+
+    grads = []
+    for call in (f, lambda *a, **kw: apply(name, *a, **kw)):
+        tape = Tape()
+        leaves = [tape.leaf(a) for a in args]
+        out = call(*leaves, **static)
+        node = tape.nodes[-1]
+        assert (node.name, node.parents, node.static) == (name, tuple(range(len(args))), static)
+        swept = tape.sweep({out.index: np.ones_like(out.primal)})
+        grads.append((out.primal, [swept.get(leaf.index) for leaf in leaves]))
+    (got_out, got_cts), (want_out, want_cts) = grads
+    assert _bitwise(got_out, want_out)
+    assert all(a is b or _bitwise(a, b) for a, b in zip(got_cts, want_cts))
+
+
+def test_a_positional_static_is_refused():
+    """A positional static would run on plain values and fail only once a
+    box reaches the rules, so a call refuses it outright."""
+    a = np.ones((4, 3))
+    with pytest.raises(TypeError, match="'ddx_fwd' takes 1 positional.*keywords"):
+        ops.ddx_fwd(a, 0.5)
+    with pytest.raises(TypeError, match="'power'"):
+        ops.power(a, 2.0)
+    with pytest.raises(TypeError, match="'add' takes 2"):
+        ops.add(a)
+    assert _bitwise(ops.ddx_fwd(a, dx=0.5), np.zeros((4, 3)))
+
+
 def test_unregistered_ufunc_raises():
     with pytest.raises(UnregisteredPrimitiveError):
         jvp(lambda x: np.tanh(x), 0.5, 1.0)
@@ -264,7 +328,7 @@ def test_primal_preservation_bitwise():
     x = np.abs(rng.standard_normal((8, 6))) + 0.1
 
     def f(v):
-        return ops.amean(ops.mul(ops.sqrt(v), ops.laplacian(v, 1.0, 1.0, ybc="neumann")))
+        return ops.amean(ops.mul(ops.sqrt(v), ops.laplacian(v, dx=1.0, dy=1.0, ybc="neumann")))
 
     plain = f(x)
     val_j, _ = jvp(f, x, np.zeros_like(x) + 0.3)
@@ -292,7 +356,7 @@ def test_inputs_never_mutated():
     snapshot = x.tobytes()
 
     def f(v):
-        t = ops.laplacian(v, 1.0, 1.0, ybc="dirichlet")
+        t = ops.laplacian(v, dx=1.0, dy=1.0, ybc="dirichlet")
         return ops.asum(ops.mul(t, t))
 
     jvp(f, x, np.ones_like(x))
@@ -310,7 +374,7 @@ def test_tape_replay_reproduces_primals():
     bitwise, at the traced inputs and at new ones, plain or boxed."""
     def f(leaves):
         (x,) = leaves
-        out = ops.mul(ops.laplacian(x, 1.0, 1.0, ybc="neumann"), x)
+        out = ops.mul(ops.laplacian(x, dx=1.0, dy=1.0, ybc="neumann"), x)
         out = ops.exp(ops.mul(out, 0.01))
         return [out, ops.amean(out)]
 
@@ -549,7 +613,7 @@ def test_jvp_direction_stack_equals_single_directions_bitwise(reduce):
     def f(x):
         state, params = x
         out = step_n(state, 3, params, g, c)
-        loss = reduce(ops.power(ops.sub(out.T.values, 10.0), 2.0))
+        loss = reduce(ops.power(ops.sub(out.T.values, 10.0), p=2.0))
         return loss, out.u, state.T  # state.T is frozen: zero tangent
 
     x = (s, p)
@@ -635,7 +699,7 @@ def test_central_difference_second_order():
     x = rng.standard_normal((6, 6)) * 0.5
 
     def f(v):
-        return ops.asum(ops.power(ops.exp(ops.mul(v, 0.3)), 3.0))
+        return ops.asum(ops.power(ops.exp(ops.mul(v, 0.3)), p=3.0))
 
     k = random_direction(x, seed=3)
     _, ad = jvp(f, x, k)

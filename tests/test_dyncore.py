@@ -575,6 +575,18 @@ def test_params_validation():
         StepConfig(dt=-5.0)
 
 
+def test_params_without_a_relaxation_target_are_refused_when_built():
+    """No step accepts parameters without T_star, so building them fails,
+    with a DomainError naming the field, and not the first step."""
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="T_star"):
+        PhysParams()
+    with pytest.raises(DomainError, match="T_star"):
+        PhysParams(A_h=300.0, r_bot=1e-5, tau0=0.05)
+    with pytest.raises(DomainError, match="T_star"):
+        replace(quiet_params(g), T_star=None)
+
+
 def test_solenoidal_noise_matches_requested_rms():
     g = make_channel_grid(32, 24, 2e6, 1.5e6, 300.0, -1e-4, 0.0)
     rng = np.random.default_rng(9)
