@@ -602,7 +602,7 @@ def test_jvp_broadcast_scalar_tangent_matches_grad():
         np.testing.assert_array_equal(stacked, [g, -2.0 * g])
 
 
-@pytest.mark.parametrize("reduce", [ops.asum, ops.amean])
+@pytest.mark.parametrize("reduce", [ops.asum, ops.amean], ids=["asum", "amean"])
 def test_jvp_direction_stack_equals_single_directions_bitwise(reduce):
     """Three stacked directions over a model state and its scalar parameters
     give bitwise what three one-direction passes give, frozen leaves
