@@ -33,7 +33,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ..errors import TapeMemoryError, UnregisteredPrimitiveError
+from ..errors import UnregisteredPrimitiveError
 
 
 class Primitive:
@@ -277,15 +277,14 @@ class Tape:
     rules. `bytes_used` counts each kept array once, however many nodes
     keep it, constant arrays included (a scalar constant is not counted).
     `steps` counts the model steps completed on the tape (see
-    mark_step). An optional byte budget turns exhaustion into
-    TapeMemoryError naming how many model steps had been completed.
+    mark_step). Neither count limits the tape: checkpoint groups are what
+    bound a gradient's memory.
     """
 
-    def __init__(self, max_bytes=None):
+    def __init__(self):
         self.nodes: list[_Node] = []
         self.steps = 0
         self.bytes_used = 0
-        self.max_bytes = max_bytes
         self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
         # ids of the values counted in bytes_used; the tape keeps each of
         # them alive, so no id is reused while it is here
@@ -329,16 +328,7 @@ class Tape:
                 kept_args.append(a)
         kept_out = self._keep(out) if "out" in reads else None
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
-        self._check_budget()
         return index
-
-    def _check_budget(self):
-        if self.max_bytes is not None and self.bytes_used > self.max_bytes:
-            raise TapeMemoryError(
-                f"tape memory budget exceeded ({self.bytes_used} > "
-                f"{self.max_bytes} bytes) after {self.steps} complete model "
-                f"steps ({len(self.nodes)} primitives)"
-            )
 
     def group(self, run, values, links, outs, taped) -> list:
         """Record a computation that ran plain as one checkpoint group.
@@ -366,7 +356,6 @@ class Tape:
                 self.nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
                 out = TapeBox(self, len(self.nodes) - 1, out)
             results.append(out)
-        self._check_budget()
         return results
 
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:

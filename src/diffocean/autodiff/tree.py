@@ -160,31 +160,3 @@ def tree_add_scaled(x, k, c: float):
         else:
             out.append(float(leaf.value) + c * float(t))
     return rebuild(out)
-
-
-def ravel(values) -> np.ndarray:
-    """Concatenate leaf values into one flat float64 vector."""
-    if not values:
-        return np.zeros(0)
-    return np.concatenate(
-        [np.asarray(v, dtype=float).ravel() for v in values]
-    )
-
-
-def unravel(vec, like) -> list:
-    """Split a flat vector back into leaf values shaped like `like`."""
-    vec = np.asarray(vec, dtype=float)
-    out = []
-    pos = 0
-    for v in like:
-        p = unbox(v)
-        if isinstance(p, np.ndarray):
-            n = p.size
-            out.append(vec[pos : pos + n].reshape(p.shape))
-        else:
-            n = 1
-            out.append(float(vec[pos]))
-        pos += n
-    if pos != vec.size:
-        raise ShapeError(f"flat vector has {vec.size} entries, template needs {pos}")
-    return out

@@ -5,6 +5,11 @@ state after a few steps, and calibrating (A_h, r_bot) from barotropic
 streamfunction snapshots of a reference run. A sensitivity grid maps the
 calibration loss and its forward-mode gradient over parameter space.
 
+Both experiments run one descent loop (_descend) and differ only in their
+step: reconstruction takes a fixed size that a three-point search picks
+from the first gradient, and calibration backtracks from alpha on every
+iterate.
+
 Calibration runs gradient descent on (log A_h, log r_bot): the two
 parameters live eight orders of magnitude apart and their gradients are
 strongly anisotropic, so log coordinates are the minimal preconditioning
@@ -56,7 +61,10 @@ class OptimHistory:
         if self.records and record.iteration <= self.records[-1].iteration:
             raise DomainError("history iterations must increase strictly")
         if not np.isfinite(record.loss):
-            raise NonFiniteError(f"loss not finite at iteration {record.iteration}")
+            named = ", ".join(f"{k}={v}" for k, v in record.metrics.items())
+            raise NonFiniteError(
+                f"loss not finite at iteration {record.iteration}: {named}"
+            )
         self.records.append(record)
 
     @property
@@ -100,8 +108,11 @@ def reconstruct_initial_state(
     """Recover the initial temperature by descending the l-step L2 mismatch.
 
     Only T is differentiated; velocities, elevation, and all physical
-    parameters stay frozen. The history records the loss and the squared
-    distance to the reference initial field at every iterate.
+    parameters stay frozen. The step size is the best of alpha/4, alpha
+    and 4*alpha along the first gradient, fixed for the whole descent;
+    DivergenceError when none of them lowers the loss, or when the loss
+    rises over ten consecutive iterates. The history records the loss and
+    the squared distance to the reference initial field at every iterate.
     """
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
@@ -111,42 +122,32 @@ def reconstruct_initial_state(
     ref_values = np.asarray(unbox(ref_T0.values))
     selector = DiffSelector.only("T")
     state0 = replace(base_state, T=perturbed_T0)
-    chosen, first = _three_point_alpha(loss_of, state0, selector, alpha)
-
-    history = OptimHistory([])
+    loss0, gstate = grad(loss_of, state0, select=selector)
+    gT = np.asarray(gstate.T.values)
+    chosen = _three_point_alpha(loss_of, state0, loss0, gT, alpha)
+    # round-off chatter at the loss floor is not divergence
+    floor = 1e-14 * max(loss0, 1e-300)
     increases = 0
-    prev_loss = None
-    floor = None  # round-off chatter at the loss floor is not divergence
-    for it in range(iters + 1):
-        loss_value, gstate = first if it == 0 else grad(loss_of, state0, select=selector)
-        gT = np.asarray(gstate.T.values)
-        distance = float(np.sum((np.asarray(unbox(state0.T.values)) - ref_values) ** 2))
-        history.append(
-            OptimRecord(
-                iteration=it,
-                loss=loss_value,
-                metrics={"distance": distance},
-                grad_norm=float(np.sqrt(np.sum(gT * gT))),
-                alpha=chosen,
+
+    def fixed_step(state, gT, loss_value, a):
+        nonlocal increases
+        state = replace(state, T=state.T - a * gT)
+        value, gstate = grad(loss_of, state, select=selector)
+        increases = increases + 1 if value > loss_value + floor else 0
+        if increases >= 10:
+            raise DivergenceError(
+                f"loss increased over {increases} consecutive iterations "
+                f"at the chosen step {a} (alpha = {alpha}); try a "
+                f"smaller alpha than {alpha}"
             )
-        )
-        if floor is None:
-            floor = 1e-14 * max(loss_value, 1e-300)
-        if prev_loss is not None and loss_value > prev_loss + floor:
-            increases += 1
-            if increases >= 10:
-                raise DivergenceError(
-                    f"loss increased over {increases} consecutive iterations "
-                    f"at the chosen step {chosen} (alpha = {alpha}); try a "
-                    f"smaller alpha than {alpha}"
-                )
-        else:
-            increases = 0
-        prev_loss = loss_value
-        if it == iters:
-            break
-        state0 = replace(state0, T=state0.T - chosen * gT)
-    return history, state0.T
+        return a, state, value, np.asarray(gstate.T.values)
+
+    def describe(state, gT):
+        distance = float(np.sum((np.asarray(unbox(state.T.values)) - ref_values) ** 2))
+        return {"distance": distance}, float(np.sqrt(np.sum(gT * gT)))
+
+    history, state = _descend(state0, loss0, gT, fixed_step, iters, chosen, describe)
+    return history, state.T
 
 
 def temperature_mismatch_loss(
@@ -183,23 +184,46 @@ def _trial_value(loss, x) -> float:
     return _trial(lambda y: (loss(y), None), x)[0]
 
 
-def _three_point_alpha(loss_of, state0, selector, alpha0: float):
-    """Pick the best of {alpha0/4, alpha0, 4*alpha0} from one gradient.
-
-    Returns (alpha, (loss, gradient) at state0), so the descent starts from
-    the gradient taken here.
-    """
-    first = grad(loss_of, state0, select=selector)
-    gT = np.asarray(first[1].T.values)
+def _three_point_alpha(loss_of, state0, loss0, gT, alpha0: float) -> float:
+    """The best of {alpha0/4, alpha0, 4*alpha0} along the gradient gT at
+    state0, whose loss is loss0; DivergenceError when none lowers it."""
     if not np.any(gT):
-        return alpha0, first
-    best_alpha, best_loss = alpha0, np.inf
-    for candidate in (0.25 * alpha0, alpha0, 4.0 * alpha0):
-        trial = replace(state0, T=state0.T - candidate * gT)
-        value = _trial_value(loss_of, trial)
-        if value < best_loss:
-            best_alpha, best_loss = candidate, value
-    return best_alpha, first
+        return alpha0
+    candidates = (0.25 * alpha0, alpha0, 4.0 * alpha0)
+    values = [
+        _trial_value(loss_of, replace(state0, T=state0.T - a * gT)) for a in candidates
+    ]
+    best = int(np.argmin(values))
+    if values[best] < loss0:
+        return candidates[best]
+    raise DivergenceError(
+        f"no step of {candidates} lowers the loss {loss0} (alpha = {alpha0}); "
+        f"try a smaller alpha than {alpha0}"
+    )
+
+
+def _descend(x, loss, gradient, step, iters, alpha, describe):
+    """Gradient descent from x, whose loss and gradient are given.
+
+    describe(x, gradient) gives an iterate's (metrics, gradient norm), and
+    step(x, gradient, loss, alpha) the next iterate as (accepted step size,
+    x, loss, gradient), or None when it finds no step. The descent stops
+    after iters steps, at a zero gradient, or when step returns None. Each
+    record carries the step size accepted from its iterate; the last one
+    keeps alpha. Returns (history, x at the last iterate).
+    """
+    history = OptimHistory([])
+    for it in range(iters + 1):
+        metrics, gnorm = describe(x, gradient)
+        record = OptimRecord(it, loss, metrics, gnorm, alpha)
+        history.append(record)
+        if it == iters or gnorm == 0.0:
+            break
+        taken = step(x, gradient, loss, alpha)
+        if taken is None:
+            break  # no step lowers the loss: converged
+        record.alpha, x, loss, gradient = taken
+    return history, x
 
 
 @dataclass
@@ -303,37 +327,15 @@ def calibrate_params(
     def loss_theta(theta):
         return raw_loss((ops.exp(theta[0]), ops.exp(theta[1])))
 
+    def describe(theta, grads):
+        metrics = {"A_h": float(np.exp(theta[0])), "r_bot": float(np.exp(theta[1]))}
+        return metrics, float(np.hypot(*grads))
+
     theta = (float(np.log(a0)), float(np.log(r0)))
-    history = OptimHistory([])
-    pullback = None  # of the trial accepted at theta; None at iterate 0
-    for it in range(iters + 1):
-        if pullback is None:
-            loss_value, (ga, gr) = grad(loss_theta, theta)
-        else:
-            ga, gr = pullback(1.0)
-            # drop the accepted record before the next trials, so that one
-            # record is alive at a time
-            pullback = accepted = None
-        if not np.isfinite(loss_value):
-            raise NonFiniteError(
-                f"calibration loss not finite at A_h={np.exp(theta[0])}, "
-                f"r_bot={np.exp(theta[1])}"
-            )
-        gnorm = float(np.hypot(ga, gr))
-        record = OptimRecord(
-            iteration=it,
-            loss=loss_value,
-            metrics={"A_h": float(np.exp(theta[0])), "r_bot": float(np.exp(theta[1]))},
-            grad_norm=gnorm,
-            alpha=alpha,
-        )
-        history.append(record)
-        if it == iters or gnorm == 0.0:
-            break
-        accepted = _backtrack(loss_theta, theta, (ga, gr), loss_value, alpha)
-        if accepted is None:
-            break  # no descent step within the halving budget: converged
-        record.alpha, theta, loss_value, pullback = accepted
+    loss_value, grads = grad(loss_theta, theta)
+    history, _ = _descend(
+        theta, loss_value, grads, partial(_backtrack, loss_theta), iters, alpha, describe
+    )
     final = history.final.metrics
     return history, (final["A_h"], final["r_bot"])
 
@@ -341,8 +343,9 @@ def calibrate_params(
 def _backtrack(loss_theta, theta, grads, loss_value, alpha):
     """First of alpha, alpha/2, ... whose step does not raise the loss.
 
-    Returns (accepted step size, new theta, its loss, its pullback), or
-    None when every halving was rejected.
+    Returns (accepted step size, new theta, its loss, its gradient), or
+    None when every halving was rejected. The gradient is the accepted
+    trial's pullback, so it costs no second forward run.
     """
     ga, gr = grads
     a = alpha
@@ -350,7 +353,7 @@ def _backtrack(loss_theta, theta, grads, loss_value, alpha):
         candidate = (theta[0] - a * ga, theta[1] - a * gr)
         value, pullback = _trial(partial(vjp, loss_theta), candidate)
         if value <= loss_value:
-            return a, candidate, value, pullback
+            return a, candidate, value, pullback(1.0)
         pullback = None  # drop the rejected record before the next trial
         a *= 0.5
     return None

@@ -33,10 +33,6 @@ class UnregisteredPrimitiveError(DiffOceanError, TypeError):
     """A differentiated function used an operation with no registered rules."""
 
 
-class TapeMemoryError(DiffOceanError, RuntimeError):
-    """The reverse-mode tape exceeded its configured memory budget."""
-
-
 class DivergenceError(DiffOceanError, RuntimeError):
     """An optimization loop failed to decrease its objective."""
 

@@ -19,7 +19,6 @@ from .dyncore import (
     ModelState,
     PhysParams,
     StepConfig,
-    cfl_limit,
     linear_profile_field,
     step_n,
 )
@@ -141,35 +140,7 @@ def build_initial_state(cfg: RunConfig, g: GridSpec, params: PhysParams, seed=No
     )
 
 
-def random_state(g: GridSpec, rng: np.random.Generator, amp=0.1) -> ModelState:
-    """Unstructured random state (wall v row zeroed); for property tests."""
-    v = amp * rng.standard_normal(g.shape)
-    v[:, -1] = 0.0
-    return ModelState(
-        u=Field(amp * rng.standard_normal(g.shape), Staggering.U_FACE),
-        v=Field(v, Staggering.V_FACE),
-        eta=Field(amp * rng.standard_normal(g.shape), Staggering.CENTER),
-        T=Field(10.0 + rng.standard_normal(g.shape), Staggering.CENTER),
-        time=0.0,
-    )
-
-
 # -- gradient-check wiring ------------------------------------------------------
-
-def state_aggregate_loss(params: PhysParams, g: GridSpec, c: StepConfig, n: int):
-    """Scalar aggregation of the state after n steps (mean squares of fields)."""
-
-    def loss(s: ModelState):
-        out = step_n(s, n, params, g, c)
-        return ops.add(
-            ops.add(ops.amean(ops.power(out.u.values, p=2.0)),
-                    ops.amean(ops.power(out.v.values, p=2.0))),
-            ops.add(ops.amean(ops.power(out.eta.values, p=2.0)),
-                    ops.amean(ops.power(out.T.values, p=2.0))),
-        )
-
-    return loss
-
 
 def gradcheck_reference_state(
     cfg: RunConfig, g: GridSpec, params: PhysParams, c: StepConfig
@@ -218,31 +189,3 @@ def reconstruction_cost_family(
         return calibrate.temperature_mismatch_loss(w, n, params, g, c), w
 
     return family
-
-
-def dissipative_test_setup(seed: int = 0):
-    """Configuration in which total energy provably decays every step.
-
-    The forward-backward scheme lets the Euclidean energy of a gravity
-    wave wobble by a factor of order (c*dt*K)^2 per step even when the
-    mode itself is neutrally stable, so per-step monotone decay requires
-    the viscous damping A_h*K^2*dt to dominate that wobble at every
-    wavenumber: A_h >= 2*g*H*dt. The values below satisfy the bound with
-    a factor-two margin at all scales.
-    """
-    g = make_channel_grid(16, 16, 1.6e6, 1.6e6, 100.0, 1e-4, 0.0)
-    params = PhysParams(
-        A_h=6.0e5,
-        r_bot=1e-4,
-        g=9.81,
-        rho0=1024.0,
-        tau0=0.0,
-        kappa_T=0.0,
-        lambda_relax=0.0,
-        T_star=linear_profile_field(g, 10.0, 10.0),
-    )
-    c = StepConfig(dt=300.0)
-    assert c.dt < cfl_limit(g, params.g)
-    rng = np.random.default_rng(seed)
-    state = random_state(g, rng, amp=0.05)
-    return g, params, c, state

@@ -33,8 +33,15 @@ from diffocean.gradcheck import (
     loglog_slope,
 )
 from diffocean.grid import make_channel_grid
-from diffocean.scenarios import linear_profile_field, random_state
+from diffocean.scenarios import linear_profile_field
 from diffocean.snapshot import read_snapshot, write_snapshot
+from helpers import (
+    dissipative_test_setup,
+    random_state,
+    ravel,
+    state_aggregate_loss,
+    unravel,
+)
 
 
 def report(name, detail):
@@ -89,7 +96,7 @@ def test_c01_purity_and_determinism():
 def test_c02_gradient_validation_single_step(acc_mini_spun):
     """C2: single-step E <= 1e-6 on the normalized loss, 20 directions."""
     cfg, g, p, c, w = acc_mini_spun
-    loss = scenarios.state_aggregate_loss(p, g, c, 1)
+    loss = state_aggregate_loss(p, g, c, 1)
     worst = 0.0
     for seed in range(20):
         for mode in ("jvp", "vjp"):
@@ -132,11 +139,11 @@ def test_c03_transpose_identity_and_dense_jacobian(acc_mini_spun):
     for i in range(dim):
         e = np.zeros(dim)
         e[i] = 1.0
-        k_tree = rebuild(tree.unravel(e, leaves))
+        k_tree = rebuild(unravel(e, leaves))
         _, tangent = jvp(f4, s4, k_tree)
-        jac_fwd[:, i] = tree.ravel(tree.leaf_values(tangent))
+        jac_fwd[:, i] = ravel(tree.leaf_values(tangent))
         gradient = pullback4(k_tree)
-        jac_rev[i, :] = tree.ravel(tree.leaf_values(gradient))
+        jac_rev[i, :] = ravel(tree.leaf_values(gradient))
     assert np.max(np.abs(jac_fwd - jac_rev)) <= 1e-10
     report(
         "C3",
@@ -297,7 +304,7 @@ def test_c09_conservation_and_dissipation(acc_mini_setup):
         drift = max(drift, abs(np.sum(s.eta.values) - total0))
     assert drift <= 1e-10 * scale
 
-    ge, pe, ce, se = scenarios.dissipative_test_setup(seed=7)
+    ge, pe, ce, se = dissipative_test_setup(seed=7)
     energies = [total_energy(se, pe, ge)]
     for _ in range(100):
         se = step(se, pe, ge, ce)

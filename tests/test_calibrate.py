@@ -108,6 +108,7 @@ def test_reconstruct_identical_start_has_zero_loss_and_gradient(small_setup):
     )
     assert history.records[0].loss == 0.0
     assert history.records[0].grad_norm == 0.0
+    assert len(history.records) == 1  # a zero gradient ends the descent
     assert history.final.loss == 0.0
     assert recovered.values.tobytes() == start.T.values.tobytes()
 
@@ -184,8 +185,8 @@ def test_reconstruct_descent_property_and_freezing(small_setup):
 
 
 def test_reconstruct_divergence_names_the_requested_alpha(small_setup):
-    """The three-point search picks alpha / 4 here; the error reports both
-    that step and the alpha the caller passed."""
+    """No step of the three-point search lowers the loss here; the error
+    names the candidates and the alpha the caller passed."""
     g, p, c, start = small_setup
     perturbed = Field(start.T.values.copy(), Staggering.CENTER)
     perturbed.values[10, 10] += 1.0
@@ -195,6 +196,38 @@ def test_reconstruct_divergence_names_the_requested_alpha(small_setup):
             base_state=start, params=p, g=g, stepcfg=c,
         )
     message = str(err.value)
+    assert "(1.25, 5.0, 20.0)" in message
+    assert message.endswith("try a smaller alpha than 5.0")
+
+
+def test_reconstruct_refuses_a_search_that_raises_the_loss(small_setup):
+    """At alpha = 1e3 the smallest candidate step already takes the loss
+    from 1 to 2.5e5, so the descent does not start: three such steps would
+    take it to 1.5e16."""
+    g, p, c, start = small_setup
+    perturbed = Field(start.T.values.copy(), Staggering.CENTER)
+    perturbed.values[10, 10] += 1.0
+    with pytest.raises(DivergenceError, match=r"\(250\.0, 1000\.0, 4000\.0\)"):
+        reconstruct_initial_state(
+            start.T, perturbed, 1, 1e3, 3,
+            base_state=start, params=p, g=g, stepcfg=c,
+        )
+
+
+def test_reconstruct_stops_after_ten_loss_increases(small_setup, monkeypatch):
+    """A step that raises the loss on every iterate ends the descent at the
+    tenth increase; the error names that step and the requested alpha."""
+    g, p, c, start = small_setup
+    monkeypatch.setattr(calibrate, "_three_point_alpha", lambda *args: 1.25)
+    perturbed = Field(start.T.values.copy(), Staggering.CENTER)
+    perturbed.values[10, 10] += 1.0
+    with pytest.raises(DivergenceError) as err:
+        reconstruct_initial_state(
+            start.T, perturbed, 1, 5.0, 12,
+            base_state=start, params=p, g=g, stepcfg=c,
+        )
+    message = str(err.value)
+    assert message.startswith("loss increased over 10 consecutive iterations")
     assert "chosen step 1.25" in message
     assert message.endswith("try a smaller alpha than 5.0")
 

@@ -32,12 +32,8 @@ from diffocean.errors import (
     StaggeringError,
 )
 from diffocean.grid import Field, Staggering, make_channel_grid
-from diffocean.scenarios import (
-    dissipative_test_setup,
-    linear_profile_field,
-    random_state,
-    solenoidal_noise,
-)
+from diffocean.scenarios import linear_profile_field, solenoidal_noise
+from helpers import dissipative_test_setup, random_state
 
 
 def quiet_params(grid, **kwargs):

@@ -14,6 +14,7 @@ from diffocean.gradcheck import (
     grad_error,
     loglog_slope,
 )
+from helpers import random_state, state_aggregate_loss
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def test_fd_directional_counts_two_evaluations():
 
 def test_fd_directional_model_loss_is_finite(acc_mini):
     cfg, g, p, c, w = acc_mini
-    loss = scenarios.state_aggregate_loss(p, g, c, 1)
+    loss = state_aggregate_loss(p, g, c, 1)
     from diffocean.autodiff import random_direction
 
     k = random_direction(w, seed=0)
@@ -74,7 +75,7 @@ def test_fd_directional_model_loss_is_finite(acc_mini):
 
 def test_grad_error_single_step_below_threshold(acc_mini):
     cfg, g, p, c, w = acc_mini
-    loss = scenarios.state_aggregate_loss(p, g, c, 1)
+    loss = state_aggregate_loss(p, g, c, 1)
     for mode in ("jvp", "vjp"):
         report = grad_error(loss, w, eps=1e-4, seed=11, mode=mode, n_steps=1)
         assert report.error <= 1e-6
@@ -92,7 +93,7 @@ def test_grad_error_constant_loss_reports_undefined():
 
 def test_grad_error_modes_agree(acc_mini):
     cfg, g, p, c, w = acc_mini
-    loss = scenarios.state_aggregate_loss(p, g, c, 2)
+    loss = state_aggregate_loss(p, g, c, 2)
     r_jvp = grad_error(loss, w, eps=1e-4, seed=3, mode="jvp")
     r_vjp = grad_error(loss, w, eps=1e-4, seed=3, mode="vjp")
     assert abs(r_jvp.ad_value - r_vjp.ad_value) <= 1e-10 * abs(r_jvp.ad_value)
@@ -101,7 +102,7 @@ def test_grad_error_modes_agree(acc_mini):
 
 def test_grad_error_deterministic(acc_mini):
     cfg, g, p, c, w = acc_mini
-    loss = scenarios.state_aggregate_loss(p, g, c, 1)
+    loss = state_aggregate_loss(p, g, c, 1)
     a = grad_error(loss, w, eps=1e-4, seed=9, mode="vjp")
     b = grad_error(loss, w, eps=1e-4, seed=9, mode="vjp")
     assert np.float64(a.ad_value).tobytes() == np.float64(b.ad_value).tobytes()
@@ -160,7 +161,7 @@ def test_cost_scaling_runs_and_is_roughly_linear():
     )
     c = scenarios.StepConfig(dt=200.0)
     rng = np.random.default_rng(0)
-    w = scenarios.random_state(g, rng, amp=0.05)
+    w = random_state(g, rng, amp=0.05)
     family = scenarios.reconstruction_cost_family(w, p, g, c)
     rows = cost_scaling(family, [8, 16, 32], repetitions=3,
                         select=DiffSelector.only("T"))

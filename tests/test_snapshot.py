@@ -13,8 +13,8 @@ from diffocean.errors import (
     SnapshotVersionError,
 )
 from diffocean.grid import make_channel_grid
-from diffocean.scenarios import random_state
 from diffocean.snapshot import read_snapshot, write_snapshot
+from helpers import random_state
 
 
 def states_bitwise_equal(a, b):
