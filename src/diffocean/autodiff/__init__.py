@@ -194,11 +194,11 @@ def vjp(f, x, select=None):
                 ct = np.asarray(ct, dtype=float) if isinstance(ct, np.ndarray) else float(ct)
                 idx = out.index
                 seeds[idx] = ct if idx not in seeds else seeds[idx] + ct
-        grads_by_node = tape.sweep(seeds)
+        adjoint = tape.sweep(seeds)
         grad_leaves = []
         for leaf, box in zip(leaves, boxed):
             if isinstance(box, TapeBox):
-                g = grads_by_node.get(box.index)
+                g = adjoint.get(box.index)
                 if g is None:
                     g = _zero_like(box.primal)
                 elif not isinstance(box.primal, np.ndarray):

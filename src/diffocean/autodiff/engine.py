@@ -13,10 +13,10 @@ in TapeBox and records each application on a Tape, which keeps only what
 the rules of the taped arguments read, and is later swept backwards. A
 checkpoint group stands on a tape for a whole pure computation that ran
 plain: it keeps only its inputs, tapes only the outputs a taped input
-reaches, and the sweep re-records it on a fresh tape when it reaches it,
-trading one extra forward for memory. A tape also is a trace: a Program
-keeps the structure of a record and its constants, drops its primals, and
-replays it on new inputs (trace).
+reaches, and the sweep records it again at the end of the tape, sweeps
+that segment and drops it, trading one extra forward for memory. A tape
+also is a trace: a Program keeps the structure of a record and its
+constants, drops its primals, and replays it on new inputs (trace).
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -250,13 +250,14 @@ _GROUP = "<checkpoint group>"
 _OUTPUT = "<checkpoint output>"  # args holds the output's position
 
 
-class _Group(_Node):
-    """A checkpoint group: args are its input values, links[i] the node
-    args[i] stands for (None for a constant), parents the distinct links,
-    run(inputs) re-runs it, returning its outputs as a list, and taped[i]
-    says whether output i has a node."""
+class _Group:
+    """A checkpoint group: args are its plain input values, links[i] the
+    node args[i] stands for (None for a constant), run(inputs) re-runs it,
+    returning its outputs as a list, and taped[i] says whether output i
+    has a node."""
 
-    __slots__ = ("run", "links", "taped")
+    __slots__ = ("args", "links", "run", "taped")
+    name = _GROUP
 
 
 def _nbytes(v):
@@ -268,21 +269,22 @@ class Tape:
 
     Every intermediate primal needed by a backward rule is saved on the
     tape, except inside a checkpoint group (see group), which keeps only
-    its inputs and is recorded again, one group at a time, by the sweep.
-    A node keeps the primals read by the cotangent rules of its
-    taped arguments, plus its constant arguments (tiny or shared across
+    its inputs and is recorded again by the sweep (_sweep_group). A node
+    keeps the primals read by the cotangent rules of its taped arguments,
+    plus its constant arguments (tiny or shared across
     steps); a taped array that no such rule reads is dropped for a shared
     read-only zero stand-in of its shape. So `c * x` keeps neither operand
     when only x is taped, and the sweep calls only the taped arguments'
     rules. `bytes_used` counts each kept array once, however many nodes
     keep it, constant arrays included (a scalar constant is not counted).
     `steps` counts the model steps completed on the tape (see
-    mark_step). Neither count limits the tape: checkpoint groups are what
-    bound a gradient's memory.
+    mark_step). Both describe the forward record, however often it is
+    swept, and neither limits the tape: checkpoint groups are what bound
+    a gradient's memory.
     """
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list = []
         self.steps = 0
         self.bytes_used = 0
         self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
@@ -330,25 +332,27 @@ class Tape:
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
         return index
 
-    def group(self, run, values, links, outs, taped) -> list:
+    def group(self, run, inputs, outs, taped) -> list:
         """Record a computation that ran plain as one checkpoint group.
 
-        values are its plain inputs and links[i] the node of values[i] on
-        this tape (None for a constant); outs are its plain outputs, and
-        run(inputs) must give them bitwise from any inputs equal to values,
-        boxed or not. taped[i] says whether output i depends on a taped
-        input: those come back as TapeBoxes, the others plain, and the
-        sweep refuses a re-recording that tapes the outputs otherwise. The
-        group keeps only values, each array counted once.
+        inputs are its input values as the caller holds them, boxes of this
+        tape or plain constants; outs are its plain outputs, and run(inputs)
+        must give them bitwise from any inputs equal to these, boxed or not.
+        taped[i] says whether output i depends on a taped input: those come
+        back as TapeBoxes, the others plain, and the sweep refuses a
+        re-recording that tapes the outputs otherwise. The group keeps only
+        the plain values of its inputs, each array counted once.
         """
-        index = len(self.nodes)
-        parents = tuple(dict.fromkeys(p for p in links if p is not None))
-        kept = tuple(
-            self._keep_constant(v) if p is None else self._keep(v)
-            for v, p in zip(values, links)
+        if any(isinstance(v, Box) and getattr(v, "tape", None) is not self for v in inputs):
+            raise UnregisteredPrimitiveError("a group takes plain values and its tape's boxes")
+        node = _Group()
+        node.links = tuple(v.index if isinstance(v, TapeBox) else None for v in inputs)
+        node.args = tuple(
+            self._keep_constant(v) if p is None else self._keep(v.primal)
+            for v, p in zip(inputs, node.links)
         )
-        node = _Group(_GROUP, parents, kept, None, {})
-        node.run, node.links, node.taped = run, tuple(links), tuple(taped)
+        node.run, node.taped = run, tuple(taped)
+        index = len(self.nodes)
         self.nodes.append(node)
         results = []
         for position, (out, is_taped) in enumerate(zip(outs, node.taped)):
@@ -361,35 +365,35 @@ class Tape:
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
         """Backward pass: cotangents per seed node -> cotangents per leaf.
 
-        Visits every node exactly once, in reverse recording order, and
-        calls the rules of its taped arguments in argument order. A group's
-        outputs hand their cotangents to the group, which sweeps its own
-        re-recording (_sweep_group).
+        Runs _sweep over the whole tape and returns its adjoints, in which
+        only the leaves' entries remain.
         """
-        adjoint: dict[int, object] = {}
-        for idx, ct in seeds.items():
-            _accumulate(adjoint, idx, ct)
-        grads: dict[int, object] = {}
-        for idx in range(len(self.nodes) - 1, -1, -1):
-            ct = adjoint.pop(idx, None)
-            if ct is None:
-                continue
-            node = self.nodes[idx]
-            if node.name is None:
-                grads[idx] = ct
-                continue
-            if node.name is _OUTPUT:
-                adjoint.setdefault(node.parents[0], {})[node.args] = ct
-                continue
-            if node.name is _GROUP:
-                _sweep_group(node, ct, adjoint)
-                continue
-            rules = _PRIMITIVES[node.name].vjps
-            for parent, rule in zip(node.parents, rules):
+        adjoint = dict(seeds)
+        _sweep(self.nodes, adjoint, 0)
+        return adjoint
+
+
+def _sweep(nodes, adjoint, start):
+    """Sweep nodes[start:] backwards, updating adjoint (cotangents by node).
+
+    Visits every node exactly once, in reverse recording order, and pops
+    its adjoint, except a leaf's, which stays. A primitive node calls the
+    rules of its taped arguments in argument order; a group's outputs hand
+    their cotangents to the group, which sweeps its re-recording as a
+    segment (_sweep_group).
+    """
+    for idx in range(len(nodes) - 1, start - 1, -1):
+        node = nodes[idx]
+        if node.name is None or (ct := adjoint.pop(idx, None)) is None:
+            continue
+        if node.name is _OUTPUT:
+            adjoint.setdefault(node.parents[0], {})[node.args] = ct
+        elif node.name is _GROUP:
+            _sweep_group(nodes, node, ct, adjoint)
+        else:
+            for parent, rule in zip(node.parents, _PRIMITIVES[node.name].vjps):
                 if parent is not None and rule is not None:
-                    c = rule(ct, node.args, node.out, **node.static)
-                    _accumulate(adjoint, parent, c)
-        return grads
+                    _accumulate(adjoint, parent, rule(ct, node.args, node.out, **node.static))
 
 
 def _accumulate(adjoint, idx, ct):
@@ -397,42 +401,36 @@ def _accumulate(adjoint, idx, ct):
     adjoint[idx] = ct if held is None else np.add(held, ct)
 
 
-def _sweep_group(group, cts, adjoint):
+def _sweep_group(nodes, group, cts, adjoint):
     """Sweep a checkpoint group, given the cotangents of its outputs by
-    position, inside the sweep of its tape, whose adjoints it updates.
+    position, inside the sweep of nodes.
 
-    The group runs again on a fresh tape with one leaf per distinct input
-    node. Each leaf starts from the running adjoint of the node it stands
-    for, and only outputs that have a cotangent are seeded, so every
-    adjoint sums its terms in the order a tape of the whole computation
-    would, and the result is bitwise the same.
+    The group runs again with its input nodes as parents, recording at the
+    end of nodes through a tape of its own, which leaves the counts of the
+    swept tape alone. The new nodes are those a tape of the whole
+    computation holds in the group's place, so the same loop and adjoints
+    sweep them in full-tape order, bitwise; they are dropped afterwards.
     """
-    tape = Tape()
-    leaves = {}
-    for v, p in zip(group.args, group.links):
-        if p is not None and p not in leaves:
-            leaves[p] = tape.leaf(v)
-    outs = group.run([v if p is None else leaves[p] for v, p in zip(group.args, group.links)])
-    for position, (out, taped) in enumerate(zip(outs, group.taped)):
-        if isinstance(out, TapeBox) != taped:
-            # what was computed from a plain output holds no derivative
-            raise RuntimeError(
-                f"checkpoint group output {position} was "
-                f"{'taped' if taped else 'plain'} when the group ran, but "
-                f"not when it was recorded again"
-            )
-    seeds = {}
-    for p, leaf in leaves.items():
-        held = adjoint.pop(p, None)
-        if held is not None:
-            seeds[leaf.index] = held
-    for position, ct in cts.items():
-        _accumulate(seeds, outs[position].index, ct)
-    grads = tape.sweep(seeds)
-    for p, leaf in leaves.items():
-        g = grads.get(leaf.index)
-        if g is not None:
-            adjoint[p] = g
+    start = len(nodes)
+    segment = Tape()
+    segment.nodes = nodes
+    try:
+        outs = group.run([
+            v if p is None else TapeBox(segment, p, v) for v, p in zip(group.args, group.links)
+        ])
+        for position, (out, taped) in enumerate(zip(outs, group.taped)):
+            if isinstance(out, TapeBox) != taped:
+                # what was computed from a plain output holds no derivative
+                raise RuntimeError(
+                    f"checkpoint group output {position} was "
+                    f"{'taped' if taped else 'plain'} when the group ran, but "
+                    f"not when it was recorded again"
+                )
+        for position, ct in cts.items():
+            _accumulate(adjoint, outs[position].index, ct)
+        _sweep(nodes, adjoint, start)
+    finally:
+        del nodes[start:]
 
 
 class Program:

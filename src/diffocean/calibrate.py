@@ -94,7 +94,6 @@ def gaussian_perturbation(
 
 
 def reconstruct_initial_state(
-    ref_T0: Field,
     perturbed_T0: Field,
     l: int,
     alpha: float,
@@ -107,19 +106,18 @@ def reconstruct_initial_state(
 ) -> tuple[OptimHistory, Field]:
     """Recover the initial temperature by descending the l-step L2 mismatch.
 
-    Only T is differentiated; velocities, elevation, and all physical
-    parameters stay frozen. The step size is the best of alpha/4, alpha
-    and 4*alpha along the first gradient, fixed for the whole descent;
+    base_state is the reference, and the descent starts from it with T =
+    perturbed_T0. Only T is differentiated; velocities, elevation, and all
+    physical parameters stay frozen. The step size is the best of alpha/4,
+    alpha and 4*alpha along the first gradient, fixed for the whole descent;
     DivergenceError when none of them lowers the loss, or when the loss
     rises over ten consecutive iterates. The history records the loss and
-    the squared distance to the reference initial field at every iterate.
+    the squared distance to the reference initial T at every iterate.
     """
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
-    loss_of = temperature_mismatch_loss(
-        replace(base_state, T=ref_T0), l, params, g, stepcfg
-    )
-    ref_values = np.asarray(unbox(ref_T0.values))
+    loss_of = temperature_mismatch_loss(base_state, l, params, g, stepcfg)
+    ref_values = np.asarray(unbox(base_state.T.values))
     selector = DiffSelector.only("T")
     state0 = replace(base_state, T=perturbed_T0)
     loss0, gstate = grad(loss_of, state0, select=selector)
@@ -248,8 +246,11 @@ def reference_bsf_observations(
     stepcfg: StepConfig,
     step_indices,
 ) -> BsfObservations:
-    """Run the reference trajectory and collect streamfunction snapshots."""
+    """Run the reference trajectory and collect streamfunction snapshots;
+    DomainError for an empty set of step indices."""
     step_indices = tuple(int(i) for i in step_indices)
+    if not step_indices:
+        raise DomainError("no observation step: the set of step indices is empty")
     snapshots = []
     for state in _states_at(state0, step_indices, params, g, stepcfg):
         psi = barotropic_streamfunction(state, g)

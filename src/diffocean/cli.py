@@ -184,7 +184,6 @@ def _cmd_reconstruct(args):
         base.T, ws.grid, cfg.reconstruct.amplitude, sigma, center
     )
     history, recovered = cal.reconstruct_initial_state(
-        base.T,
         perturbed,
         cfg.reconstruct.l_steps,
         cfg.reconstruct.alpha,

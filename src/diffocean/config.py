@@ -77,6 +77,11 @@ def _in_unit(name):
     return lambda v: None if 0 < v <= 1 else f"{name} must lie in (0, 1]"
 
 
+def _step_counts(v):
+    if len(set(v)) < 2 or min(v) < 1:
+        return "needs two distinct step counts or more, each at least 1"
+
+
 def _choice(name, options):
     return lambda v: None if v in options else f"{name} must be one of {options}"
 
@@ -171,7 +176,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "decades": _Key(_parse_float, default=1.0, check=_positive("decades")),
     },
     "benchmark": {
-        "n_list": _Key(_parse_int_list, default=(8, 16, 32, 64, 128)),
+        "n_list": _Key(_parse_int_list, default=(8, 16, 32, 64, 128), check=_step_counts),
         "repetitions": _Key(_parse_int, default=5, check=_at_least("repetitions", 3)),
     },
 }

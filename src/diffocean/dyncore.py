@@ -194,13 +194,13 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
                 f"grid is {g.shape}"
             )
     values = _leaf_values(s, p)
-    program, staggerings = _program(s, p, g, c, values)
-    new = program(values)
+    new = _program(s, p, g, c, values)(values)
     new_time = s.time + c.dt
     for name, f in zip(_FIELDS, new):
         _check_finite(name, f, new_time)
     mark_step(*new)
-    u, v, eta, T = (Field(f, at) for f, at in zip(new, staggerings))
+    # Field arithmetic pins each new field to the staggering of its input
+    u, v, eta, T = (Field(f, getattr(s, name).staggering) for name, f in zip(_FIELDS, new))
     return ModelState(u=u, v=v, eta=eta, T=T, time=new_time)
 
 
@@ -214,8 +214,7 @@ def _leaf_values(s: ModelState, p: PhysParams) -> list:
 
 
 def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
-    """The traced step for the structure of (s, p, g, c), with the
-    staggerings of its four outputs.
+    """The traced step for the structure of (s, p, g, c).
 
     The key holds what fixes the program: the grid and the step config
     (their numbers are trace constants), the drag mode and wind band (the
@@ -240,14 +239,11 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
 def _trace(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig):
     """Record _step_body once with every leaf of (s, p) a tape leaf."""
     _, rebuild = tree.flatten((s, p))
-    staggerings = []
 
     def body(leaves):
-        fields = _step_body(*rebuild(leaves), g, c)
-        staggerings.extend(f.staggering for f in fields)
-        return [f.values for f in fields]
+        return [f.values for f in _step_body(*rebuild(leaves), g, c)]
 
-    return trace(body, _leaf_values(s, p)), tuple(staggerings)
+    return trace(body, _leaf_values(s, p))
 
 
 def _step_body(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> tuple:
@@ -366,16 +362,13 @@ def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig
     taped leaves of (s, p); the result tapes the fields s has taped."""
     leaves, rebuild = tree.flatten((s, p))
     values = [leaf.value for leaf in leaves]
-    plain = [unbox(v) for v in values]
-    links = [v.index if isinstance(v, TapeBox) else None for v in values]
     tape = next(v.tape for v in values if isinstance(v, TapeBox))
 
     def run(inputs):
         return tree.leaf_values(_fold(rebuild(inputs), n, g, c))
 
-    out_leaves, out_rebuild = tree.flatten(_fold(rebuild(plain), n, g, c))
-    outs = [leaf.value for leaf in out_leaves]
-    s = out_rebuild(tape.group(run, plain, links, outs, _taped(s)))
+    out_leaves, out_rebuild = tree.flatten(_fold(rebuild([unbox(v) for v in values]), n, g, c))
+    s = out_rebuild(tape.group(run, values, [leaf.value for leaf in out_leaves], _taped(s)))
     tape.steps += n
     return s
 

@@ -190,8 +190,10 @@ def _time_ms(fn) -> float:
 
 
 def loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, _ = np.polyfit(lx, ly, 1)
+    """Least-squares slope of log(y) against log(x); DomainError unless the
+    x are positive and at least two of them distinct."""
+    x = np.asarray(xs, dtype=float)
+    if not (np.all(x > 0) and np.unique(x).size >= 2):
+        raise DomainError(f"a log-log slope needs two distinct positive x, got {list(xs)}")
+    slope, _ = np.polyfit(np.log(x), np.log(np.asarray(ys, dtype=float)), 1)
     return float(slope)

@@ -199,7 +199,7 @@ def test_c06_toy_reconstruction(acc_mini_setup):
         base.T, g, cfg.reconstruct.amplitude, sigma, (0.5 * g.Lx, 0.5 * g.Ly)
     )
     history, recovered = reconstruct_initial_state(
-        base.T, perturbed, cfg.reconstruct.l_steps, cfg.reconstruct.alpha, 120,
+        perturbed, cfg.reconstruct.l_steps, cfg.reconstruct.alpha, 120,
         base_state=base, params=p, g=g, stepcfg=c,
     )
     assert history.final.iteration <= 500

@@ -534,10 +534,41 @@ def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():
     tape = Tape()
     x = tape.leaf(2.0)
     run = lambda inputs: [ops.mul(inputs[0], 3.0), ops.mul(inputs[0], 2.0)]
-    y, z = tape.group(run, [2.0], [x.index], [6.0, 4.0], [True, False])
+    y, z = tape.group(run, [x], [6.0, 4.0], [True, False])
     assert isinstance(y, TapeBox) and z == 4.0
     with pytest.raises(RuntimeError, match="output 1 was plain"):
         tape.sweep({y.index: 1.0})
+
+
+def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypatch):
+    """The sweep records each group again at the end of the node list it
+    sweeps, through a tape of its own, and drops it: two pullbacks give the
+    same bits and leave the tape's nodes, steps and bytes as the forward
+    left them."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    tape = Tape()
+    T, A_h = tape.leaf(s.T.values), tape.leaf(p.A_h)
+    state = replace(s, T=replace(s.T, values=T))
+    out = ops.asum(step_n(state, 7, replace(p, A_h=A_h), g, c).T.values)
+    forward = (len(tape.nodes), tape.steps, tape.bytes_used)
+    assert forward[1] == 7 and any(isinstance(node, _Group) for node in tape.nodes)
+    segments = set()
+    record = Tape._record
+
+    def recording(self, *args):
+        index = record(self, *args)
+        segments.add((self is tape, self.nodes is tape.nodes, index >= forward[0]))
+        return index
+
+    monkeypatch.setattr(Tape, "_record", recording)
+    sweeps = []
+    for _ in range(2):
+        adjoint = tape.sweep({out.index: 1.0})
+        assert sorted(adjoint) == [T.index, A_h.index]
+        sweeps.append((_bits(adjoint[T.index]), float.hex(float(adjoint[A_h.index]))))
+        assert (len(tape.nodes), tape.steps, tape.bytes_used) == forward
+    assert sweeps[0] == sweeps[1]
+    assert segments == {(False, True, True)}
 
 
 def test_vjp_cotangent_shape_checked():
@@ -647,6 +678,9 @@ def test_mixing_two_tapes_rejected():
     b = Tape().leaf(2.0)
     with pytest.raises(UnregisteredPrimitiveError):
         apply("add", a, b)
+    # a checkpoint group runs plain, so it checks its inputs itself
+    with pytest.raises(UnregisteredPrimitiveError, match="its tape's boxes"):
+        a.tape.group(lambda xs: xs, [a, b], [1.0, 2.0], [True, True])
 
 
 def test_independent_grad_inside_a_traced_function():

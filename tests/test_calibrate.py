@@ -103,7 +103,7 @@ def test_history_rejects_non_increasing_iterations():
 def test_reconstruct_identical_start_has_zero_loss_and_gradient(small_setup):
     g, p, c, start = small_setup
     history, recovered = reconstruct_initial_state(
-        start.T, start.T, 2, 0.25, 3,
+        start.T, 2, 0.25, 3,
         base_state=start, params=p, g=g, stepcfg=c,
     )
     assert history.records[0].loss == 0.0
@@ -118,7 +118,7 @@ def test_reconstruct_single_cell_descent(small_setup):
     perturbed = Field(start.T.values.copy(), Staggering.CENTER)
     perturbed.values[10, 10] += 1.0
     history, _ = reconstruct_initial_state(
-        start.T, perturbed, 1, 0.25, 2,
+        perturbed, 1, 0.25, 2,
         base_state=start, params=p, g=g, stepcfg=c,
     )
     losses = history.column("loss")
@@ -141,7 +141,7 @@ def test_reconstruct_takes_each_gradient_once(small_setup, monkeypatch):
     perturbed = Field(start.T.values.copy(), Staggering.CENTER)
     perturbed.values[10, 10] += 1.0
     history, _ = reconstruct_initial_state(
-        start.T, perturbed, 1, 0.25, 2,
+        perturbed, 1, 0.25, 2,
         base_state=start, params=p, g=g, stepcfg=c,
     )
     assert len(calls) == 3
@@ -168,7 +168,7 @@ def test_reconstruct_descent_property_and_freezing(small_setup):
     )
     params_before = (float(p.A_h), float(p.r_bot), p.T_star.values.tobytes())
     history, recovered = reconstruct_initial_state(
-        start.T, perturbed, 4, 0.25, 15,
+        perturbed, 4, 0.25, 15,
         base_state=start, params=p, g=g, stepcfg=c,
     )
     losses = history.column("loss")
@@ -192,7 +192,7 @@ def test_reconstruct_divergence_names_the_requested_alpha(small_setup):
     perturbed.values[10, 10] += 1.0
     with pytest.raises(DivergenceError) as err:
         reconstruct_initial_state(
-            start.T, perturbed, 1, 5.0, 12,
+            perturbed, 1, 5.0, 12,
             base_state=start, params=p, g=g, stepcfg=c,
         )
     message = str(err.value)
@@ -209,7 +209,7 @@ def test_reconstruct_refuses_a_search_that_raises_the_loss(small_setup):
     perturbed.values[10, 10] += 1.0
     with pytest.raises(DivergenceError, match=r"\(250\.0, 1000\.0, 4000\.0\)"):
         reconstruct_initial_state(
-            start.T, perturbed, 1, 1e3, 3,
+            perturbed, 1, 1e3, 3,
             base_state=start, params=p, g=g, stepcfg=c,
         )
 
@@ -223,7 +223,7 @@ def test_reconstruct_stops_after_ten_loss_increases(small_setup, monkeypatch):
     perturbed.values[10, 10] += 1.0
     with pytest.raises(DivergenceError) as err:
         reconstruct_initial_state(
-            start.T, perturbed, 1, 5.0, 12,
+            perturbed, 1, 5.0, 12,
             base_state=start, params=p, g=g, stepcfg=c,
         )
     message = str(err.value)

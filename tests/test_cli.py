@@ -2,6 +2,7 @@
 
 import csv
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,19 @@ def test_config_error_is_one_line_and_nonzero(small_conf, capsys, tmp_path):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ConfigError:")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sensitivity"])
+def test_an_empty_observation_window_is_a_one_line_error(small_conf, tmp_path, capsys, command):
+    """obs_every longer than the window leaves no observation step: the
+    command stops with one DomainError line and no NumPy warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", small_conf, "--out", str(tmp_path / command),
+                     "--set", "calibrate.obs_every=100"])
+    assert code == 1 and not caught
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: DomainError:") and "\n" not in err
 
 
 def test_gradcheck_subcommand_accuracy(small_conf, tmp_path):

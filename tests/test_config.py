@@ -66,6 +66,13 @@ def test_negative_A_h_rejected_with_line_number(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("n_list", ["8", "0,8", "8,8", ""])
+def test_benchmark_n_list_needs_two_distinct_lengths_of_at_least_one(tmp_path, n_list):
+    """A log-log slope needs two distinct positive step counts."""
+    with pytest.raises(ConfigError, match="--set benchmark.n_list: n_list: .*two distinct"):
+        parse_config(write(tmp_path, MINIMAL), [f"benchmark.n_list={n_list}"])
+
+
 def test_unknown_key_rejected_with_line_number(tmp_path):
     text = MINIMAL + "\n[physics]\nA_horizontal = 5\n"
     with pytest.raises(ConfigError, match="unknown key 'A_horizontal'"):

@@ -172,6 +172,13 @@ def test_cost_scaling_runs_and_is_roughly_linear():
     assert 0.5 <= slope <= 1.5  # tight bounds are the acceptance suite's job
 
 
+def test_loglog_slope_needs_two_distinct_positive_x():
+    assert loglog_slope([1, 2, 4], [3.0, 6.0, 12.0]) == pytest.approx(1.0)
+    for xs in ([8], [0, 8], [8, 8], [-1, 8]):
+        with pytest.raises(DomainError, match="two distinct positive x"):
+            loglog_slope(xs, [1.0] * len(xs))
+
+
 def test_cost_scaling_requires_three_repetitions():
     family = lambda n: (lambda x: x * x, 1.0)
     with pytest.raises(DomainError):

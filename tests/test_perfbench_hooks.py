@@ -1,20 +1,24 @@
 """The benchmark's hooks into the package still fit it.
 
 perfbench/ reaches into the package by name: its span tracer replaces
-`apply` in engine, primitives and autodiff, and its dispatch timing calls
-each stencil case through `engine.apply` with keyword statics. This test
-imports those modules as they are, without changing them, and fails when
-the package drops a name they use.
+`apply` in engine, primitives and autodiff and wraps `Tape.sweep`, and its
+dispatch timing calls each stencil case through `engine.apply` with
+keyword statics. These tests import those modules as they are, without
+changing them, and fail when the package drops a name they use or the
+tape figures stop describing one gradient's tape.
 """
 
 import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import diffocean.autodiff as autodiff
+from diffocean import dyncore
 from diffocean.autodiff import engine, primitives
 from diffocean.grid import make_channel_grid
+from helpers import dissipative_test_setup
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +46,27 @@ def test_benchmark_tracer_and_stencil_cases_fit_the_package(monkeypatch):
         tracer.uninstall()
     assert counted == len(cases) + 1
     assert all(owner.apply is original for owner, original in zip(owners, originals))
+
+
+def test_benchmark_tracer_sees_one_sweep_per_gradient(monkeypatch):
+    """A gradient through checkpoint groups sweeps each group as a segment
+    of the gradient's tape, so the tracer opens one Tape.sweep span per
+    gradient, whose tape statistics are those of the forward record."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    g, p, c, s = dissipative_test_setup(seed=4)
+
+    def loss(T):
+        state = replace(s, T=replace(s.T, values=T))
+        return primitives.asum(dyncore.step_n(state, 7, p, g, c).T.values)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for _ in range(2):
+            autodiff.grad(loss, s.T.values)
+    finally:
+        tracer.uninstall()
+    sweeps = [span for span in tracer.spans if span.name == "autodiff.Tape.sweep"]
+    assert len(sweeps) == 2
+    assert all(span.info["steps"] == 7 for span in sweeps)
