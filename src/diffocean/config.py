@@ -77,9 +77,11 @@ def _in_unit(name):
     return lambda v: None if 0 < v <= 1 else f"{name} must lie in (0, 1]"
 
 
-def _step_counts(v):
-    if len(set(v)) < 2 or min(v) < 1:
-        return "needs two distinct step counts or more, each at least 1"
+def _step_counts(distinct, what):
+    def check(v):
+        if len(set(v)) < distinct or min(v) < 1:
+            return f"needs {what} or more, each at least 1"
+    return check
 
 
 def _choice(name, options):
@@ -143,7 +145,10 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
             _parse_int, default=100, check=_non_negative("spinup_steps")
         ),
         "eps": _Key(_parse_float, default=1e-4, check=_positive("eps")),
-        "n_list": _Key(_parse_int_list, default=(1, 2, 4, 8, 16, 32)),
+        "n_list": _Key(
+            _parse_int_list, default=(1, 2, 4, 8, 16, 32),
+            check=_step_counts(1, "one step count"),
+        ),
         "rbot_scale": _Key(_parse_float, default=0.5, check=_positive("rbot_scale")),
     },
     "reconstruct": {
@@ -176,7 +181,10 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "decades": _Key(_parse_float, default=1.0, check=_positive("decades")),
     },
     "benchmark": {
-        "n_list": _Key(_parse_int_list, default=(8, 16, 32, 64, 128), check=_step_counts),
+        "n_list": _Key(
+            _parse_int_list, default=(8, 16, 32, 64, 128),
+            check=_step_counts(2, "two distinct step counts"),
+        ),
         "repetitions": _Key(_parse_int, default=5, check=_at_least("repetitions", 3)),
     },
 }

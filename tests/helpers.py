@@ -98,3 +98,96 @@ def unravel(vec, like) -> list:
     if pos != vec.size:
         raise ShapeError(f"flat vector has {vec.size} entries, template needs {pos}")
     return out
+
+
+# -- reference y-stencils ----------------------------------------------------------
+# The y kernels of diffocean.autodiff.primitives as slices and concatenations
+# of the (..., nx, ny) array. The package runs them on flat contiguous views;
+# these are the oracle its outputs must equal bitwise.
+
+def ref_shift_yp_fn(a, fill):
+    top = np.zeros_like(a[..., :1]) if fill == "zero" else a[..., -1:]
+    return np.concatenate([a[..., 1:], top], axis=-1)
+
+
+def ref_shift_yp_t(ct, fill):
+    g = np.zeros_like(ct)
+    g[..., 1:] = ct[..., :-1]
+    if fill == "edge":
+        g[..., -1] += ct[..., -1]
+    return g
+
+
+def ref_ddy_fwd_fn(a, dy):
+    out = np.zeros_like(a)
+    out[..., :-1] = (a[..., 1:] - a[..., :-1]) / dy
+    return out
+
+
+def ref_ddy_fwd_t(ct, dy):
+    t = ct[..., :-1] / dy
+    g = np.empty_like(ct)
+    g[..., 0] = -t[..., 0]
+    g[..., 1:-1] = t[..., :-1] - t[..., 1:]
+    g[..., -1] = t[..., -1]
+    return g
+
+
+def ref_ddy_bwd_fn(a, dy):
+    out = np.empty_like(a)
+    out[..., 0] = a[..., 0] / dy
+    out[..., 1:] = (a[..., 1:] - a[..., :-1]) / dy
+    return out
+
+
+def ref_ddy_bwd_t(ct, dy):
+    g = np.empty_like(ct)
+    g[..., :-1] = (ct[..., :-1] - ct[..., 1:]) / dy
+    g[..., -1] = ct[..., -1] / dy
+    return g
+
+
+def ref_interp_y_fwd_fn(a):
+    out = np.empty_like(a)
+    out[..., :-1] = 0.5 * (a[..., :-1] + a[..., 1:])
+    out[..., -1] = a[..., -1]
+    return out
+
+
+def ref_interp_y_fwd_t(ct):
+    g = np.empty_like(ct)
+    g[..., 0] = 0.5 * ct[..., 0]
+    g[..., 1:-1] = 0.5 * (ct[..., 1:-1] + ct[..., :-2])
+    g[..., -1] = 0.5 * ct[..., -2] + ct[..., -1]
+    return g
+
+
+def ref_interp_y_bwd_fn(a):
+    out = np.empty_like(a)
+    out[..., 0] = a[..., 0]
+    out[..., 1:] = 0.5 * (a[..., 1:] + a[..., :-1])
+    return out
+
+
+def ref_interp_y_bwd_t(ct):
+    g = np.empty_like(ct)
+    g[..., :-1] = 0.5 * (ct[..., :-1] + ct[..., 1:])
+    g[..., 0] += 0.5 * ct[..., 0]
+    g[..., -1] = 0.5 * ct[..., -1]
+    return g
+
+
+def ref_lap_fn(a, dx, dy, ybc):
+    xx = (np.roll(a, -1, axis=-2) - 2.0 * a + np.roll(a, 1, axis=-2)) / (dx * dx)
+    if ybc == "neumann":
+        south, north = a[..., :1], a[..., -1:]
+    elif ybc == "dirichlet":
+        south = north = np.zeros_like(a[..., :1])
+    elif ybc == "noslip":
+        south, north = -a[..., :1], -a[..., -1:]
+    else:
+        raise ValueError(f"unknown y boundary condition {ybc!r}")
+    up = np.concatenate([a[..., 1:], north], axis=-1)
+    down = np.concatenate([south, a[..., :-1]], axis=-1)
+    yy = (up - 2.0 * a + down) / (dy * dy)
+    return xx + yy

@@ -33,6 +33,7 @@ from diffocean.errors import (
     ShapeError,
     UnregisteredPrimitiveError,
 )
+import helpers
 from helpers import dissipative_test_setup
 
 
@@ -162,6 +163,64 @@ def test_stencil_jvp_matches_forward(name, static):
     np.testing.assert_array_equal(
         prim.jvp((t,), (np.zeros((5, 4)),), None, **static), prim.fn(t, **static)
     )
+
+
+# The y stencils run on flat contiguous views; tests/helpers.py keeps their
+# slice formulation as the oracle, forward rule and transpose.
+Y_REFERENCES = {
+    "ddy_fwd": (helpers.ref_ddy_fwd_fn, helpers.ref_ddy_fwd_t),
+    "ddy_bwd": (helpers.ref_ddy_bwd_fn, helpers.ref_ddy_bwd_t),
+    "interp_y_fwd": (helpers.ref_interp_y_fwd_fn, helpers.ref_interp_y_fwd_t),
+    "interp_y_bwd": (helpers.ref_interp_y_bwd_fn, helpers.ref_interp_y_bwd_t),
+    "shift_yp": (helpers.ref_shift_yp_fn, helpers.ref_shift_yp_t),
+    "laplacian": (helpers.ref_lap_fn, helpers.ref_lap_fn),
+}
+Y_STENCILS = [(name, static) for name, static in STENCILS if name in Y_REFERENCES]
+
+
+def _spread(shape, zero_columns, seed):
+    """Values of both signs from 1e-8 to 1e8, with columns of -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    a[..., list(zero_columns)] = -0.0
+    return a
+
+
+Y_INPUTS = {
+    "4x4": lambda: _spread((4, 4), (0, 2), 1),
+    "5x4": lambda: _spread((5, 4), (1, 3), 2),
+    "64x48": lambda: _spread((64, 48), (0, 1, 47), 3),
+    "stack": lambda: _spread((3, 5, 4), (3,), 4),
+    "tangents": lambda: _spread((2, 64, 48), (0, 24), 5),
+    # a stride-0 stack, as _passed broadcasts a row's tangent over a field
+    "broadcast": lambda: np.broadcast_to(_spread((1, 48), (47,), 6), (2, 64, 48)),
+    "fortran": lambda: np.asfortranarray(_spread((64, 48), (1,), 7)),
+    # +0.0 among -0.0, so the sign of a zero rests on each wall rule
+    "signed-zeros": lambda: np.tile([[0.0, -0.0, -0.0, 0.0], [-0.0] * 4], (2, 1)),
+}
+
+
+@pytest.mark.parametrize("rule", ["fn", "transpose"])
+@pytest.mark.parametrize(
+    "name,static", Y_STENCILS,
+    ids=["-".join([n] + [v for v in s.values() if isinstance(v, str)]) for n, s in Y_STENCILS],
+)
+@pytest.mark.parametrize("case", list(Y_INPUTS))
+def test_y_stencil_equals_its_slice_formulation_bitwise(case, name, static, rule):
+    """Each y stencil and its transpose give bitwise the slice formulation's
+    result, leave their input as it was, and return a fresh C-contiguous
+    array."""
+    a = Y_INPUTS[case]()
+    before = a.copy()
+    prim = _PRIMITIVES[name]
+    if rule == "fn":
+        out, want = prim.fn(a, **static), Y_REFERENCES[name][0](a, **static)
+    else:
+        out, want = prim.vjps[0](a, (a,), None, **static), Y_REFERENCES[name][1](a, **static)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    assert a.tobytes() == before.tobytes()
+    assert not np.shares_memory(out, a)
+    assert out.flags.c_contiguous
 
 
 def test_where_pos_subgradient_rules():

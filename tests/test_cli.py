@@ -122,6 +122,17 @@ def test_config_error_is_one_line_and_nonzero(small_conf, capsys, tmp_path):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("n_list", ["", "0"])
+def test_gradcheck_without_a_step_count_is_a_one_line_error(small_conf, tmp_path, capsys, n_list):
+    out = tmp_path / "gc"
+    code = main(["gradcheck", "--config", small_conf, "--out", str(out),
+                 "--set", f"gradcheck.n_list={n_list}"])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ConfigError:") and "gradcheck.n_list" in err
+    assert "\n" not in err
+
+
 @pytest.mark.parametrize("command", ["calibrate", "sensitivity"])
 def test_an_empty_observation_window_is_a_one_line_error(small_conf, tmp_path, capsys, command):
     """obs_every longer than the window leaves no observation step: the

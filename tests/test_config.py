@@ -73,6 +73,13 @@ def test_benchmark_n_list_needs_two_distinct_lengths_of_at_least_one(tmp_path, n
         parse_config(write(tmp_path, MINIMAL), [f"benchmark.n_list={n_list}"])
 
 
+@pytest.mark.parametrize("n_list", ["", "0", "1,0", "-2,4"])
+def test_gradcheck_n_list_needs_a_step_count_of_at_least_one(tmp_path, n_list):
+    """An empty list checks nothing, and a count below 1 takes no step."""
+    with pytest.raises(ConfigError, match="--set gradcheck.n_list: n_list: .*at least 1"):
+        parse_config(write(tmp_path, MINIMAL), [f"gradcheck.n_list={n_list}"])
+
+
 def test_unknown_key_rejected_with_line_number(tmp_path):
     text = MINIMAL + "\n[physics]\nA_horizontal = 5\n"
     with pytest.raises(ConfigError, match="unknown key 'A_horizontal'"):
