@@ -16,7 +16,9 @@ plain: it keeps only its inputs, tapes only the outputs a taped input
 reaches, and the sweep records it again at the end of the tape, sweeps
 that segment and drops it, trading one extra forward for memory. A tape
 also is a trace: a Program keeps the structure of a record and its
-constants, drops its primals, and replays it on new inputs (trace).
+constants, drops its primals, and replays it on new inputs (trace). A
+plain replay writes each ufunc operation into the buffer of an operand
+that dies there, so it allocates fewer arrays than the traced function.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -273,10 +275,11 @@ class Tape:
     keeps the primals read by the cotangent rules of its taped arguments,
     plus its constant arguments (tiny or shared across
     steps); a taped array that no such rule reads is dropped for a shared
-    read-only zero stand-in of its shape. So `c * x` keeps neither operand
-    when only x is taped, and the sweep calls only the taped arguments'
-    rules. `bytes_used` counts each kept array once, however many nodes
-    keep it, constant arrays included (a scalar constant is not counted).
+    read-only zero stand-in of its shape and dtype. So `c * x` keeps
+    neither operand when only x is taped, and the sweep calls only the
+    taped arguments' rules. `bytes_used` counts each kept array once,
+    however many nodes keep it, constant arrays included (a scalar
+    constant is not counted).
     `steps` counts the model steps completed on the tape (see
     mark_step). Both describe the forward record, however often it is
     swept, and neither limits the tape: checkpoint groups are what bound
@@ -287,7 +290,7 @@ class Tape:
         self.nodes: list = []
         self.steps = 0
         self.bytes_used = 0
-        self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape
+        self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape and dtype
         # ids of the values counted in bytes_used; the tape keeps each of
         # them alive, so no id is reused while it is here
         self._counted: set[int] = set()
@@ -296,10 +299,11 @@ class Tape:
         self.nodes.append(_Node(None, (), (), value, {}))
         return TapeBox(self, len(self.nodes) - 1, value)
 
-    def _stand_in(self, shape):
-        zeros = self._zeros.get(shape)
+    def _stand_in(self, a):
+        key = (a.shape, a.dtype)
+        zeros = self._zeros.get(key)
         if zeros is None:
-            zeros = self._zeros[shape] = np.broadcast_to(np.float64(0.0), shape)
+            zeros = self._zeros[key] = np.broadcast_to(np.zeros((), a.dtype), a.shape)
         return zeros
 
     def _keep(self, value):
@@ -325,7 +329,7 @@ class Tape:
             elif i in reads:
                 kept_args.append(self._keep(a))
             elif isinstance(a, np.ndarray):
-                kept_args.append(self._stand_in(a.shape))
+                kept_args.append(self._stand_in(a))
             else:
                 kept_args.append(a)
         kept_out = self._keep(out) if "out" in reads else None
@@ -442,15 +446,23 @@ class Program:
     one operation, in recording order: a primitive and the slots of its
     arguments in a flat value list that starts with the constants, then
     the inputs, then one value per operation, each dropped after its last
-    use. Each distinct constant argument is kept once.
+    use. Each distinct constant argument is kept once. A program replays
+    inputs of the shapes and dtypes it was traced with.
 
-    Called on plain inputs, it calls each primitive's fn directly. With any
-    boxed input it calls apply per node, so a DualBox pushes tangents and a
-    TapeBox records on its tape exactly the nodes the traced function would
-    record.
+    Called on plain inputs, it calls each primitive's fn directly, and an
+    operation whose fn is a NumPy ufunc writes its result into the buffer
+    of a donor: an argument that an earlier operation produced, that dies
+    at this operation, and whose recorded shape and dtype are those of the
+    result. Inputs, constants and outputs are never written. This rests on
+    a rule every primitive's fn keeps: it returns a scalar or an ndarray
+    that owns its memory and shares none with its arguments, so a dying
+    result is no view of a value still live. With any boxed input it calls
+    apply per node, so a DualBox pushes tangents and a TapeBox records on
+    its tape exactly the nodes the traced function would record; apply's
+    primals are fresh, as in the traced function.
     """
 
-    __slots__ = ("consts", "ops", "outputs")
+    __slots__ = ("consts", "ops", "plain", "outputs")
 
     def __init__(self, tape, inputs, outputs):
         nodes = tape.nodes
@@ -481,30 +493,54 @@ class Program:
             )
             fn = partial(prim.fn, **node.static) if node.static else prim.fn
             slots[index] = len(self.consts) + len(inputs) + len(ops)
-            ops.append((fn, refs, node.name, node.static))
+            ops.append((fn, refs, node.name, node.static, _donatable(prim.fn, node.args)))
         self.outputs = tuple(
             slots[out.index] if t else constant[id(out)] for out, t in zip(outputs, taped)
         )
         # An operation's value is dropped at its last use, as the traced
         # code drops a temporary, so a replay holds no more than a run.
         first = len(self.consts) + len(inputs)
-        last = {j: i for i, (_, refs, _, _) in enumerate(ops) for j in refs if j >= first}
+        last = {j: i for i, (_, refs, _, _, _) in enumerate(ops) for j in refs if j >= first}
         last.update(dict.fromkeys(self.outputs, len(ops)))
-        self.ops = tuple(
-            (fn, _getter(refs), tuple(j for j in set(refs) if last.get(j) == i), name, static)
-            for i, (fn, refs, name, static) in enumerate(ops)
-        )
+        self.ops, self.plain = [], []
+        for i, (fn, refs, name, static, donatable) in enumerate(ops):
+            dead = tuple(j for j in set(refs) if last.get(j) == i)
+            # inputs, constants and outputs never die, so never donate
+            donor = tuple(refs[k] for k in donatable if refs[k] in dead)
+            get = _getter(refs)
+            self.ops.append((fn, get, dead, name, static))
+            # a ufunc takes its out argument by position, after its inputs
+            into = _getter(refs + donor[:1]) if donor else get
+            self.plain.append((fn, into, dead, name, static))
+        self.ops, self.plain = tuple(self.ops), tuple(self.plain)
 
     def __call__(self, inputs) -> list:
         env = [*self.consts, *inputs]
         push = env.append
         boxed = any(isinstance(x, Box) for x in inputs)
-        for fn, get, dead, name, static in self.ops:
+        for fn, get, dead, name, static in self.ops if boxed else self.plain:
             args = get(env)
             for j in dead:
                 env[j] = None
             push(apply(name, *args, **static) if boxed else fn(*args))
         return [env[j] for j in self.outputs]
+
+
+def _donatable(fn, args):
+    """Positions of the recorded arguments whose buffer ufunc fn may write
+    its result into: arrays of the result's shape (not a scalar's) and
+    dtype. The dtype is the ufunc's own on empty arrays of the arguments'
+    dtypes, so a float32 operand never takes a float64 result."""
+    if not isinstance(fn, np.ufunc):
+        return ()
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    if shape == ():
+        return ()
+    dtype = fn(*(np.empty(0, a.dtype) if isinstance(a, np.ndarray) else a for a in args)).dtype
+    return tuple(
+        k for k, a in enumerate(args)
+        if isinstance(a, np.ndarray) and a.shape == shape and a.dtype == dtype
+    )
 
 
 def _getter(refs):

@@ -26,8 +26,14 @@ order as in a slice formulation, and the result is bitwise the same. The
 point is speed: at 64x48 a NumPy op on a last-axis slice
 (a[:, 1:] - a[:, :-1]) costs two to three times a contiguous op of the
 same size, and the y-stencils and their transposes run in every plain
-step, tangent push and cotangent sweep. The x-stencils keep their slices,
-which are contiguous runs of whole rows already.
+step, tangent push and cotangent sweep. The x-stencils reuse their roll
+buffer: they do their arithmetic in place in the fresh array _roll_x
+returns, with the operands in the order of the plain expression
+(`a - roll` stays `a - roll`), so the result is bitwise that expression's
+and costs no further full-size temporary; the Laplacian's x half does the
+same in its first roll. Every fn returns a scalar or a fresh array that
+shares no memory with its arguments, which a plain Program replay relies
+on when it writes a result into a dying operand's buffer.
 """
 
 from __future__ import annotations
@@ -340,22 +346,30 @@ shift_yp = _linear("shift_yp", _shift_yp_fn, _shift_yp_t)
 # -- difference stencils ---------------------------------------------------------
 
 def _ddx_fwd_fn(a, dx):
-    return (_roll_x(a, -1) - a) / dx
+    d = _roll_x(a, -1)
+    np.subtract(d, a, out=d)
+    return np.true_divide(d, dx, out=d)
 
 
 def _ddx_fwd_t(ct, dx):
-    return (_roll_x(ct, 1) - ct) / dx
+    d = _roll_x(ct, 1)
+    np.subtract(d, ct, out=d)
+    return np.true_divide(d, dx, out=d)
 
 
 ddx_fwd = _linear("ddx_fwd", _ddx_fwd_fn, _ddx_fwd_t)
 
 
 def _ddx_bwd_fn(a, dx):
-    return (a - _roll_x(a, 1)) / dx
+    d = _roll_x(a, 1)
+    np.subtract(a, d, out=d)
+    return np.true_divide(d, dx, out=d)
 
 
 def _ddx_bwd_t(ct, dx):
-    return (ct - _roll_x(ct, -1)) / dx
+    d = _roll_x(ct, -1)
+    np.subtract(ct, d, out=d)
+    return np.true_divide(d, dx, out=d)
 
 
 ddx_bwd = _linear("ddx_bwd", _ddx_bwd_fn, _ddx_bwd_t)
@@ -404,11 +418,15 @@ ddy_bwd = _linear("ddy_bwd", _ddy_bwd_fn, _ddy_bwd_t)
 # -- two-point interpolation -----------------------------------------------------
 
 def _interp_x_fwd_fn(a):
-    return 0.5 * (a + _roll_x(a, -1))
+    d = _roll_x(a, -1)
+    np.add(a, d, out=d)
+    return np.multiply(0.5, d, out=d)
 
 
 def _interp_x_bwd_fn(a):
-    return 0.5 * (a + _roll_x(a, 1))
+    d = _roll_x(a, 1)
+    np.add(a, d, out=d)
+    return np.multiply(0.5, d, out=d)
 
 
 interp_x_fwd = _linear("interp_x_fwd", _interp_x_fwd_fn, _interp_x_bwd_fn)
@@ -468,7 +486,10 @@ def _lap_fn(a, dx, dy, ybc):
     else:
         raise ValueError(f"unknown y boundary condition {ybc!r}")
     a2 = 2.0 * a
-    xx = (_roll_x(a, -1) - a2 + _roll_x(a, 1)) / (dx * dx)
+    xx = _roll_x(a, -1)
+    np.subtract(xx, a2, out=xx)
+    np.add(xx, _roll_x(a, 1), out=xx)
+    np.true_divide(xx, dx * dx, out=xx)
     np.subtract(f[1:], a2.reshape(-1)[:-1], out=o[:-1])
     np.add(o[1:-1], f[:-2], out=o[1:-1])
     # The wall columns, with the explicit + south: -0.0 + 0.0 is +0.0.

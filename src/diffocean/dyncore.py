@@ -65,7 +65,7 @@ class PhysParams:
     def __post_init__(self):
         if self.drag_mode not in ("linear", "quadratic"):
             raise DomainError(f"unknown drag mode {self.drag_mode!r}")
-        for name in ("A_h", "r_bot", "C_d", "kappa_T", "lambda_relax"):
+        for name in ("A_h", "r_bot", "C_d", "g", "kappa_T", "lambda_relax"):
             value = getattr(self, name)
             if isinstance(value, (int, float)) and value < 0:
                 raise DomainError(f"{name} must be non-negative, got {value}")
@@ -220,7 +220,10 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
     (their numbers are trace constants), the drag mode and wind band (the
     wind profile is a trace constant), the staggering of each field and
     the shape of each leaf. The values of the leaves do not enter it: the
-    body has no branch on them (where_pos is a primitive).
+    body has no branch on them (where_pos is a primitive). Nor do their
+    dtypes: the fields are float64, and parameters of any real dtype no
+    wider than float64 keep every array of the step float64, the dtype
+    the program's plain replay writes into dying buffers (Program).
     """
     key = (
         g, c, p.drag_mode, p.wind_band,

@@ -100,10 +100,36 @@ def unravel(vec, like) -> list:
     return out
 
 
-# -- reference y-stencils ----------------------------------------------------------
-# The y kernels of diffocean.autodiff.primitives as slices and concatenations
-# of the (..., nx, ny) array. The package runs them on flat contiguous views;
-# these are the oracle its outputs must equal bitwise.
+# -- reference stencils ------------------------------------------------------------
+# The stencil kernels of diffocean.autodiff.primitives as whole-array
+# expressions, rolls, slices and concatenations of the (..., nx, ny) array.
+# The package runs the y-stencils on flat contiguous views and the
+# x-stencils in the buffer of their roll; these are the oracle its outputs
+# must equal bitwise.
+
+def ref_ddx_fwd_fn(a, dx):
+    return (np.roll(a, -1, axis=-2) - a) / dx
+
+
+def ref_ddx_fwd_t(ct, dx):
+    return (np.roll(ct, 1, axis=-2) - ct) / dx
+
+
+def ref_ddx_bwd_fn(a, dx):
+    return (a - np.roll(a, 1, axis=-2)) / dx
+
+
+def ref_ddx_bwd_t(ct, dx):
+    return (ct - np.roll(ct, -1, axis=-2)) / dx
+
+
+def ref_interp_x_fwd_fn(a):
+    return 0.5 * (a + np.roll(a, -1, axis=-2))
+
+
+def ref_interp_x_bwd_fn(a):
+    return 0.5 * (a + np.roll(a, 1, axis=-2))
+
 
 def ref_shift_yp_fn(a, fill):
     top = np.zeros_like(a[..., :1]) if fill == "zero" else a[..., -1:]

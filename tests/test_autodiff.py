@@ -165,9 +165,14 @@ def test_stencil_jvp_matches_forward(name, static):
     )
 
 
-# The y stencils run on flat contiguous views; tests/helpers.py keeps their
-# slice formulation as the oracle, forward rule and transpose.
-Y_REFERENCES = {
+# The y-stencils run on flat contiguous views and the x-stencils in the
+# buffer of their roll; tests/helpers.py keeps their slice and roll
+# formulation as the oracle, forward rule and transpose.
+REFERENCES = {
+    "ddx_fwd": (helpers.ref_ddx_fwd_fn, helpers.ref_ddx_fwd_t),
+    "ddx_bwd": (helpers.ref_ddx_bwd_fn, helpers.ref_ddx_bwd_t),
+    "interp_x_fwd": (helpers.ref_interp_x_fwd_fn, helpers.ref_interp_x_bwd_fn),
+    "interp_x_bwd": (helpers.ref_interp_x_bwd_fn, helpers.ref_interp_x_fwd_fn),
     "ddy_fwd": (helpers.ref_ddy_fwd_fn, helpers.ref_ddy_fwd_t),
     "ddy_bwd": (helpers.ref_ddy_bwd_fn, helpers.ref_ddy_bwd_t),
     "interp_y_fwd": (helpers.ref_interp_y_fwd_fn, helpers.ref_interp_y_fwd_t),
@@ -175,7 +180,9 @@ Y_REFERENCES = {
     "shift_yp": (helpers.ref_shift_yp_fn, helpers.ref_shift_yp_t),
     "laplacian": (helpers.ref_lap_fn, helpers.ref_lap_fn),
 }
-Y_STENCILS = [(name, static) for name, static in STENCILS if name in Y_REFERENCES]
+REFERENCED = [(name, static) for name, static in STENCILS if name in REFERENCES]
+# these return their input's layout; the flat-view stencils a C-contiguous array
+X_STENCILS = ("ddx_fwd", "ddx_bwd", "interp_x_fwd", "interp_x_bwd")
 
 
 def _spread(shape, zero_columns, seed):
@@ -186,7 +193,7 @@ def _spread(shape, zero_columns, seed):
     return a
 
 
-Y_INPUTS = {
+STENCIL_INPUTS = {
     "4x4": lambda: _spread((4, 4), (0, 2), 1),
     "5x4": lambda: _spread((5, 4), (1, 3), 2),
     "64x48": lambda: _spread((64, 48), (0, 1, 47), 3),
@@ -202,25 +209,28 @@ Y_INPUTS = {
 
 @pytest.mark.parametrize("rule", ["fn", "transpose"])
 @pytest.mark.parametrize(
-    "name,static", Y_STENCILS,
-    ids=["-".join([n] + [v for v in s.values() if isinstance(v, str)]) for n, s in Y_STENCILS],
+    "name,static", REFERENCED,
+    ids=["-".join([n] + [v for v in s.values() if isinstance(v, str)]) for n, s in REFERENCED],
 )
-@pytest.mark.parametrize("case", list(Y_INPUTS))
-def test_y_stencil_equals_its_slice_formulation_bitwise(case, name, static, rule):
-    """Each y stencil and its transpose give bitwise the slice formulation's
-    result, leave their input as it was, and return a fresh C-contiguous
-    array."""
-    a = Y_INPUTS[case]()
+@pytest.mark.parametrize("case", list(STENCIL_INPUTS))
+def test_stencil_equals_its_slice_formulation_bitwise(case, name, static, rule):
+    """Each stencil and its transpose give bitwise the oracle's result,
+    leave their input as it was and return a fresh array: C-contiguous
+    from a y-stencil, and laid out like the oracle's from an x-stencil."""
+    a = STENCIL_INPUTS[case]()
     before = a.copy()
     prim = _PRIMITIVES[name]
     if rule == "fn":
-        out, want = prim.fn(a, **static), Y_REFERENCES[name][0](a, **static)
+        out, want = prim.fn(a, **static), REFERENCES[name][0](a, **static)
     else:
-        out, want = prim.vjps[0](a, (a,), None, **static), Y_REFERENCES[name][1](a, **static)
+        out, want = prim.vjps[0](a, (a,), None, **static), REFERENCES[name][1](a, **static)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
     assert a.tobytes() == before.tobytes()
     assert not np.shares_memory(out, a)
-    assert out.flags.c_contiguous
+    if name in X_STENCILS:
+        assert out.strides == want.strides
+    else:
+        assert out.flags.c_contiguous
 
 
 def test_where_pos_subgradient_rules():
@@ -451,6 +461,78 @@ def test_tape_replay_reproduces_primals():
             assert _bits(a.tangent) == _bits(b.tangent)
 
 
+def test_plain_replay_writes_only_into_buffers_that_die():
+    """A plain replay writes a ufunc's result into an argument an earlier
+    operation produced that dies there, of the result's shape and dtype:
+    never into an input, a constant, an output, a value still used later
+    or a row that broadcasts against a field. Its values are the traced
+    function's and the boxed replay's, bitwise, in the traced dtype."""
+    rng = np.random.default_rng(11)
+    c = rng.uniform(0.5, 2.0, (4, 5))  # a constant array
+
+    def f(leaves):
+        x, r = leaves
+        a = ops.mul(ops.mul(x, 2.0), c)  # an input, then a constant array
+        b = ops.exp(ops.mul(r, 0.5))  # a (1, 5) row
+        d = ops.add(b, a)  # the row dies against the (4, 5) field
+        e = ops.mul(d, d)  # one value as both operands
+        sq = ops.sqrt(e)  # e is used again below
+        h = ops.sub(e, sq)
+        return [h, sq, ops.neg(ops.div(h, 3.0))]
+
+    #          x*2    *c    r*.5   exp   b+a   d*d   sqrt  e-sq  h/3   neg
+    donated = [False, True, False, True, True, True, False, True, False, True]
+    for dtype in (np.float64, np.float32):
+        x = rng.uniform(0.5, 2.0, (4, 5)).astype(dtype)
+        r = rng.uniform(0.5, 2.0, (1, 5)).astype(dtype)
+        program = trace(f, [x, r])
+        # a float32 x * 2.0 dies into a float64 product with c: no donor
+        donated[1] = dtype is np.float64
+        assert [p[1] is not o[1] for o, p in zip(program.ops, program.plain)] == donated
+        before = [v.copy() for v in (x, r, c)]
+        first = program([x, r])
+        kept = [v.copy() for v in first]
+        second = program([x, r])
+        want = f([x, r])
+        boxed = program([DualBox(x, np.ones((1, 4, 5))), DualBox(r, np.ones((1, 1, 5)))])
+        for got in (first, second, [b.primal for b in boxed]):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert all(v.tobytes() == w.tobytes() for v, w in zip((x, r, c), before))
+        assert all(v.tobytes() == w.tobytes() for v, w in zip(first, kept))
+        for i, out in enumerate(first):
+            for other in [*first[i + 1:], *second, x, r, c]:
+                assert not np.shares_memory(out, other)
+
+
+def _args_of_each_case(name):
+    """Elementwise arguments for every primitive, and the stencil cases of
+    STENCILS on every input of STENCIL_INPUTS for the stencils."""
+    prim = _PRIMITIVES[name]
+    rng = np.random.default_rng(12)
+    args = [rng.uniform(0.5, 2.0, (6, 5)) for _ in prim.vjps]
+    if name == "where_pos":
+        args[0] -= 1.25
+    yield args, PRIMITIVE_STATICS.get(name, {})
+    for stencil, static in STENCILS:
+        if stencil == name:
+            for make in STENCIL_INPUTS.values():
+                yield [make()], static
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVES))
+def test_fn_returns_a_scalar_or_an_array_of_its_own(name):
+    """The rule a plain replay's donation rests on: every primitive's fn
+    returns a scalar or an ndarray that owns its memory and shares none
+    with its arguments, so no dying result is a view of a live value."""
+    for args, static in _args_of_each_case(name):
+        out = _PRIMITIVES[name].fn(*args, **static)
+        if np.isscalar(out):
+            continue
+        assert isinstance(out, np.ndarray) and out.base is None
+        assert not any(np.shares_memory(out, a) for a in args)
+
+
 def test_tape_topological_order():
     tape = Tape()
     a = tape.leaf(np.ones(3))
@@ -488,7 +570,7 @@ def test_tape_keeps_only_what_active_rules_read():
     assert tape.bytes_used == 0
     first, second = tape.nodes[1], tape.nodes[2]
     assert first.out is None and not first.args[0].any()
-    # one shared read-only zero stand-in per shape
+    # one shared read-only zero stand-in per shape and dtype
     assert first.args[0] is second.args[0] and not first.args[0].flags.writeable
 
     tape = Tape()

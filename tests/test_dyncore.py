@@ -571,6 +571,18 @@ def test_params_validation():
         StepConfig(dt=-5.0)
 
 
+def test_params_with_negative_gravity_are_refused_when_built():
+    """A negative g would make the CFL bound nan at the first step; it is
+    refused with a DomainError naming g when the parameters are built.
+    g = 0 (no gravity waves) stays allowed."""
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="^g must be non-negative"):
+        quiet_params(g, g=-9.81)
+    with pytest.raises(DomainError, match="^g must be non-negative"):
+        replace(quiet_params(g), g=-9.81)
+    assert quiet_params(g, g=0.0).g == 0.0
+
+
 def test_params_without_a_relaxation_target_are_refused_when_built():
     """No step accepts parameters without T_star, so building them fails,
     with a DomainError naming the field, and not the first step."""
