@@ -8,7 +8,6 @@ viscosity and bottom friction from barotropic streamfunction observations.
 """
 
 from .autodiff import (
-    DiffSelector,
     Tape,
     grad,
     jvp,
@@ -42,7 +41,6 @@ from .grid import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiffSelector",
     "Tape",
     "grad",
     "jvp",

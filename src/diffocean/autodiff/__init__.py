@@ -3,9 +3,9 @@
 jvp pushes one tangent direction, or a stack of them on a leading axis,
 alongside the primal computation; vjp records a tape and returns the value
 with a pullback that sweeps the tape backwards; grad is vjp followed by a
-pullback of a unit cotangent on a scalar loss. A DiffSelector freezes
-every input leaf except a named subset, so gradients flow only into the
-quantities of interest.
+pullback of a unit cotangent on a scalar loss. Every numeric leaf of the
+input is differentiated: to hold a quantity fixed, close over it in f and
+pass only what is differentiated.
 
 The primal value returned by any entry point is bitwise identical to the
 plain, undifferentiated evaluation: differentiation wraps values but never
@@ -13,8 +13,6 @@ changes the arithmetic applied to them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +41,6 @@ from .primitives import (
 )
 
 __all__ = [
-    "DiffSelector",
     "DualBox",
     "Tape",
     "TapeBox",
@@ -69,33 +66,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffSelector:
-    """Set of differentiable leaves; every other input leaf is frozen.
-
-    Leaves are named after the dataclass attribute holding them ("u", "T",
-    "A_h", ...). `names=None` selects everything, including anonymous
-    leaves such as bare arrays or tuple entries.
-    """
-
-    names: frozenset | None = None
-
-    @classmethod
-    def only(cls, *names: str) -> "DiffSelector":
-        return cls(frozenset(names))
-
-    def selects(self, name: str | None) -> bool:
-        if self.names is None:
-            return True
-        return name in self.names
-
-
-def _selector(select) -> DiffSelector:
-    return DiffSelector() if select is None else select
-
-
-def _tangent_stacks(leaves, k, sel):
-    """The tangents in k as (m,) + leaf shape stacks; None at frozen leaves.
+def _tangent_stacks(leaves, k):
+    """The tangents in k as (m,) + leaf shape stacks.
 
     Returns (stacks, lead): lead is (m,) when every tangent carries one
     extra leading axis of the same length m, and () when every one has its
@@ -122,32 +94,25 @@ def _tangent_stacks(leaves, k, sel):
                 f"earlier leaf {lead}: every leaf takes one direction or the "
                 f"same number m of stacked directions"
             )
-        if not sel.selects(leaf.name):
-            t = None
-        elif not extra:
-            t = t[np.newaxis]
-        stacks.append(t)
+        stacks.append(t if extra else t[np.newaxis])
     return stacks, lead or ()
 
 
-def jvp(f, x, k, select=None):
+def jvp(f, x, k):
     """Evaluate f at x and push tangents k through it in one pass.
 
-    k is congruent to x (one direction), or every leaf of k carries one
+    Every leaf of x carries a tangent; what f closes over carries none. k
+    is congruent to x (one direction), or every leaf of k carries one
     extra leading axis of a shared length m (m directions, e.g.
     tuple(np.eye(2)) for a pair of scalars). Returns (value,
-    tangent_of_output), the tangent with the same leading axis as k.
-    The values of frozen leaves' tangents are ignored; an output leaf that
-    depends on no selected leaf gets zeros. For a scalar-valued f and one
-    direction the second element is the directional derivative <grad f, k>.
+    tangent_of_output), the tangent with the same leading axis as k; an
+    output leaf that depends on no leaf of x gets zeros. For a
+    scalar-valued f and one direction the second element is the
+    directional derivative <grad f, k>.
     """
-    sel = _selector(select)
     leaves, rebuild = tree.flatten(x)
-    stacks, lead = _tangent_stacks(leaves, k, sel)
-    y = f(rebuild([
-        leaf.value if t is None else DualBox(_as_value(leaf.value), t)
-        for leaf, t in zip(leaves, stacks)
-    ]))
+    stacks, lead = _tangent_stacks(leaves, k)
+    y = f(rebuild([DualBox(_as_value(leaf.value), t) for leaf, t in zip(leaves, stacks)]))
     out_leaves, out_rebuild = tree.flatten(y)
     primal = out_rebuild([unbox(l.value) for l in out_leaves])
     tangents = [
@@ -158,17 +123,18 @@ def jvp(f, x, k, select=None):
     return primal, out_rebuild(tangents if lead else [t[0] for t in tangents])
 
 
-def vjp(f, x, select=None):
+def vjp(f, x):
     """Evaluate f at x on a tape of its own; returns (value, pullback).
 
+    Every leaf of x is taped; what f closes over puts no node on the tape.
     pullback(v) pulls a cotangent v congruent to the value back to the
-    inputs and returns a tree shaped like x, with zeros at frozen leaves.
-    Each call sweeps the record afresh, so a pullback may be called any
-    number of times; the record lives as long as the pullback does. f may
-    differentiate plain values of its own, but a traced leaf of x is
-    refused: nesting vjp under grad, vjp or jvp is not supported.
+    inputs and returns a tree shaped like x, with zeros at leaves the value
+    does not depend on. Each call sweeps the record afresh, so a pullback
+    may be called any number of times; the record lives as long as the
+    pullback does. f may differentiate plain values of its own, but a
+    traced leaf of x is refused: nesting vjp under grad, vjp or jvp is not
+    supported.
     """
-    sel = _selector(select)
     leaves, rebuild = tree.flatten(x)
     for leaf in leaves:
         if isinstance(leaf.value, Box):
@@ -179,10 +145,7 @@ def vjp(f, x, select=None):
                 f"{'grad or vjp' if outer == 'reverse' else 'jvp'}"
             )
     tape = Tape()
-    boxed = [
-        tape.leaf(_as_value(leaf.value)) if sel.selects(leaf.name) else leaf.value
-        for leaf in leaves
-    ]
+    boxed = [tape.leaf(_as_value(leaf.value)) for leaf in leaves]
     out_leaves, out_rebuild = tree.flatten(f(rebuild(boxed)))
     outs = [l.value for l in out_leaves]
     primal = out_rebuild([unbox(o) for o in outs])
@@ -196,56 +159,50 @@ def vjp(f, x, select=None):
                 seeds[idx] = ct if idx not in seeds else seeds[idx] + ct
         adjoint = tape.sweep(seeds)
         grad_leaves = []
-        for leaf, box in zip(leaves, boxed):
-            if isinstance(box, TapeBox):
-                g = adjoint.get(box.index)
-                if g is None:
-                    g = _zero_like(box.primal)
-                elif not isinstance(box.primal, np.ndarray):
-                    g = float(g)
-                grad_leaves.append(g)
-            else:
-                grad_leaves.append(_zero_like(leaf.value))
+        for box in boxed:
+            g = adjoint.get(box.index)
+            if g is None:
+                g = _zero_like(box.primal)
+            elif not isinstance(box.primal, np.ndarray):
+                g = float(g)
+            grad_leaves.append(g)
         return rebuild(grad_leaves)
 
     return primal, pullback
 
 
-def grad(f, x, select=None):
+def grad(f, x):
     """Gradient of a scalar loss: vjp, then the pullback of 1.0.
 
-    Returns (loss, gradient_tree). The gradient mirrors the structure of x
-    with zeros at frozen leaves.
+    Returns (loss, gradient_tree). The gradient mirrors the structure of x,
+    with zeros at leaves the loss does not depend on; to differentiate
+    only some quantities, close over the others in f.
     """
-    value, pullback = vjp(f, x, select=select)
+    value, pullback = vjp(f, x)
     if np.shape(value) != ():
         raise ShapeError(f"grad requires a scalar loss, got shape {np.shape(value)}")
     return float(value), pullback(1.0)
 
 
-def random_direction(x, select=None, seed=0):
-    """Unit direction over the selected leaves of x (zeros elsewhere).
+def random_direction(x, seed=0):
+    """Unit direction over the leaves of x.
 
-    Entries are standard normal from a seeded generator, then the whole
-    direction is L2-normalized.
+    Entries are standard normal from a seeded generator, drawn leaf by leaf
+    in flatten order, then the whole direction is L2-normalized.
     """
-    sel = _selector(select)
     rng = np.random.default_rng(seed)
     leaves, rebuild = tree.flatten(x)
     parts = []
     for leaf in leaves:
         value = unbox(leaf.value)
-        if sel.selects(leaf.name):
-            parts.append(
-                rng.standard_normal(np.shape(value))
-                if isinstance(value, np.ndarray)
-                else rng.standard_normal()
-            )
-        else:
-            parts.append(_zero_like(value))
+        parts.append(
+            rng.standard_normal(np.shape(value))
+            if isinstance(value, np.ndarray)
+            else rng.standard_normal()
+        )
     norm = float(np.sqrt(sum(np.sum(np.square(p)) for p in parts)))
     if norm == 0.0:
-        raise ShapeError("direction is empty: selector matched no leaves")
+        raise ShapeError("direction is empty: x has no numeric entries")
     out = []
     for p in parts:
         out.append(p / norm if isinstance(p, np.ndarray) else float(p) / norm)
@@ -253,7 +210,6 @@ def random_direction(x, select=None, seed=0):
 
 
 def _zero_like(v):
-    v = unbox(v)
     return np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
 
 

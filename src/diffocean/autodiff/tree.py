@@ -3,8 +3,8 @@
 Inputs to the differentiation entry points are trees built from tuples,
 lists, dicts, and registered dataclasses (ModelState, PhysParams, Field).
 Flattening exposes the numeric leaves so they can be boxed for forward or
-reverse mode; each leaf carries a name (the dataclass field it came from)
-used by DiffSelector to decide what is differentiated.
+reverse mode; each leaf carries its path from the root, which error
+messages name.
 """
 
 from __future__ import annotations
@@ -25,22 +25,18 @@ _CONTAINERS: dict[type, "_ContainerSpec"] = {}
 class _ContainerSpec:
     children: tuple[str, ...]
     aux: tuple[str, ...] = ()
-    # A transparent container (Field) does not rename the leaves it wraps:
-    # the leaf keeps the name of the attribute holding the container.
-    transparent: bool = False
 
 
-def register_container(cls, children, aux=(), transparent=False):
+def register_container(cls, children, aux=()):
     """Declare a dataclass as a tree node with differentiable children."""
     if cls in _CONTAINERS:
         raise ValueError(f"container {cls.__name__} already registered")
-    _CONTAINERS[cls] = _ContainerSpec(tuple(children), tuple(aux), transparent)
+    _CONTAINERS[cls] = _ContainerSpec(tuple(children), tuple(aux))
 
 
 @dataclass
 class Leaf:
     path: tuple
-    name: str | None
     value: Any
 
 
@@ -50,27 +46,21 @@ def _is_leaf(x) -> bool:
     return isinstance(x, (int, float, np.floating, np.integer, np.ndarray, Box))
 
 
-def _build(x, path, name, leaves):
+def _build(x, path, leaves):
     """Return a rebuild spec for x, appending encountered leaves."""
     if _is_leaf(x):
-        leaves.append(Leaf(path, name, x))
+        leaves.append(Leaf(path, x))
         return ("leaf",)
     if isinstance(x, (tuple, list)):
-        specs = [_build(v, path + (i,), None, leaves) for i, v in enumerate(x)]
+        specs = [_build(v, path + (i,), leaves) for i, v in enumerate(x)]
         return ("seq", type(x), specs)
     if isinstance(x, dict):
         keys = sorted(x.keys())
-        specs = [
-            _build(x[k], path + (k,), k if isinstance(k, str) else None, leaves)
-            for k in keys
-        ]
+        specs = [_build(x[k], path + (k,), leaves) for k in keys]
         return ("dict", keys, specs)
     spec = _CONTAINERS.get(type(x))
     if spec is not None:
-        child_specs = []
-        for k in spec.children:
-            child_name = name if spec.transparent else k
-            child_specs.append(_build(getattr(x, k), path + (k,), child_name, leaves))
+        child_specs = [_build(getattr(x, k), path + (k,), leaves) for k in spec.children]
         aux = {k: getattr(x, k) for k in spec.aux}
         return ("obj", type(x), spec.children, child_specs, aux)
     # Anything else (GridSpec, enums, callables) rides along unchanged.
@@ -104,7 +94,7 @@ def _rebuild(spec, it):
 def flatten(x) -> tuple[list[Leaf], Callable[[list], Any]]:
     """Flatten x into leaves plus a rebuild function taking new leaf values."""
     leaves: list[Leaf] = []
-    spec = _build(x, (), None, leaves)
+    spec = _build(x, (), leaves)
     # rebuild keeps the structure only: a checkpoint group keeps its rebuild,
     # and holding the leaves would tie a tape to the boxes recorded on it
     n = len(leaves)

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .autodiff import DiffSelector, grad, jvp, unbox, vjp
+from .autodiff import grad, jvp, unbox, vjp
 from .autodiff import primitives as ops
 from .dyncore import (
     ModelState,
@@ -107,30 +107,29 @@ def reconstruct_initial_state(
     """Recover the initial temperature by descending the l-step L2 mismatch.
 
     base_state is the reference, and the descent starts from it with T =
-    perturbed_T0. Only T is differentiated; velocities, elevation, and all
-    physical parameters stay frozen. The step size is the best of alpha/4,
-    alpha and 4*alpha along the first gradient, fixed for the whole descent;
-    DivergenceError when none of them lowers the loss, or when the loss
-    rises over ten consecutive iterates. The history records the loss and
-    the squared distance to the reference initial T at every iterate.
+    perturbed_T0. The loss is a function of T alone: velocities, elevation
+    and all physical parameters are closed over. The step size is the best
+    of alpha/4, alpha and 4*alpha along the first gradient, fixed for the
+    whole descent; DivergenceError when none of them lowers the loss, or
+    when the loss rises over ten consecutive iterates. The history records
+    the loss and the squared distance to the reference initial T at every
+    iterate.
     """
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
     loss_of = temperature_mismatch_loss(base_state, l, params, g, stepcfg)
     ref_values = np.asarray(unbox(base_state.T.values))
-    selector = DiffSelector.only("T")
-    state0 = replace(base_state, T=perturbed_T0)
-    loss0, gstate = grad(loss_of, state0, select=selector)
-    gT = np.asarray(gstate.T.values)
-    chosen = _three_point_alpha(loss_of, state0, loss0, gT, alpha)
+    loss0, gfield = grad(loss_of, perturbed_T0)
+    gT = np.asarray(gfield.values)
+    chosen = _three_point_alpha(loss_of, perturbed_T0, loss0, gT, alpha)
     # round-off chatter at the loss floor is not divergence
     floor = 1e-14 * max(loss0, 1e-300)
     increases = 0
 
-    def fixed_step(state, gT, loss_value, a):
+    def fixed_step(T, gT, loss_value, a):
         nonlocal increases
-        state = replace(state, T=state.T - a * gT)
-        value, gstate = grad(loss_of, state, select=selector)
+        T = T - a * gT
+        value, gfield = grad(loss_of, T)
         increases = increases + 1 if value > loss_value + floor else 0
         if increases >= 10:
             raise DivergenceError(
@@ -138,28 +137,29 @@ def reconstruct_initial_state(
                 f"at the chosen step {a} (alpha = {alpha}); try a "
                 f"smaller alpha than {alpha}"
             )
-        return a, state, value, np.asarray(gstate.T.values)
+        return a, T, value, np.asarray(gfield.values)
 
-    def describe(state, gT):
-        distance = float(np.sum((np.asarray(unbox(state.T.values)) - ref_values) ** 2))
+    def describe(T, gT):
+        distance = float(np.sum((np.asarray(unbox(T.values)) - ref_values) ** 2))
         return {"distance": distance}, float(np.sqrt(np.sum(gT * gT)))
 
-    history, state = _descend(state0, loss0, gT, fixed_step, iters, chosen, describe)
-    return history, state.T
+    return _descend(perturbed_T0, loss0, gT, fixed_step, iters, chosen, describe)
 
 
 def temperature_mismatch_loss(
     reference: ModelState, n: int, params: PhysParams, g: GridSpec, stepcfg: StepConfig
 ):
-    """loss(state0): sum of squared differences of T after n steps.
+    """loss(T0): sum of squared differences of T after n steps from the
+    reference state with its initial temperature replaced by the Field T0.
 
     The target is T after n steps from the reference state, so the loss
-    vanishes at the reference.
+    vanishes at the reference T. The velocities, elevation and parameters
+    are closed over, so only T0 is differentiated.
     """
     target_T = np.asarray(unbox(step_n(reference, n, params, g, stepcfg).T.values))
 
-    def loss(state0: ModelState):
-        out = step_n(state0, n, params, g, stepcfg)
+    def loss(T0: Field):
+        out = step_n(replace(reference, T=T0), n, params, g, stepcfg)
         return ops.asum(ops.power(ops.sub(out.T.values, target_T), p=2.0))
 
     return loss
@@ -182,15 +182,13 @@ def _trial_value(loss, x) -> float:
     return _trial(lambda y: (loss(y), None), x)[0]
 
 
-def _three_point_alpha(loss_of, state0, loss0, gT, alpha0: float) -> float:
+def _three_point_alpha(loss_of, T0, loss0, gT, alpha0: float) -> float:
     """The best of {alpha0/4, alpha0, 4*alpha0} along the gradient gT at
-    state0, whose loss is loss0; DivergenceError when none lowers it."""
+    T0, whose loss is loss0; DivergenceError when none lowers it."""
     if not np.any(gT):
         return alpha0
     candidates = (0.25 * alpha0, alpha0, 4.0 * alpha0)
-    values = [
-        _trial_value(loss_of, replace(state0, T=state0.T - a * gT)) for a in candidates
-    ]
+    values = [_trial_value(loss_of, T0 - a * gT) for a in candidates]
     best = int(np.argmin(values))
     if values[best] < loss0:
         return candidates[best]
@@ -398,10 +396,16 @@ def sensitivity_grid(
 
     Each cell is one forward pass: a single jvp pushes both parameter
     directions as a stack. A cell whose run blows up or is refused as
-    unstable (DampingError) is recorded as NaN, not raised.
+    unstable (DampingError) is recorded as NaN, not raised. DomainError for
+    fewer than 3 samples on an axis or a range end that is not positive.
     """
     if n_a < 3 or n_r < 3:
         raise DomainError("sensitivity grid needs at least 3 samples per axis")
+    for axis, ends in (("A_h", A_range), ("r_bot", r_range)):
+        if not all(end > 0 for end in ends):
+            raise DomainError(
+                f"the {axis} range {tuple(ends)} of a log grid must have positive ends"
+            )
     A_values = np.geomspace(A_range[0], A_range[1], n_a)
     r_values = np.geomspace(r_range[0], r_range[1], n_r)
     raw_loss = bsf_calibration_loss(obs, state0, base_params, g, stepcfg)

@@ -20,7 +20,6 @@ import numpy as np
 from . import calibrate as cal
 from . import gradcheck as gc
 from . import scenarios
-from .autodiff import DiffSelector
 from .config import format_value, parse_config, render_config
 from .dyncore import step, total_energy, transport
 from .errors import ConfigError, DiffOceanError
@@ -82,7 +81,12 @@ class _Workspace:
         self.cfg = parse_config(args.config, overrides)
         self.outdir = args.out or self.cfg.output.directory
         self.force = args.force
-        os.makedirs(self.outdir, exist_ok=True)
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot make output directory {self.outdir}: {exc.strerror}"
+            ) from exc
         self._write_text("resolved.conf", render_config(self.cfg))
         self.grid = scenarios.build_grid(self.cfg)
         self.params = scenarios.build_params(self.cfg, self.grid)
@@ -288,7 +292,6 @@ def _cmd_benchmark(args):
         family,
         cfg.benchmark.n_list,
         repetitions=cfg.benchmark.repetitions,
-        select=DiffSelector.only("T"),
     )
     ws.write_csv(
         "timing.csv",

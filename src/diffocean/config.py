@@ -342,8 +342,13 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
 def parse_config(path, overrides=None) -> RunConfig:
     """Parse and validate a config file, applying --set overrides if given."""
     path = resolve_config_path(str(path))
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text (byte {exc.start})") from exc
     raw = _parse_lines(lines, path)
     raw = apply_overrides(raw, overrides)
     return _validate_and_fill(raw, path)

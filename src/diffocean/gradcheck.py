@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffSelector, grad, jvp, random_direction, tree
+from .autodiff import grad, jvp, random_direction, tree
 from .errors import DomainError, NonFiniteError
 
 ACCURACY_FLOOR = 1e-14  # |fd| below this makes the agreement metric undefined
@@ -72,23 +72,26 @@ def fd_directional(loss, w, k, eps: float) -> float:
 def grad_error(
     loss,
     w,
-    select: DiffSelector | None = None,
     eps: float = 1e-4,
     seed: int = 0,
     mode: str = "vjp",
     n_steps: int | None = None,
 ) -> GradCheckReport:
-    """Compare one autodiff directional derivative against central FD."""
+    """Compare one autodiff directional derivative against central FD.
+
+    The direction spans every leaf of w; loss closes over what it holds
+    fixed.
+    """
     if mode not in ("jvp", "vjp"):
         raise DomainError(f"mode must be 'jvp' or 'vjp', got {mode!r}")
-    k = random_direction(w, select=select, seed=seed)
+    k = random_direction(w, seed=seed)
 
     if mode == "jvp":
-        value, ad = jvp(loss, w, k, select=select)
+        value, ad = jvp(loss, w, k)
         value = float(value)
         ad = float(ad)
     else:
-        value, g = grad(loss, w, select=select)
+        value, g = grad(loss, w)
         ad = tree.tree_dot(g, k)
 
     fd = fd_directional(loss, w, k, eps)
@@ -114,7 +117,6 @@ def grad_error(
 def accuracy_over_steps(
     loss_family,
     n_list,
-    select: DiffSelector | None = None,
     eps: float = 1e-4,
     seed: int = 0,
 ) -> list[GradCheckReport]:
@@ -130,15 +132,7 @@ def accuracy_over_steps(
         loss, w = loss_family(int(n))
         for mode in ("jvp", "vjp"):
             reports.append(
-                grad_error(
-                    loss,
-                    w,
-                    select=select,
-                    eps=eps,
-                    seed=seed,
-                    mode=mode,
-                    n_steps=int(n),
-                )
+                grad_error(loss, w, eps=eps, seed=seed, mode=mode, n_steps=int(n))
             )
     return reports
 
@@ -154,7 +148,6 @@ def cost_scaling(
     loss_family,
     n_list,
     repetitions: int = 5,
-    select: DiffSelector | None = None,
 ) -> list[TimingRow]:
     """Median wall time of the forward pass and of value+gradient per n.
 
@@ -173,7 +166,7 @@ def cost_scaling(
         gc.collect()
         for n, loss, w in cases:
             t_forward = _time_ms(lambda: loss(w))
-            t_reverse = _time_ms(lambda: grad(loss, w, select=select))
+            t_reverse = _time_ms(lambda: grad(loss, w))
             if sweep:  # sweep 0 is the warm-up
                 forward[n].append(t_forward)
                 reverse[n].append(t_reverse)

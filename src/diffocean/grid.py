@@ -178,7 +178,7 @@ class Field:
         return Field(ops.power(self.values, p=float(p)), self.staggering)
 
 
-tree.register_container(Field, children=("values",), aux=("staggering",), transparent=True)
+tree.register_container(Field, children=("values",), aux=("staggering",))
 
 
 def _check_shape(f: Field, g: GridSpec):

@@ -183,9 +183,10 @@ def rbot_loss_family(
 def reconstruction_cost_family(
     w: ModelState, params: PhysParams, g: GridSpec, c: StepConfig
 ):
-    """loss_family(n) matching the initial-field optimization workload."""
+    """loss_family(n) matching the initial-field optimization workload:
+    the n-step temperature mismatch as a function of the initial T."""
 
     def family(n: int):
-        return calibrate.temperature_mismatch_loss(w, n, params, g, c), w
+        return calibrate.temperature_mismatch_loss(w, n, params, g, c), w.T
 
     return family

@@ -12,7 +12,8 @@ Layout (all integers and reals little-endian regardless of host):
     payload  per field, in header order: nx*ny float64, row-major
 
 Write-then-read round-trips bitwise for every field; readers validate the
-magic, version, and grid shape before touching the payload.
+magic, version, and grid shape before touching the payload, and refuse a
+payload shorter or longer than the header declares.
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ModelState:
         raise SnapshotTruncatedError(
             f"{path}: truncated payload: expected {payload_bytes} bytes, "
             f"found {found}"
+        )
+    if found > payload_bytes:
+        raise SnapshotError(
+            f"{path}: {found - payload_bytes} surplus bytes after the "
+            f"{payload_bytes}-byte payload"
         )
     fields = {}
     for name, stag in _FIELDS:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffocean import scenarios
-from diffocean.autodiff import DiffSelector, jvp, random_direction, tree, vjp
+from diffocean.autodiff import jvp, random_direction, tree, vjp
 from diffocean.calibrate import (
     calibrate_params,
     gaussian_perturbation,
@@ -177,7 +177,7 @@ def test_c05_vjp_cost_scales_linearly(acc_mini_spun):
     cfg, g, p, c, w = acc_mini_spun
     family = scenarios.reconstruction_cost_family(w, p, g, c)
     n_list = [8, 16, 32, 64, 128]
-    rows = cost_scaling(family, n_list, repetitions=15, select=DiffSelector.only("T"))
+    rows = cost_scaling(family, n_list, repetitions=15)
     times = {r.n_steps: r.vjp_ms for r in rows}
     fwd = {r.n_steps: r.forward_ms for r in rows}
     slope = loglog_slope(n_list, [times[n] for n in n_list])

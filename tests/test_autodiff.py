@@ -1,4 +1,4 @@
-"""Engine-level differentiation behavior: rules, tapes, selectors."""
+"""Engine-level differentiation behavior: rules, tapes, closed-over inputs."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ import pytest
 import diffocean.autodiff.primitives as ops
 from diffocean import dyncore
 from diffocean.autodiff import (
-    DiffSelector,
     DualBox,
     Tape,
     TapeBox,
@@ -60,14 +59,11 @@ def test_grad_requires_scalar_loss():
         grad(lambda x: x, np.ones(3))
 
 
-def test_grad_frozen_selector_returns_zero_gradient():
-    loss, g = grad(
-        lambda t: t[0] * t[0] + t[1] * t[1],
-        (1.0, 2.0),
-        select=DiffSelector.only(),
-    )
-    assert loss == 5.0
-    assert g == (0.0, 0.0)
+def test_grad_is_zero_at_a_leaf_the_loss_ignores():
+    loss, g = grad(lambda t: t[0] * t[0], (1.0, 2.0, np.ones(3)))
+    assert loss == 1.0
+    assert g[:2] == (2.0, 0.0)
+    assert g[2].tobytes() == np.zeros(3).tobytes()
 
 
 def test_jvp_linear_in_tangent():
@@ -753,30 +749,30 @@ def test_jvp_broadcast_scalar_tangent_matches_grad():
 
 @pytest.mark.parametrize("reduce", [ops.asum, ops.amean], ids=["asum", "amean"])
 def test_jvp_direction_stack_equals_single_directions_bitwise(reduce):
-    """Three stacked directions over a model state and its scalar parameters
-    give bitwise what three one-direction passes give, frozen leaves
-    included."""
+    """Three stacked directions over a model state's velocities, elevation
+    and two scalar parameters give bitwise what three one-direction passes
+    give, closed-over values included."""
     g, p, c, s = dissipative_test_setup(seed=4)
     p = replace(p, kappa_T=2e3, tau0=0.05)
 
     def f(x):
-        state, params = x
-        out = step_n(state, 3, params, g, c)
+        u, v, eta, A_h, r_bot = x
+        state = replace(s, u=u, v=v, eta=eta)
+        out = step_n(state, 3, replace(p, A_h=A_h, r_bot=r_bot), g, c)
         loss = reduce(ops.power(ops.sub(out.T.values, 10.0), p=2.0))
-        return loss, out.u, state.T  # state.T is frozen: zero tangent
+        return loss, out.u, state.T  # state.T is closed over: zero tangent
 
-    x = (s, p)
-    select = DiffSelector.only("u", "v", "eta", "A_h", "r_bot")
+    x = (s.u, s.v, s.eta, p.A_h, p.r_bot)
     leaves, rebuild = tree.flatten(x)
     rng = np.random.default_rng(5)
     stacks = [rng.standard_normal((3,) + np.shape(leaf.value)) for leaf in leaves]
-    value, tangent = jvp(f, x, rebuild(stacks), select=select)
+    value, tangent = jvp(f, x, rebuild(stacks))
     out_stacks = tree.leaf_values(tangent)
     assert np.shape(out_stacks[0]) == (3,)
     assert np.shape(out_stacks[-1]) == (3,) + g.shape
     assert np.all(out_stacks[0] != 0.0) and not np.any(out_stacks[-1])
     for k in range(3):
-        value_k, tangent_k = jvp(f, x, rebuild([t[k] for t in stacks]), select=select)
+        value_k, tangent_k = jvp(f, x, rebuild([t[k] for t in stacks]))
         assert tree.leaf_values(value_k)[0] == tree.leaf_values(value)[0]
         for stack, single in zip(out_stacks, tree.leaf_values(tangent_k)):
             assert np.shape(stack[k]) == np.shape(single)
@@ -789,21 +785,22 @@ def test_random_direction_is_unit_and_deterministic():
     k2 = random_direction(x, seed=123)
     assert tree.tree_dot(k1, k2) == pytest.approx(1.0, abs=1e-12)
     assert k1["b"] == k2["b"]
-    k3 = random_direction(x, select=DiffSelector.only("a"), seed=5)
-    assert k3["b"] == 0.0
-    assert tree.tree_dot(k3, k3) == pytest.approx(1.0, abs=1e-12)
+    assert k1["a"].tobytes() == k2["a"].tobytes()
 
 
-def test_selector_freezes_leaves_without_tape_nodes():
-    x = {"a": 2.0, "b": 3.0}
+def test_closed_over_value_puts_no_node_on_the_tape():
+    b = 3.0
+    tapes = []
 
-    def f(v):
-        return v["a"] * v["a"] + v["b"] * v["b"] * v["b"]
+    def f(a):
+        tapes.append(a.tape)
+        return a * a + b * b * b
 
-    loss, g = grad(f, x, select=DiffSelector.only("a"))
+    loss, g = grad(f, 2.0)
     assert loss == pytest.approx(31.0)
-    assert g["a"] == 4.0
-    assert g["b"] == 0.0
+    assert g == 4.0
+    # the leaf a, a * a and the sum: b * b * b is plain arithmetic
+    assert [node.name for node in tapes[0].nodes] == [None, "mul", "add"]
 
 
 def test_mixing_dual_and_tape_rejected():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffocean import calibrate, scenarios
-from diffocean.autodiff import DiffSelector, Tape, TapeBox, grad, jvp, vjp
+from diffocean.autodiff import Tape, TapeBox, grad, jvp, vjp
 from diffocean.autodiff import primitives as ops
 from diffocean.calibrate import (
     BsfObservations,
@@ -176,7 +176,7 @@ def test_reconstruct_descent_property_and_freezing(small_setup):
     distances = history.column("distance")
     assert distances[-1] < distances[0]
     assert recovered.staggering is Staggering.CENTER
-    # frozen leaves are bitwise untouched across iterations
+    # the closed-over fields and parameters are bitwise untouched
     frozen_after = tuple(
         np.asarray(getattr(start, n).values).tobytes() for n in ("u", "v", "eta")
     )
@@ -304,7 +304,7 @@ def test_gradients_pinned_bitwise(small_setup):
     """The sweep calls each node's cotangent rules in argument order, so
     changing what the tape keeps or which rules it calls must leave every
     gradient bit as it is: the calibration gradient over (log A_h, log
-    r_bot), and a reconstruction gradient with only T selected."""
+    r_bot), and a reconstruction gradient over the initial T."""
     g, p, c, start = small_setup
     obs = reference_bsf_observations(start, p, g, c, [20, 40])
     raw_loss = bsf_calibration_loss(obs, start, p, g, c)
@@ -315,12 +315,8 @@ def test_gradients_pinned_bitwise(small_setup):
     ]
 
     perturbed = gaussian_perturbation(start.T, g, 1.0, g.Lx / 16, (0.5 * g.Lx, 0.5 * g.Ly))
-    loss, gstate = grad(
-        temperature_mismatch_loss(start, 5, p, g, c),
-        replace(start, T=perturbed),
-        select=DiffSelector.only("T"),
-    )
-    gT = np.asarray(gstate.T.values)
+    loss, gT = grad(temperature_mismatch_loss(start, 5, p, g, c), perturbed)
+    gT = np.asarray(gT.values)
     assert [float.hex(v) for v in (loss, float(gT[10, 10]), float(gT[16, 12]))] == [
         "0x1.91f08a92cf988p+3", "0x1.19cba4f5db9d9p-5", "0x1.e0994a735f293p+0"
     ]
@@ -352,17 +348,16 @@ def test_checkpointed_gradients_equal_full_tape_bitwise(small_setup, monkeypatch
     """A taped step_n records ceil(sqrt(n))-step checkpoint groups; the
     gradients through it equal, bit for bit, those through a loop of step
     that records every step: the calibration gradient over (log A_h,
-    log r_bot), and a reconstruction gradient with only T selected."""
+    log r_bot), and a reconstruction gradient over the initial T."""
     g, p, c, start = small_setup
     loss_theta, theta = _theta_problem(small_setup, sorted({max(n // 2, 1), n}))
     mismatch = temperature_mismatch_loss(start, n, p, g, c)
     perturbed = gaussian_perturbation(start.T, g, 1.0, g.Lx / 16, (0.5 * g.Lx, 0.5 * g.Ly))
-    state0 = replace(start, T=perturbed)
 
     def gradients():
         loss, (ga, gr) = grad(loss_theta, theta)
-        t_loss, gstate = grad(mismatch, state0, select=DiffSelector.only("T"))
-        gT = np.asarray(gstate.T.values)
+        t_loss, gT = grad(mismatch, perturbed)
+        gT = np.asarray(gT.values)
         assert ga != 0.0 and gr != 0.0 and np.any(gT)
         return [float.hex(v) for v in (loss, ga, gr, t_loss)], gT.tobytes()
 
@@ -408,9 +403,9 @@ def test_checkpointed_gradient_records_what_a_full_tape_records(small_setup, mon
 
     def counts():
         out = []
-        for f, x, select in ((loss_theta, theta, None), (mismatch, start, DiffSelector.only("T"))):
+        for f, x in ((loss_theta, theta), (mismatch, start.T)):
             recorded.clear()
-            grad(f, x, select=select)
+            grad(f, x)
             out.append(len(recorded))
         return out
 
@@ -599,4 +594,30 @@ def test_sensitivity_grid_validates_sample_counts(small_setup):
     obs = reference_bsf_observations(start, p, g, c, [20])
     with pytest.raises(DomainError):
         sensitivity_grid((1.0, 10.0), (1e-6, 1e-4), 2, 3,
+                         obs=obs, state0=start, base_params=p, g=g, stepcfg=c)
+
+
+@pytest.mark.parametrize(
+    "A_range, r_range, axis",
+    [
+        ((0.0, 10.0), (1e-6, 1e-4), "A_h"),
+        ((1.0, 10.0), (1e-6, -1e-4), "r_bot"),
+        ((1.0, 10.0), (float("nan"), 1e-4), "r_bot"),
+    ],
+    ids=["zero", "negative", "nan"],
+)
+def test_sensitivity_grid_refuses_a_range_end_that_is_not_positive(
+    small_setup, monkeypatch, A_range, r_range, axis
+):
+    """A log grid needs positive ends: the axis is named before the loss
+    is built."""
+    g, p, c, start = small_setup
+    obs = reference_bsf_observations(start, p, g, c, [20])
+
+    def no_loss(*args):
+        raise AssertionError("the loss was built")
+
+    monkeypatch.setattr(calibrate, "bsf_calibration_loss", no_loss)
+    with pytest.raises(DomainError, match=f"the {axis} range .* positive ends"):
+        sensitivity_grid(A_range, r_range, 3, 3,
                          obs=obs, state0=start, base_params=p, g=g, stepcfg=c)

@@ -146,6 +146,36 @@ def test_an_empty_observation_window_is_a_one_line_error(small_conf, tmp_path, c
     assert err.startswith("error: DomainError:") and "\n" not in err
 
 
+def test_sensitivity_around_a_zero_truth_is_a_one_line_error(small_conf, tmp_path, capsys):
+    code = main(["sensitivity", "--config", small_conf, "--out", str(tmp_path / "s"),
+                 "--set", "physics.r_bot=0"])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: DomainError:") and "r_bot" in err
+    assert "\n" not in err
+
+
+@pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_utf8", "out_is_a_file"])
+def test_os_level_failures_are_one_line_config_errors(small_conf, tmp_path, capsys, case):
+    """A config path naming a directory, a config file that is not UTF-8
+    and an --out naming an existing file each give one ConfigError line
+    that names the path."""
+    config, out = small_conf, tmp_path / "out"
+    if case == "config_is_a_directory":
+        config = named = str(tmp_path)
+    elif case == "config_is_not_utf8":
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(("# caf\xe9" + SMALL).encode("latin-1"))
+        config = named = str(path)
+    else:
+        out.write_text("")
+        named = str(out)
+    assert main(["run", "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ConfigError:") and named in err
+    assert "\n" not in err
+
+
 def test_gradcheck_subcommand_accuracy(small_conf, tmp_path):
     out = str(tmp_path / "gc")
     assert main(["gradcheck", "--config", small_conf, "--out", out,

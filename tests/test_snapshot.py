@@ -88,6 +88,18 @@ def test_truncated_payload_names_byte_counts(tmp_path):
         read_snapshot(path)
 
 
+def test_trailing_bytes_after_the_payload_are_refused(tmp_path):
+    g = make_channel_grid(6, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
+    path = tmp_path / "long.dosn"
+    write_snapshot(random_state(g, np.random.default_rng(4)), path)
+    path.write_bytes(path.read_bytes() + bytes(24))
+    expected = 4 * 6 * 6 * 8
+    with pytest.raises(
+        SnapshotError, match=f"24 surplus bytes after the {expected}-byte payload"
+    ):
+        read_snapshot(path)
+
+
 def test_grid_shape_mismatch(tmp_path):
     g = make_channel_grid(6, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
     other = make_channel_grid(8, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
