@@ -32,6 +32,8 @@ from .dyncore import (
     StepConfig,
     barotropic_streamfunction,
     bsf_mse_loss,
+    flow_only,
+    has_tracer,
     step_n,
 )
 from .errors import DampingError, DivergenceError, DomainError, NonFiniteError
@@ -113,7 +115,7 @@ def reconstruct_initial_state(
     whole descent; DivergenceError when none of them lowers the loss, or
     when the loss rises over ten consecutive iterates. The history records
     the loss and the squared distance to the reference initial T at every
-    iterate.
+    iterate. DomainError when base_state is flow-only (carries no T).
     """
     if l < 1:
         raise DomainError(f"rollout length must be at least 1, got {l}")
@@ -154,8 +156,14 @@ def temperature_mismatch_loss(
 
     The target is T after n steps from the reference state, so the loss
     vanishes at the reference T. The velocities, elevation and parameters
-    are closed over, so only T0 is differentiated.
+    are closed over, so only T0 is differentiated. DomainError when the
+    reference is flow-only (carries no T).
     """
+    if not has_tracer(reference):
+        raise DomainError(
+            "the reference of the temperature mismatch loss carries no tracer T "
+            "(its T is Field(None))"
+        )
     target_T = np.asarray(unbox(step_n(reference, n, params, g, stepcfg).T.values))
 
     def loss(T0: Field):
@@ -168,9 +176,11 @@ def temperature_mismatch_loss(
 def _trial(evaluate, x):
     """evaluate(x), a (value, extra) pair, with the value as a float; (inf,
     None) when the trial run blows up, is refused as unstable, or its value
-    is not finite."""
+    is not finite. Overflow and invalid-value warnings inside the trial are
+    silenced: the trial is judged by its value alone."""
     try:
-        value, extra = evaluate(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, extra = evaluate(x)
     except _BLOWUP:
         return np.inf, None
     value = float(unbox(value))
@@ -245,12 +255,16 @@ def reference_bsf_observations(
     step_indices,
 ) -> BsfObservations:
     """Run the reference trajectory and collect streamfunction snapshots;
-    DomainError for an empty set of step indices."""
+    DomainError for an empty set of step indices.
+
+    The streamfunction reads u alone, so the trajectory runs from
+    flow_only(state0): the tracer is neither computed nor checked.
+    """
     step_indices = tuple(int(i) for i in step_indices)
     if not step_indices:
         raise DomainError("no observation step: the set of step indices is empty")
     snapshots = []
-    for state in _states_at(state0, step_indices, params, g, stepcfg):
+    for state in _states_at(flow_only(state0), step_indices, params, g, stepcfg):
         psi = barotropic_streamfunction(state, g)
         snapshots.append(Field(np.asarray(unbox(psi.values)), Staggering.CENTER))
     norm = float(np.mean([np.mean(np.square(p.values)) for p in snapshots]))
@@ -278,8 +292,14 @@ def bsf_calibration_loss(
     Returns loss(params_pair) where params_pair = (A_h, r_bot); the value
     is scaled by the constant reference magnitude so it is O(1) at typical
     mis-specifications (same minimizer, portable learning rates).
+
+    The loss reads u alone and T never feeds back into the flow, so every
+    evaluation starts from flow_only(state0): T is neither computed,
+    checked for finiteness nor differentiated. The value, its gradient and
+    its tangents are bitwise those of the full state.
     """
     scale = 1.0 / obs.norm if obs.norm > 0 else 1.0
+    state0 = flow_only(state0)
 
     def loss(pair):
         a_h, r_bot = pair
@@ -397,14 +417,16 @@ def sensitivity_grid(
     Each cell is one forward pass: a single jvp pushes both parameter
     directions as a stack. A cell whose run blows up or is refused as
     unstable (DampingError) is recorded as NaN, not raised. DomainError for
-    fewer than 3 samples on an axis or a range end that is not positive.
+    fewer than 3 samples on an axis or a range end that is not positive and
+    finite.
     """
     if n_a < 3 or n_r < 3:
         raise DomainError("sensitivity grid needs at least 3 samples per axis")
     for axis, ends in (("A_h", A_range), ("r_bot", r_range)):
-        if not all(end > 0 for end in ends):
+        if not all(0 < end < np.inf for end in ends):
             raise DomainError(
-                f"the {axis} range {tuple(ends)} of a log grid must have positive ends"
+                f"the {axis} range {tuple(ends)} of a log grid must have finite "
+                f"positive ends"
             )
     A_values = np.geomspace(A_range[0], A_range[1], n_a)
     r_values = np.geomspace(r_range[0], r_range[1], n_r)

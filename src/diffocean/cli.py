@@ -4,7 +4,9 @@ Every subcommand reads one config file (plus --set overrides), writes a
 resolved-config echo, experiment CSVs with documented headers, and state
 snapshots, then exits 0 on success or 1 with a one-line machine-parseable
 error. Output files are create-only: an existing file is refused unless
---force is given. All numeric CSV fields carry 17 significant digits so
+--force is given. A run that ends in an error removes the files it wrote,
+resolved.conf included, so its corrected rerun into the same directory is
+not refused. All numeric CSV fields carry 17 significant digits so
 downstream comparisons are bit-reproducible.
 """
 
@@ -29,9 +31,13 @@ from .snapshot import write_snapshot
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    ws = None
     try:
-        args.handler(args)
+        ws = _Workspace(args)
+        args.handler(ws)
     except DiffOceanError as exc:
+        if ws is not None:
+            ws.discard()
         message = " ".join(str(exc).split())
         print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
@@ -81,23 +87,26 @@ class _Workspace:
         self.cfg = parse_config(args.config, overrides)
         self.outdir = args.out or self.cfg.output.directory
         self.force = args.force
+        self.written = []
         try:
             os.makedirs(self.outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(
                 f"cannot make output directory {self.outdir}: {exc.strerror}"
             ) from exc
-        self._write_text("resolved.conf", render_config(self.cfg))
         self.grid = scenarios.build_grid(self.cfg)
         self.params = scenarios.build_params(self.cfg, self.grid)
         self.stepcfg = scenarios.build_step_config(self.cfg)
+        self._write_text("resolved.conf", render_config(self.cfg))
 
     def path(self, name: str) -> str:
+        """The path of an output about to be written; discard removes it."""
         target = os.path.join(self.outdir, name)
         if os.path.exists(target) and not self.force:
             raise ConfigError(
                 f"refusing to overwrite existing output {target} (use --force)"
             )
+        self.written.append(target)
         return target
 
     def _write_text(self, name: str, text: str):
@@ -113,9 +122,14 @@ class _Workspace:
     def snapshot(self, state, name: str):
         write_snapshot(state, self.path(name))
 
+    def discard(self):
+        """Remove the files this run wrote."""
+        for target in self.written:
+            if os.path.exists(target):
+                os.remove(target)
 
-def _cmd_run(args):
-    ws = _Workspace(args)
+
+def _cmd_run(ws):
     cfg = ws.cfg
     state = scenarios.build_initial_state(cfg, ws.grid, ws.params)
     every = cfg.output.snapshot_every
@@ -146,8 +160,7 @@ def _cmd_run(args):
 _GRADCHECK_HEADER = ["n_steps", "mode", "eps", "ad_value", "fd_value", "error", "accuracy"]
 
 
-def _cmd_gradcheck(args):
-    ws = _Workspace(args)
+def _cmd_gradcheck(ws):
     cfg = ws.cfg
     w = scenarios.gradcheck_reference_state(cfg, ws.grid, ws.params, ws.stepcfg)
     family = scenarios.rbot_loss_family(
@@ -178,8 +191,7 @@ def _history_rows(history, metric_keys):
     return rows
 
 
-def _cmd_reconstruct(args):
-    ws = _Workspace(args)
+def _cmd_reconstruct(ws):
     cfg = ws.cfg
     base = scenarios.build_initial_state(cfg, ws.grid, ws.params)
     sigma = cfg.reconstruct.sigma_frac * ws.grid.Lx
@@ -225,8 +237,7 @@ def _calibration_setup(ws):
     return start, obs
 
 
-def _cmd_calibrate(args):
-    ws = _Workspace(args)
+def _cmd_calibrate(ws):
     sec = ws.cfg.calibrate
     start, obs = _calibration_setup(ws)
     truth_a, truth_r = float(ws.params.A_h), float(ws.params.r_bot)
@@ -254,8 +265,7 @@ def _cmd_calibrate(args):
     )
 
 
-def _cmd_sensitivity(args):
-    ws = _Workspace(args)
+def _cmd_sensitivity(ws):
     sec = ws.cfg.sensitivity
     start, obs = _calibration_setup(ws)
     truth_a, truth_r = float(ws.params.A_h), float(ws.params.r_bot)
@@ -283,8 +293,7 @@ def _cmd_sensitivity(args):
     )
 
 
-def _cmd_benchmark(args):
-    ws = _Workspace(args)
+def _cmd_benchmark(ws):
     cfg = ws.cfg
     w = scenarios.gradcheck_reference_state(cfg, ws.grid, ws.params, ws.stepcfg)
     family = scenarios.reconstruction_cost_family(w, ws.params, ws.grid, ws.stepcfg)

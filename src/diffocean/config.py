@@ -11,6 +11,7 @@ file is parsed and before validation.
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 from dataclasses import dataclass
 
@@ -20,6 +21,10 @@ from .grid import make_channel_grid
 
 AUTO_CFL = "auto-cfl"
 AUTO_CFL_FRACTION = 0.5
+# The sensitivity grid spans truth * 10**(+-decades): at most 100 decades
+# keeps the factor finite, and the ends finite and non-zero for any truth
+# within 1e-208..1e208.
+MAX_DECADES = 100
 
 
 def _parse_int(text: str) -> int:
@@ -30,10 +35,14 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
+    """A finite real; no key takes inf or nan, nor a value that overflows."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ValueError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_str(text: str) -> str:
@@ -73,8 +82,8 @@ def _at_least(name, bound):
     return lambda v: None if v >= bound else f"{name} must be at least {bound}"
 
 
-def _in_unit(name):
-    return lambda v: None if 0 < v <= 1 else f"{name} must lie in (0, 1]"
+def _in_range(name, upper):
+    return lambda v: None if 0 < v <= upper else f"{name} must lie in (0, {upper}]"
 
 
 def _step_counts(distinct, what):
@@ -112,7 +121,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "g": _Key(_parse_float, default=9.81, check=_positive("g")),
         "rho0": _Key(_parse_float, default=1024.0, check=_positive("rho0")),
         "tau0": _Key(_parse_float, default=0.0),
-        "wind_band": _Key(_parse_float, default=0.5, check=_in_unit("wind_band")),
+        "wind_band": _Key(_parse_float, default=0.5, check=_in_range("wind_band", 1)),
         "kappa_T": _Key(_parse_float, default=0.0, check=_non_negative("kappa_T")),
         "lambda_relax": _Key(
             _parse_float, default=0.0, check=_non_negative("lambda_relax")
@@ -178,7 +187,9 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
     "sensitivity": {
         "n_a": _Key(_parse_int, default=7, check=_at_least("n_a", 3)),
         "n_r": _Key(_parse_int, default=7, check=_at_least("n_r", 3)),
-        "decades": _Key(_parse_float, default=1.0, check=_positive("decades")),
+        "decades": _Key(
+            _parse_float, default=1.0, check=_in_range("decades", MAX_DECADES)
+        ),
     },
     "benchmark": {
         "n_list": _Key(

@@ -7,11 +7,17 @@ updated flow. Momentum is linearized; the tracer is advected by the
 evolving velocities, so losses built on the trajectory remain nonlinear in
 the physical parameters.
 
+The tracer is passive: no equation of state, so T never feeds back into
+u, v or eta. A state whose T is Field(None), a field with no values,
+carries the flow alone, and step neither computes nor checks T for it.
+A loss that reads only the flow (the streamfunction calibration loss)
+runs that way; u, v and eta are bitwise those of the full step.
+
 step traces its arithmetic (_step_body) once per structure key (the grid,
-the step config, the drag mode and wind band, the staggerings and the leaf
-shapes) and replays the recorded program on every later call, plain or
-boxed; the stability, shape and finiteness checks and the time advance
-still run on every step, outside the program.
+the step config, the drag mode and wind band, whether the state carries
+T, the staggerings and the leaf shapes) and replays the recorded program
+on every later call, plain or boxed; the stability, shape and finiteness
+checks and the time advance still run on every step, outside the program.
 
 step/step_n never mutate their input state and are bitwise deterministic;
 concurrent rollouts from shared immutable states are safe.
@@ -20,7 +26,7 @@ concurrent rollouts from shared immutable states are safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +40,13 @@ CFL_SAFETY = 0.7
 
 @dataclass
 class ModelState:
-    """Prognostic fields plus model time; the unit of the pure step."""
+    """Prognostic fields plus model time; the unit of the pure step.
+
+    T is Field(None) in a flow-only state: a loss that reads only u, v or
+    eta need not compute the passive tracer. The field stays a Field, so
+    code that reads T.values sees None rather than failing on a missing
+    field.
+    """
 
     u: Field
     v: Field
@@ -183,11 +195,14 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     replayed (_program): plain values run the primitives directly, boxed
     ones through apply, which tapes exactly what the body would. The
     stability and shape checks, the finiteness checks and the time advance
-    run here on every step.
+    run here on every step. A flow-only state (T is Field(None)) runs a
+    program for u, v and eta alone; its T is neither computed nor checked
+    and passes through unchanged.
     """
     check_cfl(c, p, g)
     check_damping(c, p, g)
-    for name in _FIELDS:
+    names = _FIELDS if has_tracer(s) else _FIELDS[:3]
+    for name in names:
         if getattr(s, name).shape != g.shape:
             raise ShapeError(
                 f"state field '{name}' has shape {getattr(s, name).shape}, "
@@ -196,18 +211,33 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     values = _leaf_values(s, p)
     new = _program(s, p, g, c, values)(values)
     new_time = s.time + c.dt
-    for name, f in zip(_FIELDS, new):
+    for name, f in zip(names, new):
         _check_finite(name, f, new_time)
     mark_step(*new)
     # Field arithmetic pins each new field to the staggering of its input
-    u, v, eta, T = (Field(f, getattr(s, name).staggering) for name, f in zip(_FIELDS, new))
-    return ModelState(u=u, v=v, eta=eta, T=T, time=new_time)
+    fields = {
+        name: Field(f, getattr(s, name).staggering) for name, f in zip(names, new)
+    }
+    fields.setdefault("T", s.T)
+    return ModelState(**fields, time=new_time)
+
+
+def has_tracer(s: ModelState) -> bool:
+    """Whether s carries the tracer T, or is flow-only (T is Field(None))."""
+    return s.T.values is not None
+
+
+def flow_only(s: ModelState) -> ModelState:
+    """s without its tracer: step advances its u, v and eta bitwise as it
+    advances those of s, and computes no T."""
+    return replace(s, T=Field(None))
 
 
 def _leaf_values(s: ModelState, p: PhysParams) -> list:
     """The leaves of (s, p) in tree order, read without walking the tree."""
+    tracer = [s.T.values] if has_tracer(s) else []
     return [
-        s.u.values, s.v.values, s.eta.values, s.T.values,
+        s.u.values, s.v.values, s.eta.values, *tracer,
         p.A_h, p.r_bot, p.C_d, p.g, p.rho0, p.tau0, p.kappa_T, p.lambda_relax,
         p.T_star.values,
     ]
@@ -218,15 +248,17 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
 
     The key holds what fixes the program: the grid and the step config
     (their numbers are trace constants), the drag mode and wind band (the
-    wind profile is a trace constant), the staggering of each field and
-    the shape of each leaf. The values of the leaves do not enter it: the
-    body has no branch on them (where_pos is a primitive). Nor do their
-    dtypes: the fields are float64, and parameters of any real dtype no
-    wider than float64 keep every array of the step float64, the dtype
-    the program's plain replay writes into dying buffers (Program).
+    wind profile is a trace constant), whether the state carries the
+    tracer (a flow-only program has three outputs, not four), the
+    staggering of each field and the shape of each leaf. The values of the
+    leaves do not enter it: the body has no branch on them (where_pos is a
+    primitive). Nor do their dtypes: the fields are float64, and parameters
+    of any real dtype no wider than float64 keep every array of the step
+    float64, the dtype the program's plain replay writes into dying buffers
+    (Program).
     """
     key = (
-        g, c, p.drag_mode, p.wind_band,
+        g, c, p.drag_mode, p.wind_band, has_tracer(s),
         s.u.staggering, s.v.staggering, s.eta.staggering, s.T.staggering,
         p.T_star.staggering, *[getattr(x, "shape", ()) for x in values],
     )
@@ -251,7 +283,7 @@ def _trace(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig):
 
 def _step_body(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> tuple:
     """The arithmetic of one step, the definition step traces: the new
-    (u, v, eta, T)."""
+    (u, v, eta, T), or (u, v, eta) for a flow-only state."""
     u, eta, T = s.u, s.eta, s.T
     # The wall row of v is not a degree of freedom: mask it on entry so
     # neither the physics nor the gradients ever see wall-normal flow.
@@ -291,6 +323,8 @@ def _step_body(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> tupl
         - drag_v
     )
     v_new = (v + c.dt * v_tend) * g.vwall_mask
+    if not has_tracer(s):
+        return u_new, v_new, eta_new
 
     T_new = T + c.dt * (
         -_advect(u_new, v_new, T, g)

@@ -23,8 +23,9 @@ import struct
 import numpy as np
 
 from .autodiff import unbox
-from .dyncore import ModelState
+from .dyncore import ModelState, has_tracer
 from .errors import (
+    DomainError,
     SnapshotMagicError,
     SnapshotShapeError,
     SnapshotTruncatedError,
@@ -45,7 +46,12 @@ _FIELDS = (
 
 
 def write_snapshot(state: ModelState, path) -> None:
-    """Serialize a state; the file is self-describing."""
+    """Serialize a state; the file is self-describing. DomainError for a
+    flow-only state: a snapshot holds all four fields, T included."""
+    if not has_tracer(state):
+        raise DomainError(
+            "a flow-only state carries no tracer T to write (T is Field(None))"
+        )
     arrays = {}
     shape = None
     for name, _stag in _FIELDS:

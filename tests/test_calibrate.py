@@ -24,7 +24,15 @@ from diffocean.calibrate import (
     temperature_mismatch_loss,
     _trial_value,
 )
-from diffocean.dyncore import PhysParams, StepConfig, step, step_n
+from diffocean.dyncore import (
+    PhysParams,
+    StepConfig,
+    barotropic_streamfunction,
+    bsf_mse_loss,
+    flow_only,
+    step,
+    step_n,
+)
 from diffocean.errors import DampingError, DivergenceError, DomainError, NonFiniteError
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import linear_profile_field
@@ -323,6 +331,60 @@ def test_gradients_pinned_bitwise(small_setup):
     assert hashlib.sha256(gT.tobytes()).hexdigest() == (
         "000f01f1ba513697845ee9bf200d944e93a2ae58530a37c2f6f51916ce02e018"
     )
+
+
+def test_calibration_loss_runs_flow_only_and_equals_the_full_state_loss(small_setup):
+    """The observations and the calibration loss run without the tracer.
+    Their streamfunctions, the loss, its vjp gradient and its two-direction
+    jvp equal bit for bit those of the same loss on the full state, built
+    here from step_n and bsf_mse_loss. T is not checked: a start state
+    with a non-finite T gives the same bits."""
+    g, p, c, start = small_setup
+    indices = (7, 16)  # 9 steps run as checkpoint groups when taped
+    obs = reference_bsf_observations(start, p, g, c, indices)
+    psi = [barotropic_streamfunction(step_n(start, n, p, g, c), g).values for n in indices]
+    assert [q.values.tobytes() for q in obs.psi] == [q.tobytes() for q in psi]
+    norm = float(np.mean([np.mean(np.square(q)) for q in psi]))
+    assert obs.norm == norm
+
+    def full_loss(pair):
+        params = replace(p, A_h=pair[0], r_bot=pair[1])
+        state, done, total = start, 0, None
+        for n, ref in zip(indices, obs.psi):
+            state, done = step_n(state, n - done, params, g, c), n
+            mse = bsf_mse_loss(state, ref, g)
+            total = mse if total is None else ops.add(total, mse)
+        return ops.mul(1.0 / norm / len(indices), total)
+
+    def bits(loss):
+        x = (1.3 * float(p.A_h), 0.7 * float(p.r_bot))
+        value, pullback = vjp(loss, x)
+        primal, slopes = jvp(loss, x, tuple(np.eye(2)))
+        numbers = (loss(x), value, *pullback(1.0), primal, *np.asarray(slopes))
+        return [float.hex(float(v)) for v in numbers]
+
+    want = bits(full_loss)
+    assert bits(bsf_calibration_loss(obs, start, p, g, c)) == want
+    nan_T = replace(start, T=Field(np.full(g.shape, np.nan), Staggering.CENTER))
+    assert bits(bsf_calibration_loss(obs, nan_T, p, g, c)) == want
+
+
+def test_losses_that_read_the_tracer_refuse_a_flow_only_state(small_setup, monkeypatch):
+    """The temperature mismatch loss and the reconstruction name the
+    missing T once, before any step runs."""
+    g, p, c, start = small_setup
+    flow = flow_only(start)
+
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(calibrate, "step_n", no_step)
+    with pytest.raises(DomainError, match="carries no tracer T"):
+        temperature_mismatch_loss(flow, 2, p, g, c)
+    with pytest.raises(DomainError, match="carries no tracer T"):
+        reconstruct_initial_state(
+            start.T, 2, 0.25, 3, base_state=flow, params=p, g=g, stepcfg=c
+        )
 
 
 def _step_loop(s, n, p, g, c):

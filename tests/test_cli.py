@@ -155,6 +155,49 @@ def test_sensitivity_around_a_zero_truth_is_a_one_line_error(small_conf, tmp_pat
     assert "\n" not in err
 
 
+# acc-mini.conf on an 8x6 grid: a quick run of the shipped configuration
+ACC_MINI_8x6 = ["--config", "acc-mini.conf", "--set", "grid.nx=8", "--set", "grid.ny=6"]
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [("run", "grid.Lx=inf"), ("sensitivity", "sensitivity.decades=400")],
+    ids=["infinite-Lx", "overflowing-decades"],
+)
+def test_a_value_without_a_finite_meaning_is_one_config_error_line(
+    tmp_path, capsys, command, override
+):
+    """A non-finite number, and a decades value whose grid factor
+    10**decades overflows, are refused when the config is parsed."""
+    out = tmp_path / command
+    code = main([command, *ACC_MINI_8x6, "--set", override, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ConfigError:") and "\n" not in err
+
+
+def test_a_rejected_overflowing_trial_prints_no_warning(tmp_path, capsys):
+    """At alpha = 1e300 every trial overflows exp and is rejected; the run
+    still exits 0, and no NumPy warning reaches the user."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["calibrate", *ACC_MINI_8x6, "--out", str(tmp_path / "c"),
+                     "--set", "calibrate.alpha=1e300", "--set", "calibrate.iters=1"])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
+def test_a_refused_run_does_not_block_its_rerun(small_conf, tmp_path, capsys):
+    """A run refused after set-up removes what it wrote, resolved.conf
+    included, so the corrected rerun into the same directory runs."""
+    out = str(tmp_path / "s")
+    assert main(["sensitivity", "--config", small_conf, "--out", out,
+                 "--set", "physics.r_bot=0"]) == 1
+    assert capsys.readouterr().err.startswith("error: DomainError:")
+    assert os.listdir(out) == []
+    assert main(["sensitivity", "--config", small_conf, "--out", out]) == 0
+    assert sorted(os.listdir(out)) == ["resolved.conf", "sensitivity.csv"]
+
+
 @pytest.mark.parametrize("case", ["config_is_a_directory", "config_is_not_utf8", "out_is_a_file"])
 def test_os_level_failures_are_one_line_config_errors(small_conf, tmp_path, capsys, case):
     """A config path naming a directory, a config file that is not UTF-8

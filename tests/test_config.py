@@ -154,6 +154,22 @@ def test_overrides_applied_before_validation(tmp_path):
         parse_config(path, overrides=["physics.A_h"])
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_numbers_are_refused_when_parsed(tmp_path, text):
+    path = write(tmp_path, MINIMAL.replace("Lx = 1.6e6", f"Lx = {text}"))
+    with pytest.raises(ConfigError, match=r":7: Lx: expected a finite number"):
+        parse_config(path)
+    with pytest.raises(ConfigError, match="--set physics.tau0: tau0: expected a finite"):
+        parse_config(write(tmp_path, MINIMAL), [f"physics.tau0={text}"])
+
+
+def test_sensitivity_decades_keep_the_grid_factor_finite(tmp_path):
+    path = write(tmp_path, MINIMAL)
+    assert parse_config(path, ["sensitivity.decades=100"]).sensitivity.decades == 100.0
+    with pytest.raises(ConfigError, match=r"decades must lie in \(0, 100\]"):
+        parse_config(path, ["sensitivity.decades=101"])
+
+
 @pytest.mark.parametrize("key", ["spinup_steps", "window_steps", "obs_every"])
 def test_sensitivity_has_no_window_keys(key):
     # The sensitivity grid maps the calibration loss over the [calibrate]

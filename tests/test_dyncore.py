@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diffocean import dyncore
-from diffocean.autodiff import Tape, grad, jvp, tree, vjp
+from diffocean.autodiff import Tape, grad, jvp, tree, unbox, vjp
 from diffocean.autodiff import primitives as ops
 from diffocean.dyncore import (
     ModelState,
@@ -17,6 +17,8 @@ from diffocean.dyncore import (
     StepConfig,
     barotropic_streamfunction,
     bsf_mse_loss,
+    flow_only,
+    has_tracer,
     step,
     step_n,
     total_energy,
@@ -320,6 +322,10 @@ def test_leaf_values_follow_tree_order():
     g, p, c, s = dissipative_test_setup(seed=1)
     assert all(a is b for a, b in zip(dyncore._leaf_values(s, p), tree.leaf_values((s, p))))
     assert len(dyncore._leaf_values(s, p)) == len(tree.leaf_values((s, p)))
+    # a flow-only state has no T leaf
+    flow = flow_only(s)
+    assert all(a is b for a, b in zip(dyncore._leaf_values(flow, p), tree.leaf_values((flow, p))))
+    assert len(dyncore._leaf_values(flow, p)) == len(tree.leaf_values((flow, p))) == 12
 
 
 def test_step_program_is_traced_once_per_structure(traces):
@@ -420,6 +426,69 @@ def test_replayed_step_is_bitwise_the_traced_definition(drag_mode, boundary):
     got, want = vjp(replayed, x)[1](ct), vjp(defined, x)[1](ct)
     for a, b in zip(tree.leaf_values(got), tree.leaf_values(want)):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _flow_bytes(s):
+    """The bytes of u, v, eta and time: what a flow-only state carries."""
+    return [np.asarray(unbox(f.values)).tobytes() for f in (s.u, s.v, s.eta)] + [
+        np.float64(s.time).tobytes()
+    ]
+
+
+def _flow_loss(s):
+    return ops.add(
+        ops.add(ops.asum(ops.power(s.u.values, p=2.0)), ops.asum(ops.power(s.v.values, p=2.0))),
+        ops.asum(ops.power(s.eta.values, p=2.0)),
+    )
+
+
+@pytest.mark.parametrize("flow_first", [False, True], ids=["full-first", "flow-first"])
+def test_flow_only_state_steps_the_flow_of_the_full_state_bitwise(monkeypatch, flow_first):
+    """A state whose T is Field(None) runs a program of its own for u, v
+    and eta alone, and gets them bitwise as the full state does: plain,
+    under a two-direction jvp and under grad, for one step and for a
+    9-step step_n that runs in 3-step checkpoint groups when taped. Both
+    orders start from an empty program cache, so neither structure ever
+    replays the other's program."""
+    monkeypatch.setattr(dyncore, "_PROGRAMS", {})
+    g = make_channel_grid(12, 10, 1e6, 1e6, 500.0, -1e-4, 1e-11)
+    full = random_state(g, np.random.default_rng(3), amp=0.05)
+    flow = flow_only(full)
+    c = StepConfig(dt=200.0)
+    p = quiet_params(
+        g, A_h=300.0, r_bot=1e-5, tau0=0.05, kappa_T=100.0, lambda_relax=1e-6,
+        T_star=linear_profile_field(g, 5.0, 15.0),
+    )
+    rng = np.random.default_rng(5)
+    # two directions for each of u, v, eta, T, A_h and r_bot
+    tangents = [
+        rng.standard_normal((2,) + np.shape(v)) for v in tree.leaf_values((full, 0.0, 0.0))
+    ]
+
+    def forms(state):
+        x = (state, p.A_h, p.r_bot)
+        _, rebuild = tree.flatten(x)
+        k = rebuild(tangents if has_tracer(state) else tangents[:3] + tangents[4:])
+        out = []
+        for n in (1, 9):
+            def run(x, n=n):
+                s, a, r = x
+                q = replace(p, A_h=a, r_bot=r)
+                return step(s, q, g, c) if n == 1 else step_n(s, n, q, g, c)
+
+            value, tangent = jvp(run, x, k)
+            loss, (gs, ga, gr) = grad(lambda x: _flow_loss(run(x)), x)
+            out += [
+                _flow_bytes(run(x)), _flow_bytes(value), _flow_bytes(tangent)[:3],
+                _flow_bytes(gs)[:3], [float.hex(v) for v in (loss, ga, gr)],
+            ]
+        return out
+
+    first, second = (flow, full) if flow_first else (full, flow)
+    assert forms(first) == forms(second)
+    assert len(dyncore._PROGRAMS) == 2
+    out = step_n(flow, 9, p, g, c)
+    assert out.T is flow.T and out.time == 9 * c.dt
 
 
 def test_streamfunction_zero_velocity():

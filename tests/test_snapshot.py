@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from diffocean.errors import (
+    DomainError,
     SnapshotError,
     SnapshotMagicError,
     SnapshotShapeError,
     SnapshotTruncatedError,
     SnapshotVersionError,
 )
+from diffocean.dyncore import flow_only
 from diffocean.grid import make_channel_grid
 from diffocean.snapshot import read_snapshot, write_snapshot
 from helpers import random_state
@@ -129,3 +131,12 @@ def test_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(SnapshotMagicError):
         read_snapshot(path)
+
+
+def test_flow_only_state_is_refused_before_the_file_is_opened(tmp_path):
+    g = make_channel_grid(12, 10, 1e6, 1e6, 100.0, -1e-4, 2e-11)
+    s = flow_only(random_state(g, np.random.default_rng(0)))
+    path = tmp_path / "state.dosn"
+    with pytest.raises(DomainError, match="no tracer T"):
+        write_snapshot(s, path)
+    assert not path.exists()
