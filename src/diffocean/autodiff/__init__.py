@@ -24,7 +24,6 @@ from .engine import (
     Tape,
     TapeBox,
     apply,
-    mark_step,
     trace,
     unbox,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "grad",
     "sqrt_reg",
     "random_direction",
-    "mark_step",
     "trace",
     "unbox",
     "apply",

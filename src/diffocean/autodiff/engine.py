@@ -22,10 +22,10 @@ that dies there, so it allocates fewer arrays than the traced function.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
-traced computation (mark_step) finds it on the values it is given. Tapes
-are single-owner objects: one tape is built and swept by one logical
-thread. The primitive registry is written during startup and read-only
-afterwards.
+traced computation (a checkpoint group) finds it on the values it is
+given. Tapes are single-owner objects: one tape is built and swept by one
+logical thread. The primitive registry is written during startup and
+read-only afterwards.
 """
 
 from __future__ import annotations
@@ -279,11 +279,11 @@ class Tape:
     neither operand when only x is taped, and the sweep calls only the
     taped arguments' rules. `bytes_used` counts each kept array once,
     however many nodes keep it, constant arrays included (a scalar
-    constant is not counted).
-    `steps` counts the model steps completed on the tape (see
-    mark_step). Both describe the forward record, however often it is
-    swept, and neither limits the tape: checkpoint groups are what bound
-    a gradient's memory.
+    constant is not counted). `steps` counts the model steps recorded on
+    the tape; its only writer is dyncore.step_n, which adds the steps of
+    each checkpoint group it records. Both describe the forward record,
+    however often it is swept, and neither limits the tape: checkpoint
+    groups are what bound a gradient's memory.
     """
 
     def __init__(self):
@@ -525,6 +525,14 @@ class Program:
             push(apply(name, *args, **static) if boxed else fn(*args))
         return [env[j] for j in self.outputs]
 
+    def reaches(self, taped) -> list:
+        """Which outputs a replay tapes when input i is taped iff taped[i],
+        without running: as in apply, a result is taped if an argument is."""
+        flags = [False] * len(self.consts) + list(taped)
+        for _, get, _, _, _ in self.ops:
+            flags.append(any(get(flags)))
+        return [flags[j] for j in self.outputs]
+
 
 def _donatable(fn, args):
     """Positions of the recorded arguments whose buffer ufunc fn may write
@@ -566,15 +574,6 @@ def trace(f, values) -> Program:
     tape = Tape()
     leaves = [tape.leaf(unbox(v)) for v in values]
     return Program(tape, leaves, f(leaves))
-
-
-def mark_step(*values):
-    """Count one complete model step on the tape of the first TapeBox among
-    values; a no-op when none is taped (used by memory diagnostics)."""
-    for v in values:
-        if isinstance(v, TapeBox):
-            v.tape.steps += 1
-            return
 
 
 def apply(name: str, *args, **static):

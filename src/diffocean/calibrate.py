@@ -19,6 +19,7 @@ positive by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -82,14 +83,24 @@ class OptimHistory:
 def gaussian_perturbation(
     f: Field, g: GridSpec, amplitude: float, sigma: float, center: tuple[float, float]
 ) -> Field:
-    """Add a Gaussian bump at cell centers, periodic in the zonal distance."""
+    """Add a Gaussian bump at cell centers, periodic in the zonal distance.
+
+    The bump divides by 2*sigma**2, so sigma must be positive and that
+    width a positive finite float.
+    """
     if sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
+    try:
+        width = 2.0 * sigma**2
+    except OverflowError:  # a float's ** raises where NumPy's gives inf
+        width = math.inf
+    if not 0.0 < width < math.inf:
+        raise DomainError(f"sigma = {sigma:g} m: 2*sigma**2 is not a positive finite float")
     xc, yc = center
     dx_abs = np.abs(g.x_center - xc)
     dist_x = np.minimum(dx_abs, g.Lx - dx_abs)[:, np.newaxis]
     dist_y = (g.y_center - yc)[np.newaxis, :]
-    bump = amplitude * np.exp(-(dist_x**2 + dist_y**2) / (2.0 * sigma**2))
+    bump = amplitude * np.exp(-(dist_x**2 + dist_y**2) / width)
     if amplitude == 0.0:
         return Field(np.array(unbox(f.values)), f.staggering)
     return Field(unbox(f.values) + bump, f.staggering)

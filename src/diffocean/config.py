@@ -336,6 +336,15 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
             sec_values[key] = value
         values[section] = sec_values
 
+    # The finite-difference probes scale r_bot by rbot_scale +- eps.
+    gradcheck = values["gradcheck"]
+    if not gradcheck["eps"] < gradcheck["rbot_scale"]:
+        raise ConfigError(
+            f"{source}: gradcheck.eps = {gradcheck['eps']} must be smaller than "
+            f"gradcheck.rbot_scale = {gradcheck['rbot_scale']}, so that the probe "
+            f"r_bot = (rbot_scale - eps) * truth stays positive"
+        )
+
     # Resolve auto-cfl once grid and gravity are known.
     stepping = values["stepping"]
     if stepping["dt"] == AUTO_CFL:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import TapeBox, mark_step, trace, tree, unbox
+from .autodiff import TapeBox, trace, tree, unbox
 from .autodiff import primitives as ops
 from .errors import CFLError, DampingError, DomainError, NonFiniteError, ShapeError
 from .grid import Field, GridSpec, Staggering, ddx, ddy, divergence, interp, laplacian
@@ -213,7 +213,6 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     new_time = s.time + c.dt
     for name, f in zip(names, new):
         _check_finite(name, f, new_time)
-    mark_step(*new)
     # Field arithmetic pins each new field to the staggering of its input
     fields = {
         name: Field(f, getattr(s, name).staggering) for name, f in zip(names, new)
@@ -352,37 +351,23 @@ def _advect(u: Field, v: Field, T: Field, g: GridSpec) -> Field:
 def step_n(s: ModelState, n: int, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState:
     """Fold of step; n = 0 returns the input state unchanged.
 
-    Steps are recorded one at a time until every field is taped or a step
-    leaves the same fields taped as it found. Which fields step tapes
-    depends on which inputs are taped, never on their values, and a taped
-    field stays taped (step adds to every field), so every later step
-    keeps them. With no field taped (nothing taped, or under jvp), the
-    rest runs step after step. Otherwise it runs as checkpoint groups of
-    ceil(sqrt(n)) steps (_checkpoint). A group runs plain and keeps only
-    its input state on the tape, and the sweep records one group again at
-    a time: a gradient holds O(sqrt(n)) states instead of n steps of tape,
-    for one more plain forward, and is bitwise the full-tape one.
+    With no leaf of (s, p) taped (nothing taped, or under jvp), it runs
+    step after step. Otherwise it runs as checkpoint groups of
+    ceil(sqrt(n)) steps from the first step on (_checkpoint). A group runs
+    plain and keeps only its input state on the tape, and the sweep
+    records one group again at a time: a gradient holds O(sqrt(n)) states
+    instead of n steps of tape, for one more plain forward, and is bitwise
+    the full-tape one.
     """
     if n < 0:
         raise DomainError(f"step count must be non-negative, got {n}")
     n = int(n)
-    done, taped = 0, _taped(s)
-    while done < n and not all(taped):
-        s = step(s, p, g, c)
-        done += 1
-        if _taped(s) == taped:
-            break
-        taped = _taped(s)
-    if not any(taped):
-        return _fold((s, p), n - done, g, c)
+    if not any(isinstance(v, TapeBox) for v in _leaf_values(s, p)):
+        return _fold((s, p), n, g, c)
     size = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
-    for start in range(done, n, size):
+    for start in range(0, n, size):
         s = _checkpoint(s, p, min(size, n - start), g, c)
     return s
-
-
-def _taped(s: ModelState) -> tuple:
-    return tuple(isinstance(v, TapeBox) for v in tree.leaf_values(s))
 
 
 def _fold(x, n: int, g: GridSpec, c: StepConfig) -> ModelState:
@@ -396,16 +381,25 @@ def _fold(x, n: int, g: GridSpec, c: StepConfig) -> ModelState:
 
 def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig):
     """n steps from s, recorded as one checkpoint group on the tape of the
-    taped leaves of (s, p); the result tapes the fields s has taped."""
+    taped leaves of (s, p); the group tapes the fields that n steps of the
+    step program reach from them (Program.reaches, until a step adds none)."""
     leaves, rebuild = tree.flatten((s, p))
     values = [leaf.value for leaf in leaves]
     tape = next(v.tape for v in values if isinstance(v, TapeBox))
+    taped = [isinstance(v, TapeBox) for v in values]
+    program = _program(s, p, g, c, values)
+    k = len(program.outputs)  # the fields lead the leaves of (s, p)
+    fields = taped[:k]
+    for _ in range(n):
+        last, fields = fields, program.reaches(fields + taped[k:])
+        if fields == last:
+            break
 
     def run(inputs):
         return tree.leaf_values(_fold(rebuild(inputs), n, g, c))
 
     out_leaves, out_rebuild = tree.flatten(_fold(rebuild([unbox(v) for v in values]), n, g, c))
-    s = out_rebuild(tape.group(run, values, [leaf.value for leaf in out_leaves], _taped(s)))
+    s = out_rebuild(tape.group(run, values, [leaf.value for leaf in out_leaves], fields))
     tape.steps += n
     return s
 

@@ -15,6 +15,7 @@ concurrently.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .autodiff import primitives as ops
 from .autodiff import tree, unbox
-from .errors import ShapeError, StaggeringError
+from .errors import DomainError, ShapeError, StaggeringError
 
 
 class Staggering(str, enum.Enum):
@@ -51,6 +52,13 @@ class GridSpec:
             )
         if self.Lx <= 0 or self.Ly <= 0 or self.H <= 0:
             raise ShapeError("domain extents and depth must be positive")
+        for name, spacing in (("dx", self.dx), ("dy", self.dy)):
+            # the damping bound divides by the squared spacing
+            if not 0.0 < spacing * spacing < math.inf:
+                raise DomainError(
+                    f"grid spacing {name} = {spacing:g} m: its square is not a "
+                    f"positive finite float"
+                )
 
     @property
     def dx(self) -> float:

@@ -625,8 +625,8 @@ def test_tape_counts_the_constant_arrays_of_t_only_steps():
 
 
 def test_tape_counts_the_steps_recorded_on_it():
-    """step marks itself on the tape its new fields are recorded on; plain
-    steps count nowhere."""
+    """A taped step_n counts the steps of its checkpoint groups on the tape
+    they stand on; plain steps count nowhere."""
     g, p, c, s = dissipative_test_setup(seed=4)
     tape = Tape()
     boxed = replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
@@ -656,13 +656,72 @@ def test_tape_replay_reruns_checkpoint_groups():
     leaf = tape.leaf(s.T.values)
     out = ops.asum(step_n(with_T(leaf), 5, p, g, c).T.values)
     groups = [node for node in tape.nodes if isinstance(node, _Group)]
-    assert len(groups) == 2  # one recorded step, then 3 + 1 steps
+    assert len(groups) == 2  # 3 + 2 steps, from the first step on
     with pytest.raises(ValueError, match="primitives only"):
         Program(tape, [leaf], [out])
     T = s.T.values + 0.5
     got = grad(lambda T: ops.asum(step_n(with_T(T), 5, p, g, c).T.values), T)
     want = grad(defined, T)
     assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+
+
+@pytest.mark.parametrize("flow", [False, True], ids=["full-state", "flow-only"])
+def test_program_reaches_the_outputs_a_boxed_replay_tapes(flow):
+    """Program.reaches tells, without running, which outputs of the step
+    program a replay on a fresh tape returns as TapeBoxes: with no leaf
+    taped, with every leaf taped and with each single leaf taped."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    if flow:
+        s = dyncore.flow_only(s)
+    values = dyncore._leaf_values(s, p)
+    program = dyncore._program(s, p, g, c, values)
+    n = len(values)
+    patterns = [[False] * n, [True] * n] + [[i == j for j in range(n)] for i in range(n)]
+    reached = set()
+    for taped in patterns:
+        tape = Tape()
+        outs = program([tape.leaf(v) if t else v for v, t in zip(values, taped)])
+        got = program.reaches(taped)
+        assert got == [isinstance(out, TapeBox) for out in outs], taped
+        reached.add(tuple(got))
+    # the patterns tell some fields apart, so the check is not vacuous
+    assert len(reached) > 2
+
+
+@pytest.mark.parametrize("n, groups", [(1, 1), (2, 1), (7, 3)])
+def test_step_n_from_a_plain_state_with_taped_parameters_is_the_definition(n, groups):
+    """From a plain flow-only state with (A_h, r_bot) taped, step_n runs
+    checkpoint groups of ceil(sqrt(n)) steps from the first step, and the
+    fields become taped inside the first group: the vjp is bitwise that of
+    the traced definition, step by step, and the tape counts n steps."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    s = dyncore.flow_only(s)
+    tapes = []
+
+    def checkpointed(x):
+        out = step_n(s, n, replace(p, A_h=x[0], r_bot=x[1]), g, c)
+        tapes.append(out.u.values.tape)
+        return [out.u.values, out.v.values, out.eta.values]
+
+    def defined(x):
+        q, state = replace(p, A_h=x[0], r_bot=x[1]), s
+        for _ in range(n):
+            u, v, eta = dyncore._step_body(state, q, g, c)
+            state = replace(state, u=u, v=v, eta=eta)
+        return [state.u.values, state.v.values, state.eta.values]
+
+    rng = np.random.default_rng(n)
+    ct = [rng.standard_normal(g.shape) for _ in range(3)]
+    x = (1.5 * p.A_h, 0.5 * p.r_bot)
+    results = []
+    for f in (checkpointed, defined):
+        value, pullback = vjp(f, x)
+        gradient = pullback(ct)
+        assert all(d != 0.0 for d in gradient)
+        results.append(([_bits(v) for v in value], [_bits(d) for d in gradient]))
+    assert results[0] == results[1]
+    assert tapes[0].steps == n
+    assert sum(isinstance(node, _Group) for node in tapes[0].nodes) == groups
 
 
 def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():

@@ -176,6 +176,47 @@ def test_a_value_without_a_finite_meaning_is_one_config_error_line(
     assert err.startswith("error: ConfigError:") and "\n" not in err
 
 
+def _one_error_line(capsys, named):
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {named}:") and "\n" not in err
+    return err
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_grid_spacing_whose_square_overflows_is_one_domain_error_line(tmp_path, capsys, axis):
+    """An extent whose cell spacing squares past the float range is refused
+    when the grid is built, before the damping bound divides by it."""
+    code = main(["run", *ACC_MINI_8x6, "--set", f"grid.L{axis}=1e300",
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert f"d{axis} = " in _one_error_line(capsys, "DomainError")
+
+
+@pytest.mark.parametrize("sigma_frac", ["1e200", "1e-300"], ids=["overflow", "underflow"])
+def test_a_gaussian_width_without_a_finite_square_is_one_domain_error_line(
+    tmp_path, capsys, sigma_frac
+):
+    """The perturbation divides by 2*sigma**2: a sigma whose square
+    overflows, or underflows to zero, is refused and reconstructs nothing,
+    with no NumPy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["reconstruct", *ACC_MINI_8x6, "--set", f"reconstruct.sigma_frac={sigma_frac}",
+                     "--out", str(tmp_path / "r")])
+    assert code == 1
+    assert "sigma" in _one_error_line(capsys, "DomainError")
+
+
+def test_a_gradcheck_step_past_the_probe_scale_is_one_config_error_line(tmp_path, capsys):
+    """The probes scale r_bot by rbot_scale +- eps, so eps must stay below
+    rbot_scale; the error names both keys."""
+    out = tmp_path / "gc"
+    code = main(["gradcheck", *ACC_MINI_8x6, "--set", "gradcheck.eps=1e300", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    err = _one_error_line(capsys, "ConfigError")
+    assert "gradcheck.eps" in err and "gradcheck.rbot_scale" in err
+
+
 def test_a_rejected_overflowing_trial_prints_no_warning(tmp_path, capsys):
     """At alpha = 1e300 every trial overflows exp and is rejected; the run
     still exits 0, and no NumPy warning reaches the user."""

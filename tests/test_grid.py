@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from diffocean.errors import ShapeError, StaggeringError
+from diffocean.errors import DomainError, ShapeError, StaggeringError
 from diffocean.grid import (
     Field,
     Staggering,
@@ -45,6 +45,18 @@ def test_make_channel_grid_rejects_small_and_nonpositive():
         make_channel_grid(8, 8, -1e6, 1e6, 500.0, 0.0, 0.0)
     with pytest.raises(ShapeError):
         make_channel_grid(8, 8, 1e6, 1e6, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "extents",
+    [(1e300, 1e6), (1e6, 1e300), (1e-300, 1e6), (1e6, 1e-300)],
+    ids=["Lx-overflow", "Ly-overflow", "Lx-underflow", "Ly-underflow"],
+)
+def test_make_channel_grid_rejects_a_spacing_without_a_positive_finite_square(extents):
+    """The damping bound divides by dx**2 and dy**2: a spacing whose square
+    overflows, or underflows to zero, is refused when the grid is built."""
+    with pytest.raises(DomainError, match="d[xy] = "):
+        make_channel_grid(8, 8, *extents, 500.0, 0.0, 0.0)
 
 
 def test_laplacian_of_constant_is_zero():

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import diffocean.autodiff as autodiff
-from diffocean import dyncore
+from diffocean import calibrate, dyncore
 from diffocean.autodiff import engine, primitives
 from diffocean.grid import make_channel_grid
 from helpers import dissipative_test_setup
@@ -60,13 +60,34 @@ def test_benchmark_tracer_sees_one_sweep_per_gradient(monkeypatch):
         state = replace(s, T=replace(s.T, values=T))
         return primitives.asum(dyncore.step_n(state, 7, p, g, c).T.values)
 
+    sweeps = _sweeps_of_two_gradients(spans, loss, s.T.values)
+    assert len(sweeps) == 2
+    assert all(span.info["steps"] == 7 for span in sweeps)
+
+
+def test_benchmark_tape_steps_cover_a_calibration_window(monkeypatch):
+    """A calibration gradient over (A_h, r_bot) starts from a plain state,
+    so every step of its window runs in a checkpoint group: the tracer
+    opens one Tape.sweep span per gradient, whose steps are the whole
+    observation window. The benchmark divides the tape's nodes and bytes
+    by these steps (autodiff.tape.nodes_per_step)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    g, p, c, s = dissipative_test_setup(seed=4)
+    obs = calibrate.reference_bsf_observations(s, p, g, c, [3, 8])
+    loss = calibrate.bsf_calibration_loss(obs, s, p, g, c)
+    sweeps = _sweeps_of_two_gradients(spans, loss, (1.5 * p.A_h, 0.5 * p.r_bot))
+    assert len(sweeps) == 2
+    assert all(span.info["steps"] == 8 for span in sweeps)
+
+
+def _sweeps_of_two_gradients(spans, loss, x):
+    """The Tape.sweep spans the benchmark's tracer opens over two gradients."""
     tracer = spans.Tracer()
     tracer.install()
     try:
         for _ in range(2):
-            autodiff.grad(loss, s.T.values)
+            autodiff.grad(loss, x)
     finally:
         tracer.uninstall()
-    sweeps = [span for span in tracer.spans if span.name == "autodiff.Tape.sweep"]
-    assert len(sweeps) == 2
-    assert all(span.info["steps"] == 7 for span in sweeps)
+    return [span for span in tracer.spans if span.name == "autodiff.Tape.sweep"]
