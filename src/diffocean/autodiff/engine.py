@@ -13,8 +13,9 @@ in TapeBox and records each application on a Tape, which keeps only what
 the rules of the taped arguments read, and is later swept backwards. A
 checkpoint group stands on a tape for a whole pure computation that ran
 plain: it keeps only its inputs, tapes only the outputs a taped input
-reaches, and the sweep records it again at the end of the tape, sweeps
-that segment and drops it, trading one extra forward for memory. A tape
+reaches, and the sweep records it again at the end of the same tape,
+sweeps those nodes and drops them, trading one extra forward for memory.
+The nodes are a tape's whole record: what it keeps is read off them. A tape
 also is a trace: a Program keeps the structure of a record and its
 constants, drops its primals, and replays it on new inputs (trace). A
 plain replay writes each ufunc operation into the buffer of an operand
@@ -260,10 +261,7 @@ class _Group:
 
     __slots__ = ("args", "links", "run", "taped")
     name = _GROUP
-
-
-def _nbytes(v):
-    return v.nbytes if isinstance(v, np.ndarray) else 16
+    out = None
 
 
 class Tape:
@@ -273,27 +271,36 @@ class Tape:
     tape, except inside a checkpoint group (see group), which keeps only
     its inputs and is recorded again by the sweep (_sweep_group). A node
     keeps the primals read by the cotangent rules of its taped arguments,
-    plus its constant arguments (tiny or shared across
-    steps); a taped array that no such rule reads is dropped for a shared
-    read-only zero stand-in of its shape and dtype. So `c * x` keeps
-    neither operand when only x is taped, and the sweep calls only the
-    taped arguments' rules. `bytes_used` counts each kept array once,
-    however many nodes keep it, constant arrays included (a scalar
-    constant is not counted). `steps` counts the model steps recorded on
-    the tape; its only writer is dyncore.step_n, which adds the steps of
-    each checkpoint group it records. Both describe the forward record,
-    however often it is swept, and neither limits the tape: checkpoint
-    groups are what bound a gradient's memory.
+    plus its constant arguments (tiny or shared across steps); a taped
+    array that no such rule reads is dropped for a shared read-only zero
+    stand-in of its shape and dtype. So `c * x` keeps neither operand when
+    only x is taped, and the sweep calls only the taped arguments' rules.
+    `nodes` is the whole record, and `bytes_used` is read off it.
+    `steps` counts the model steps recorded on the tape; its only writer
+    is dyncore._checkpoint, which adds the steps of each checkpoint group
+    it records. Both describe the forward record, however often it is
+    swept, and neither limits the tape: checkpoint groups are what bound a
+    gradient's memory.
     """
 
     def __init__(self):
         self.nodes: list = []
         self.steps = 0
-        self.bytes_used = 0
         self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape and dtype
-        # ids of the values counted in bytes_used; the tape keeps each of
-        # them alive, so no id is reused while it is here
-        self._counted: set[int] = set()
+
+    @property
+    def bytes_used(self) -> int:
+        """Bytes of the distinct arrays the nodes keep in args and out,
+        constants included; leaves, scalars and the zero stand-ins count
+        nothing. It is read off the nodes, so it costs nothing unread."""
+        stand_ins = {id(z) for z in self._zeros.values()}
+        kept = {
+            id(v): v.nbytes
+            for node in self.nodes if node.name not in (None, _OUTPUT)
+            for v in (*node.args, node.out)
+            if isinstance(v, np.ndarray) and id(v) not in stand_ins
+        }
+        return sum(kept.values())
 
     def leaf(self, value) -> TapeBox:
         self.nodes.append(_Node(None, (), (), value, {}))
@@ -306,16 +313,6 @@ class Tape:
             zeros = self._zeros[key] = np.broadcast_to(np.zeros((), a.dtype), a.shape)
         return zeros
 
-    def _keep(self, value):
-        """value, counted the first time the tape keeps it."""
-        if id(value) not in self._counted:
-            self._counted.add(id(value))
-            self.bytes_used += _nbytes(value)
-        return value
-
-    def _keep_constant(self, value):
-        return self._keep(value) if isinstance(value, np.ndarray) else value
-
     def _record(self, prim, parents, args, out, static) -> int:
         index = len(self.nodes)
         reads = set()
@@ -324,15 +321,11 @@ class Tape:
                 reads |= read
         kept_args = []
         for i, a in enumerate(args):
-            if parents[i] is None:
-                kept_args.append(self._keep_constant(a))
-            elif i in reads:
-                kept_args.append(self._keep(a))
-            elif isinstance(a, np.ndarray):
-                kept_args.append(self._stand_in(a))
-            else:
-                kept_args.append(a)
-        kept_out = self._keep(out) if "out" in reads else None
+            # a taped array that no rule reads gives way to a stand-in
+            if parents[i] is not None and i not in reads and isinstance(a, np.ndarray):
+                a = self._stand_in(a)
+            kept_args.append(a)
+        kept_out = out if "out" in reads else None
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
         return index
 
@@ -345,16 +338,13 @@ class Tape:
         taped[i] says whether output i depends on a taped input: those come
         back as TapeBoxes, the others plain, and the sweep refuses a
         re-recording that tapes the outputs otherwise. The group keeps only
-        the plain values of its inputs, each array counted once.
+        the plain values of its inputs.
         """
         if any(isinstance(v, Box) and getattr(v, "tape", None) is not self for v in inputs):
             raise UnregisteredPrimitiveError("a group takes plain values and its tape's boxes")
         node = _Group()
         node.links = tuple(v.index if isinstance(v, TapeBox) else None for v in inputs)
-        node.args = tuple(
-            self._keep_constant(v) if p is None else self._keep(v.primal)
-            for v, p in zip(inputs, node.links)
-        )
+        node.args = tuple(map(unbox, inputs))
         node.run, node.taped = run, tuple(taped)
         index = len(self.nodes)
         self.nodes.append(node)
@@ -373,19 +363,20 @@ class Tape:
         only the leaves' entries remain.
         """
         adjoint = dict(seeds)
-        _sweep(self.nodes, adjoint, 0)
+        _sweep(self, adjoint, 0)
         return adjoint
 
 
-def _sweep(nodes, adjoint, start):
-    """Sweep nodes[start:] backwards, updating adjoint (cotangents by node).
+def _sweep(tape, adjoint, start):
+    """Sweep tape.nodes[start:] backwards into adjoint, cotangents by node.
 
     Visits every node exactly once, in reverse recording order, and pops
     its adjoint, except a leaf's, which stays. A primitive node calls the
     rules of its taped arguments in argument order; a group's outputs hand
-    their cotangents to the group, which sweeps its re-recording as a
-    segment (_sweep_group).
+    their cotangents to the group, which records itself again on the tape
+    and sweeps those nodes (_sweep_group).
     """
+    nodes = tape.nodes
     for idx in range(len(nodes) - 1, start - 1, -1):
         node = nodes[idx]
         if node.name is None or (ct := adjoint.pop(idx, None)) is None:
@@ -393,7 +384,7 @@ def _sweep(nodes, adjoint, start):
         if node.name is _OUTPUT:
             adjoint.setdefault(node.parents[0], {})[node.args] = ct
         elif node.name is _GROUP:
-            _sweep_group(nodes, node, ct, adjoint)
+            _sweep_group(tape, node, ct, adjoint)
         else:
             for parent, rule in zip(node.parents, _PRIMITIVES[node.name].vjps):
                 if parent is not None and rule is not None:
@@ -405,22 +396,19 @@ def _accumulate(adjoint, idx, ct):
     adjoint[idx] = ct if held is None else np.add(held, ct)
 
 
-def _sweep_group(nodes, group, cts, adjoint):
-    """Sweep a checkpoint group, given the cotangents of its outputs by
-    position, inside the sweep of nodes.
+def _sweep_group(tape, group, cts, adjoint):
+    """Sweep a checkpoint group of tape, given the cotangents of its
+    outputs by position.
 
     The group runs again with its input nodes as parents, recording at the
-    end of nodes through a tape of its own, which leaves the counts of the
-    swept tape alone. The new nodes are those a tape of the whole
+    end of the tape. The new nodes are those a tape of the whole
     computation holds in the group's place, so the same loop and adjoints
     sweep them in full-tape order, bitwise; they are dropped afterwards.
     """
-    start = len(nodes)
-    segment = Tape()
-    segment.nodes = nodes
+    start = len(tape.nodes)
     try:
         outs = group.run([
-            v if p is None else TapeBox(segment, p, v) for v, p in zip(group.args, group.links)
+            v if p is None else TapeBox(tape, p, v) for v, p in zip(group.args, group.links)
         ])
         for position, (out, taped) in enumerate(zip(outs, group.taped)):
             if isinstance(out, TapeBox) != taped:
@@ -432,9 +420,9 @@ def _sweep_group(nodes, group, cts, adjoint):
                 )
         for position, ct in cts.items():
             _accumulate(adjoint, outs[position].index, ct)
-        _sweep(nodes, adjoint, start)
+        _sweep(tape, adjoint, start)
     finally:
-        del nodes[start:]
+        del tape.nodes[start:]
 
 
 class Program:

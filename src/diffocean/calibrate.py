@@ -187,10 +187,11 @@ def temperature_mismatch_loss(
 def _trial(evaluate, x):
     """evaluate(x), a (value, extra) pair, with the value as a float; (inf,
     None) when the trial run blows up, is refused as unstable, or its value
-    is not finite. Overflow and invalid-value warnings inside the trial are
-    silenced: the trial is judged by its value alone."""
+    is not finite. Floating-point errors inside the trial neither warn nor
+    raise, whatever the caller's np.errstate: the trial is judged by its
+    value alone."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             value, extra = evaluate(x)
     except _BLOWUP:
         return np.inf, None
@@ -266,7 +267,9 @@ def reference_bsf_observations(
     step_indices,
 ) -> BsfObservations:
     """Run the reference trajectory and collect streamfunction snapshots;
-    DomainError for an empty set of step indices.
+    DomainError for an empty set of step indices, and NonFiniteError, with
+    no NumPy warning, naming the first observation step whose
+    streamfunction or its mean square is not finite.
 
     The streamfunction reads u alone, so the trajectory runs from
     flow_only(state0): the tracer is neither computed nor checked.
@@ -274,11 +277,21 @@ def reference_bsf_observations(
     step_indices = tuple(int(i) for i in step_indices)
     if not step_indices:
         raise DomainError("no observation step: the set of step indices is empty")
-    snapshots = []
-    for state in _states_at(flow_only(state0), step_indices, params, g, stepcfg):
-        psi = barotropic_streamfunction(state, g)
-        snapshots.append(Field(np.asarray(unbox(psi.values)), Staggering.CENTER))
-    norm = float(np.mean([np.mean(np.square(p.values)) for p in snapshots]))
+    snapshots, squares = [], []
+    states = _states_at(flow_only(state0), step_indices, params, g, stepcfg)
+    for index, state in zip(step_indices, states):
+        # refused below, not printed: the running mean names the first step
+        # at which the scale is lost
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = np.asarray(unbox(barotropic_streamfunction(state, g).values))
+            squares.append(np.mean(np.square(psi)))
+            norm = float(np.mean(squares))
+        if not np.isfinite(norm):
+            raise NonFiniteError(
+                f"the reference streamfunction observed at step {index} is not "
+                f"finite or its mean square overflows"
+            )
+        snapshots.append(Field(psi, Staggering.CENTER))
     return BsfObservations(step_indices=step_indices, psi=snapshots, norm=norm)
 
 

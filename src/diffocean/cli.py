@@ -3,8 +3,10 @@
 Every subcommand reads one config file (plus --set overrides), writes a
 resolved-config echo, experiment CSVs with documented headers, and state
 snapshots, then exits 0 on success or 1 with a one-line machine-parseable
-error. Output files are create-only: an existing file is refused unless
---force is given. A run that ends in an error removes the files it wrote,
+error. NumPy floating-point errors (overflow, invalid value, division by
+zero) raise instead of warning, and end the run as a NonFiniteError.
+Output files are create-only: an existing file is refused unless --force
+is given. A run that ends in an error removes the files it wrote,
 resolved.conf included, so its corrected rerun into the same directory is
 not refused. All numeric CSV fields carry 17 significant digits so
 downstream comparisons are bit-reproducible.
@@ -33,13 +35,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     ws = None
     try:
-        ws = _Workspace(args)
-        args.handler(ws)
-    except DiffOceanError as exc:
+        # a floating-point error ends the run instead of printing a warning
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ws = _Workspace(args)
+            args.handler(ws)
+    except (DiffOceanError, FloatingPointError) as exc:
         if ws is not None:
             ws.discard()
+        # NumPy's own FloatingPointError is reported as a NonFiniteError
+        name = type(exc).__name__ if isinstance(exc, DiffOceanError) else "NonFiniteError"
         message = " ".join(str(exc).split())
-        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        print(f"error: {name}: {message}", file=sys.stderr)
         return 1
     return 0
 

@@ -99,7 +99,7 @@ def _choice(name, options):
 
 _SCHEMA: dict[str | None, dict[str, _Key]] = {
     None: {
-        "seed": _Key(_parse_int, default=0),
+        "seed": _Key(_parse_int, default=0, check=_non_negative("seed")),
     },
     "grid": {
         "nx": _Key(_parse_int, required=True, check=_at_least("nx", 4)),

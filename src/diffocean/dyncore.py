@@ -353,7 +353,8 @@ def step_n(s: ModelState, n: int, p: PhysParams, g: GridSpec, c: StepConfig) -> 
 
     With no leaf of (s, p) taped (nothing taped, or under jvp), it runs
     step after step. Otherwise it runs as checkpoint groups of
-    ceil(sqrt(n)) steps from the first step on (_checkpoint). A group runs
+    ceil(sqrt(n)) steps from the first step on (_checkpoint), except that
+    steps whose fields no taped leaf reaches run plain. A group runs
     plain and keeps only its input state on the tape, and the sweep
     records one group again at a time: a gradient holds O(sqrt(n)) states
     instead of n steps of tape, for one more plain forward, and is bitwise
@@ -382,7 +383,9 @@ def _fold(x, n: int, g: GridSpec, c: StepConfig) -> ModelState:
 def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig):
     """n steps from s, recorded as one checkpoint group on the tape of the
     taped leaves of (s, p); the group tapes the fields that n steps of the
-    step program reach from them (Program.reaches, until a step adds none)."""
+    step program reach from them (Program.reaches, until a step adds none).
+    When they reach no field, the plain fold is returned and the tape is
+    left as it was."""
     leaves, rebuild = tree.flatten((s, p))
     values = [leaf.value for leaf in leaves]
     tape = next(v.tape for v in values if isinstance(v, TapeBox))
@@ -398,7 +401,10 @@ def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig
     def run(inputs):
         return tree.leaf_values(_fold(rebuild(inputs), n, g, c))
 
-    out_leaves, out_rebuild = tree.flatten(_fold(rebuild([unbox(v) for v in values]), n, g, c))
+    out = _fold(rebuild([unbox(v) for v in values]), n, g, c)
+    if not any(fields):
+        return out
+    out_leaves, out_rebuild = tree.flatten(out)
     s = out_rebuild(tape.group(run, values, [leaf.value for leaf in out_leaves], fields))
     tape.steps += n
     return s

@@ -100,7 +100,12 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ModelState:
                 f"{path}: truncated field name (need {name_len} bytes at "
                 f"offset {offset}, file has {len(data)})"
             )
-        names.append(data[offset : offset + name_len].decode("utf-8"))
+        try:
+            names.append(data[offset : offset + name_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SnapshotError(
+                f"{path}: field name at offset {offset} is not UTF-8"
+            ) from exc
         offset += name_len
     (time,) = _unpack(data, "<d", offset, path)
     offset += 8

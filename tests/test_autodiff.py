@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import diffocean.autodiff.primitives as ops
-from diffocean import dyncore
+from diffocean import calibrate, dyncore
 from diffocean.autodiff import (
     DualBox,
     Tape,
@@ -624,6 +624,69 @@ def test_tape_counts_the_constant_arrays_of_t_only_steps():
     assert tape.bytes_used > 3 * field
 
 
+def _kept_bytes(tape):
+    """The nbytes of the distinct arrays the non-leaf nodes keep in args
+    and out, leaving out the zero stand-ins (read-only, zero-strided and
+    all zero): a count of bytes_used that shares no code with the tape."""
+    kept = {}
+    for node in tape.nodes:
+        if node.name is None:
+            continue
+        args = node.args if isinstance(node.args, tuple) else ()
+        for v in (*args, getattr(node, "out", None)):
+            stand_in = (
+                isinstance(v, np.ndarray) and not v.flags.writeable
+                and not any(v.strides) and not v.any()
+            )
+            if isinstance(v, np.ndarray) and not stand_in:
+                kept[id(v)] = v.nbytes
+    return sum(kept.values())
+
+
+def test_tape_bytes_are_those_its_nodes_keep():
+    """bytes_used is the nbytes of the distinct arrays the nodes keep, on a
+    T-only tape of single steps and checkpoint groups and on a
+    calibration-shaped (A_h, r_bot) tape, and two pullbacks leave it and
+    the gradient bits as the forward left them."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    tape = Tape()
+    state = step(replace(s, T=replace(s.T, values=tape.leaf(s.T.values))), p, g, c)
+    assert tape.bytes_used == _kept_bytes(tape) > 0
+    step_n(state, 16, p, g, c)
+    assert tape.bytes_used == _kept_bytes(tape)
+    assert any(isinstance(node, _Group) for node in tape.nodes)
+
+    obs = calibrate.reference_bsf_observations(s, p, g, c, [3, 8])
+    loss = calibrate.bsf_calibration_loss(obs, s, p, g, c)
+    tape = Tape()
+    A_h, r_bot = tape.leaf(1.5 * p.A_h), tape.leaf(0.5 * p.r_bot)
+    out = loss((A_h, r_bot))
+    forward = tape.bytes_used
+    assert forward == _kept_bytes(tape) > 0
+    sweeps = []
+    for _ in range(2):
+        adjoint = tape.sweep({out.index: 1.0})
+        sweeps.append(tuple(float.hex(float(adjoint[x.index])) for x in (A_h, r_bot)))
+        assert tape.bytes_used == forward
+    assert sweeps[0] == sweeps[1]
+
+
+def test_a_taped_leaf_that_reaches_no_field_puts_nothing_on_the_tape():
+    """Over a flow-only state, kappa_T reaches no field: step_n runs plain,
+    the tape holds only the leaf and counts no step, and the gradient is
+    zero."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    s = dyncore.flow_only(s)
+    tape = Tape()
+    out = step_n(s, 16, replace(p, kappa_T=tape.leaf(100.0)), g, c)
+    assert not isinstance(out.u.values, TapeBox)
+    assert len(tape.nodes) == 1 and tape.steps == 0 and tape.bytes_used == 0
+    _, gradient = grad(
+        lambda k: ops.asum(step_n(s, 16, replace(p, kappa_T=k), g, c).u.values), 100.0
+    )
+    assert gradient == 0.0
+
+
 def test_tape_counts_the_steps_recorded_on_it():
     """A taped step_n counts the steps of its checkpoint groups on the tape
     they stand on; plain steps count nowhere."""
@@ -737,10 +800,9 @@ def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():
 
 
 def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypatch):
-    """The sweep records each group again at the end of the node list it
-    sweeps, through a tape of its own, and drops it: two pullbacks give the
-    same bits and leave the tape's nodes, steps and bytes as the forward
-    left them."""
+    """The sweep records each group again at the end of the tape it sweeps
+    and drops those nodes: two pullbacks give the same bits and leave the
+    tape's nodes, steps and bytes as the forward left them."""
     g, p, c, s = dissipative_test_setup(seed=4)
     tape = Tape()
     T, A_h = tape.leaf(s.T.values), tape.leaf(p.A_h)
@@ -764,7 +826,7 @@ def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypa
         sweeps.append((_bits(adjoint[T.index]), float.hex(float(adjoint[A_h.index]))))
         assert (len(tape.nodes), tape.steps, tape.bytes_used) == forward
     assert sweeps[0] == sweeps[1]
-    assert segments == {(False, True, True)}
+    assert segments == {(True, True, True)}
 
 
 def test_vjp_cotangent_shape_checked():

@@ -36,6 +36,7 @@ from diffocean.dyncore import (
 from diffocean.errors import DampingError, DivergenceError, DomainError, NonFiniteError
 from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.scenarios import linear_profile_field
+from helpers import dissipative_test_setup
 
 
 @pytest.fixture(scope="module")
@@ -247,6 +248,19 @@ def test_observations_validated():
         BsfObservations(step_indices=(2, 1), psi=[psi, psi], norm=1.0)
     with pytest.raises(DomainError):
         BsfObservations(step_indices=(1,), psi=[psi, psi], norm=1.0)
+
+
+def test_observations_whose_mean_square_overflows_are_refused():
+    """A reference streamfunction whose mean square overflows would make
+    the loss scale 1/norm zero, and every loss and gradient with it: it is
+    refused with a NonFiniteError naming the observation step, and no
+    NumPy warning."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    s = replace(s, u=replace(s.u, values=1e160 * s.u.values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="observed at step 2 "):
+            reference_bsf_observations(s, p, g, c, [2, 4])
 
 
 def test_calibration_loss_zero_at_truth(small_setup):

@@ -227,6 +227,44 @@ def test_a_rejected_overflowing_trial_prints_no_warning(tmp_path, capsys):
     assert code == 0 and capsys.readouterr().err == ""
 
 
+def test_a_negative_seed_is_one_config_error_line(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", *ACC_MINI_8x6, "--seed", "-1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "seed" in _one_error_line(capsys, "ConfigError")
+
+
+def test_observations_that_overflow_are_one_non_finite_error_line(tmp_path, capsys):
+    """At f0 = 1e30 the reference streamfunction's mean square overflows,
+    which would scale every loss and gradient to zero: the calibration is
+    refused, with no NumPy warning."""
+    out = tmp_path / "c"
+    window = ["calibrate.spinup_steps=2", "calibrate.window_steps=6",
+              "calibrate.obs_every=3", "calibrate.iters=2", "grid.f0=1e30"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["calibrate", *ACC_MINI_8x6, "--out", str(out),
+                     *[arg for o in window for arg in ("--set", o)]])
+    assert code == 1 and os.listdir(out) == []
+    assert "step 3" in _one_error_line(capsys, "NonFiniteError")
+
+
+@pytest.mark.parametrize(
+    "override",
+    ["physics.g=1e-300", "physics.rho0=1e308", "grid.f0=1e300", "initial.noise_u=1e300"],
+)
+def test_a_floating_point_error_is_one_error_line_and_no_warning(tmp_path, capsys, override):
+    """Every subcommand runs with NumPy floating-point errors raised, so a
+    run the config accepts but whose numbers overflow prints one named
+    error line, no warning, and leaves no output file."""
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", *ACC_MINI_8x6, "--set", override, "--out", str(out)])
+    assert code == 1 and os.listdir(out) == []
+    _one_error_line(capsys, "NonFiniteError")
+
+
 def test_a_refused_run_does_not_block_its_rerun(small_conf, tmp_path, capsys):
     """A run refused after set-up removes what it wrote, resolved.conf
     included, so the corrected rerun into the same directory runs."""

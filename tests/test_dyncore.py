@@ -269,9 +269,9 @@ def test_step_rejects_mistagged_field(name, wrong):
 @pytest.mark.parametrize(
     "drag_mode, boundary, nodes, nbytes, digest",
     [
-        ("linear", "free-slip", 60, 8992,
+        ("linear", "free-slip", 60, 8960,
          "446999a0ac9532adb7b02bf2547cead1b0cf0c8941950476e91dd3cced2eb1b7"),
-        ("quadratic", "no-slip", 72, 16672,
+        ("quadratic", "no-slip", 72, 16640,
          "a34bc7806c53f8add508c37b168b1caa3878eb911b93958ef67dc03d6eedb155"),
     ],
     ids=["linear-free-slip", "quadratic-no-slip"],

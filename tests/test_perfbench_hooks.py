@@ -81,6 +81,33 @@ def test_benchmark_tape_steps_cover_a_calibration_window(monkeypatch):
     assert all(span.info["steps"] == 8 for span in sweeps)
 
 
+def test_benchmark_tape_bytes_are_those_of_the_swept_tape(monkeypatch):
+    """The bytes on the tracer's Tape.sweep span of a calibration gradient
+    are the tape's bytes_used, which reads the same before and after the
+    sweep records each group again on that tape. The benchmark divides
+    them by the steps (autodiff.tape.bytes_per_step)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    g, p, c, s = dissipative_test_setup(seed=4)
+    obs = calibrate.reference_bsf_observations(s, p, g, c, [3, 8])
+    loss = calibrate.bsf_calibration_loss(obs, s, p, g, c)
+    read = []
+    sweep = engine.Tape.sweep
+
+    def reading(tape, seeds):
+        before = tape.bytes_used
+        adjoint = sweep(tape, seeds)
+        read.append((before, tape.bytes_used))
+        return adjoint
+
+    # under the tracer's wrapper, which it restores on uninstall
+    monkeypatch.setattr(engine.Tape, "sweep", reading)
+    sweeps = _sweeps_of_two_gradients(spans, loss, (1.5 * p.A_h, 0.5 * p.r_bot))
+    assert len(sweeps) == len(read) == 2
+    assert all(before == after > 0 for before, after in read)
+    assert [span.info["bytes"] for span in sweeps] == [before for before, _ in read]
+
+
 def _sweeps_of_two_gradients(spans, loss, x):
     """The Tape.sweep spans the benchmark's tracer opens over two gradients."""
     tracer = spans.Tracer()

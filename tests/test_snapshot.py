@@ -126,6 +126,19 @@ def test_unexpected_field_names(tmp_path):
         read_snapshot(path)
 
 
+def test_a_field_name_that_is_not_utf8_is_refused(tmp_path):
+    g = make_channel_grid(6, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
+    path = tmp_path / "names.dosn"
+    write_snapshot(random_state(g, np.random.default_rng(6)), path)
+    data = bytearray(path.read_bytes())
+    # "u" and "v" with their lengths, then the length of "eta" and its bytes
+    assert data[34:37] == b"eta"
+    data[34] ^= 0x80  # a UTF-8 lead byte with no continuation after it
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match="field name at offset 34 is not UTF-8"):
+        read_snapshot(path)
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.dosn"
     path.write_bytes(b"")
