@@ -20,6 +20,11 @@ also is a trace: a Program keeps the structure of a record and its
 constants, drops its primals, and replays it on new inputs (trace). A
 plain replay writes each ufunc operation into the buffer of an operand
 that dies there, so it allocates fewer arrays than the traced function.
+A taped replay stands on its tape as one program node, which keeps what
+one node per operation would keep; the sweep runs it from an adjoint
+list the program builds once per pattern of taped inputs (trace once,
+transpose once per activity pattern), bitwise as it would sweep one
+node per operation.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -248,9 +253,13 @@ class _Node:
         self.static = static
 
 
-# Names of the nodes a checkpoint group records; no primitive carries them.
+# Names of the nodes that stand for a whole computation, a checkpoint group
+# or a taped program, and of the node of each of their taped outputs; no
+# primitive carries them. An output node's args is its key in the
+# cotangents its parent reads: a group's output position, a program's slot.
 _GROUP = "<checkpoint group>"
-_OUTPUT = "<checkpoint output>"  # args holds the output's position
+_PROGRAM = "<program>"
+_OUTPUT = "<output>"
 
 
 class _Group:
@@ -264,6 +273,33 @@ class _Group:
     out = None
 
 
+class _ProgramNode:
+    """A taped program replay (Program._record): args are the values its
+    operations keep, flat, as the plan lays them out, links[i] the node of
+    input i (None for a plain input), and plan the program's _Plan for
+    that pattern of taped inputs."""
+
+    __slots__ = ("args", "links", "plan")
+    name = _PROGRAM
+    out = None
+
+    def __init__(self, args, links, plan):
+        self.args, self.links, self.plan = args, links, plan
+
+
+# One shared read-only zero array per shape and dtype, kept on a tape in
+# place of a taped array that no rule reads.
+_STAND_INS: dict[tuple, np.ndarray] = {}
+
+
+def _zeros_like(a):
+    key = (a.shape, a.dtype)
+    zeros = _STAND_INS.get(key)
+    if zeros is None:
+        zeros = _STAND_INS[key] = np.broadcast_to(np.zeros((), a.dtype), a.shape)
+    return zeros
+
+
 class Tape:
     """Ordered record of primitive applications for one reverse-mode sweep.
 
@@ -275,6 +311,9 @@ class Tape:
     array that no such rule reads is dropped for a shared read-only zero
     stand-in of its shape and dtype. So `c * x` keeps neither operand when
     only x is taped, and the sweep calls only the taped arguments' rules.
+    A taped Program replay is one program node, then a node per taped
+    output; the program node keeps in its args, flat, what a node per
+    operation would keep, and is swept as those nodes would be.
     `nodes` is the whole record, and `bytes_used` is read off it.
     `steps` counts the model steps recorded on the tape; its only writer
     is dyncore._checkpoint, which adds the steps of each checkpoint group
@@ -286,14 +325,13 @@ class Tape:
     def __init__(self):
         self.nodes: list = []
         self.steps = 0
-        self._zeros: dict[tuple, np.ndarray] = {}  # stand-ins by shape and dtype
 
     @property
     def bytes_used(self) -> int:
         """Bytes of the distinct arrays the nodes keep in args and out,
         constants included; leaves, scalars and the zero stand-ins count
         nothing. It is read off the nodes, so it costs nothing unread."""
-        stand_ins = {id(z) for z in self._zeros.values()}
+        stand_ins = {id(z) for z in _STAND_INS.values()}
         kept = {
             id(v): v.nbytes
             for node in self.nodes if node.name not in (None, _OUTPUT)
@@ -306,13 +344,6 @@ class Tape:
         self.nodes.append(_Node(None, (), (), value, {}))
         return TapeBox(self, len(self.nodes) - 1, value)
 
-    def _stand_in(self, a):
-        key = (a.shape, a.dtype)
-        zeros = self._zeros.get(key)
-        if zeros is None:
-            zeros = self._zeros[key] = np.broadcast_to(np.zeros((), a.dtype), a.shape)
-        return zeros
-
     def _record(self, prim, parents, args, out, static) -> int:
         index = len(self.nodes)
         reads = set()
@@ -323,7 +354,7 @@ class Tape:
         for i, a in enumerate(args):
             # a taped array that no rule reads gives way to a stand-in
             if parents[i] is not None and i not in reads and isinstance(a, np.ndarray):
-                a = self._stand_in(a)
+                a = _zeros_like(a)
             kept_args.append(a)
         kept_out = out if "out" in reads else None
         self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
@@ -372,9 +403,11 @@ def _sweep(tape, adjoint, start):
 
     Visits every node exactly once, in reverse recording order, and pops
     its adjoint, except a leaf's, which stays. A primitive node calls the
-    rules of its taped arguments in argument order; a group's outputs hand
-    their cotangents to the group, which records itself again on the tape
-    and sweeps those nodes (_sweep_group).
+    rules of its taped arguments in argument order. The outputs of a
+    program or a group hand their cotangents to it: a program node sweeps
+    its operations as their own nodes would be swept (_sweep_program), and
+    a group records itself again on the tape and sweeps those nodes
+    (_sweep_group).
     """
     nodes = tape.nodes
     for idx in range(len(nodes) - 1, start - 1, -1):
@@ -383,6 +416,8 @@ def _sweep(tape, adjoint, start):
             continue
         if node.name is _OUTPUT:
             adjoint.setdefault(node.parents[0], {})[node.args] = ct
+        elif node.name is _PROGRAM:
+            _sweep_program(node, ct, adjoint)
         elif node.name is _GROUP:
             _sweep_group(tape, node, ct, adjoint)
         else:
@@ -394,6 +429,30 @@ def _sweep(tape, adjoint, start):
 def _accumulate(adjoint, idx, ct):
     held = adjoint.get(idx)
     adjoint[idx] = ct if held is None else np.add(held, ct)
+
+
+def _sweep_program(node, cts, adjoint):
+    """Sweep a taped program node, given the cotangents of its taped
+    outputs by slot (a dict of its own, which the sweep fills).
+
+    The plan lists the taped operations in reverse order, each with the
+    place of its kept values in node.args and the rules of its taped
+    arguments in argument order: the same calls, with the same values, in
+    the order a tape of one node per operation sweeps them. A cotangent of
+    an operation's value collects in cts; one of an input goes straight to
+    the input's node in adjoint, so every sum runs in that tape's order
+    and the gradient is bitwise its gradient.
+    """
+    kept, links = node.args, node.links
+    for slot, lo, hi, out_at, rules in node.plan.backward:
+        ct = cts.pop(slot, None)
+        if ct is None:
+            continue
+        args = kept[lo:hi]
+        out = None if out_at is None else kept[out_at]
+        for rule, static, to_input, target in rules:
+            into, key = (adjoint, links[target]) if to_input else (cts, target)
+            _accumulate(into, key, rule(ct, args, out, **static))
 
 
 def _sweep_group(tape, group, cts, adjoint):
@@ -432,10 +491,10 @@ class Program:
     the order the program takes them) and the values it returns (outputs:
     boxes on the tape, or plain constants). Every node of the tape becomes
     one operation, in recording order: a primitive and the slots of its
-    arguments in a flat value list that starts with the constants, then
-    the inputs, then one value per operation, each dropped after its last
-    use. Each distinct constant argument is kept once. A program replays
-    inputs of the shapes and dtypes it was traced with.
+    arguments (refs) in a flat value list that starts with the constants,
+    then the inputs, then one value per operation, each dropped after its
+    last use. Each distinct constant argument is kept once. A program
+    replays inputs of the shapes and dtypes it was traced with.
 
     Called on plain inputs, it calls each primitive's fn directly, and an
     operation whose fn is a NumPy ufunc writes its result into the buffer
@@ -444,13 +503,20 @@ class Program:
     result. Inputs, constants and outputs are never written. This rests on
     a rule every primitive's fn keeps: it returns a scalar or an ndarray
     that owns its memory and shares none with its arguments, so a dying
-    result is no view of a value still live. With any boxed input it calls
-    apply per node, so a DualBox pushes tangents and a TapeBox records on
-    its tape exactly the nodes the traced function would record; apply's
-    primals are fresh, as in the traced function.
+    result is no view of a value still live. With DualBox inputs it calls
+    apply per operation, which pushes the traced function's tangents.
+
+    With TapeBox inputs it records one program node on their tape
+    (_record), plus one output node per taped output that an operation
+    computes; an input it returns comes back as it was given. The
+    replay calls each fn directly, as a plain one does, from a _Plan
+    built once per pattern of taped inputs (plan): the node keeps what a
+    tape of one node per operation would keep, and the sweep calls the
+    same rules in the same order (_sweep_program), so the gradient is
+    bitwise that tape's.
     """
 
-    __slots__ = ("consts", "ops", "plain", "outputs")
+    __slots__ = ("consts", "ops", "plain", "outputs", "refs", "donors", "zeros", "plans")
 
     def __init__(self, tape, inputs, outputs):
         nodes = tape.nodes
@@ -470,7 +536,7 @@ class Program:
                 constant[id(value)] = len(self.consts)
                 self.consts.append(value)
         slots = {leaf.index: len(self.consts) + k for k, leaf in enumerate(inputs)}
-        ops = []
+        ops, zeros = [], []
         for index, node in enumerate(nodes):
             if node.name is None:
                 continue
@@ -482,6 +548,9 @@ class Program:
             fn = partial(prim.fn, **node.static) if node.static else prim.fn
             slots[index] = len(self.consts) + len(inputs) + len(ops)
             ops.append((fn, refs, node.name, node.static, _donatable(prim.fn, node.args)))
+            zeros.append(tuple(
+                _zeros_like(a) if isinstance(a, np.ndarray) else None for a in node.args
+            ))
         self.outputs = tuple(
             slots[out.index] if t else constant[id(out)] for out, t in zip(outputs, taped)
         )
@@ -490,7 +559,7 @@ class Program:
         first = len(self.consts) + len(inputs)
         last = {j: i for i, (_, refs, _, _, _) in enumerate(ops) for j in refs if j >= first}
         last.update(dict.fromkeys(self.outputs, len(ops)))
-        self.ops, self.plain = [], []
+        self.ops, self.plain, self.donors = [], [], []
         for i, (fn, refs, name, static, donatable) in enumerate(ops):
             dead = tuple(j for j in set(refs) if last.get(j) == i)
             # inputs, constants and outputs never die, so never donate
@@ -500,12 +569,18 @@ class Program:
             # a ufunc takes its out argument by position, after its inputs
             into = _getter(refs + donor[:1]) if donor else get
             self.plain.append((fn, into, dead, name, static))
-        self.ops, self.plain = tuple(self.ops), tuple(self.plain)
+            self.donors.append(donor)
+        self.ops, self.plain, self.donors = tuple(self.ops), tuple(self.plain), tuple(self.donors)
+        self.refs = tuple(refs for _, refs, _, _, _ in ops)
+        self.zeros = tuple(zeros)
+        self.plans = {}
 
     def __call__(self, inputs) -> list:
+        boxed = any(isinstance(x, Box) for x in inputs)
+        if boxed and (tape := _tape_of(inputs)) is not None:
+            return self._record(tape, inputs)
         env = [*self.consts, *inputs]
         push = env.append
-        boxed = any(isinstance(x, Box) for x in inputs)
         for fn, get, dead, name, static in self.ops if boxed else self.plain:
             args = get(env)
             for j in dead:
@@ -513,13 +588,144 @@ class Program:
             push(apply(name, *args, **static) if boxed else fn(*args))
         return [env[j] for j in self.outputs]
 
-    def reaches(self, taped) -> list:
-        """Which outputs a replay tapes when input i is taped iff taped[i],
-        without running: as in apply, a result is taped if an argument is."""
-        flags = [False] * len(self.consts) + list(taped)
-        for _, get, _, _, _ in self.ops:
-            flags.append(any(get(flags)))
-        return [flags[j] for j in self.outputs]
+    def plan(self, taped) -> _Plan:
+        """The _Plan of a replay whose input i is taped iff taped[i], built
+        on first use; its `taped` says which outputs such a replay tapes."""
+        taped = tuple(taped)
+        plan = self.plans.get(taped)
+        if plan is None:
+            plan = self.plans[taped] = _Plan(self, taped)
+        return plan
+
+    def _record(self, tape, inputs) -> list:
+        """Replay on the values of inputs, recording one program node on
+        tape. Each taped operation keeps its arguments as Tape._record
+        would, a taped array that no rule reads giving way to its zero
+        stand-in, and its value if a rule reads it. When an input's value
+        is itself a box (a tape of boxes), nothing is written in place."""
+        links = tuple(x.index if isinstance(x, TapeBox) else None for x in inputs)
+        plan = self.plan([link is not None for link in links])
+        values = [unbox(x) for x in inputs]
+        nested = any(isinstance(v, Box) for v in values)
+        env = [*self.consts, *values]
+        push = env.append
+        kept = []
+        for fn, get, dead, record in plan.nested if nested else plan.forward:
+            args = get(env)
+            for j in dead:
+                env[j] = None
+            push(fn(*args))
+            if record is not None:
+                n, swap, keep_out = record
+                kept += args[:n]
+                for at, zero in swap:
+                    if isinstance(kept[at], np.ndarray):
+                        kept[at] = zero
+                if keep_out:
+                    kept.append(env[-1])
+        nodes = tape.nodes
+        index = len(nodes)
+        nodes.append(_ProgramNode(tuple(kept), links, plan))
+        first = len(self.consts)
+        results, boxes = [], {}
+        for j, taped in zip(self.outputs, plan.taped):
+            if not taped:
+                results.append(env[j])
+            elif j < first + len(inputs):
+                results.append(inputs[j - first])
+            else:
+                if j not in boxes:
+                    nodes.append(_Node(_OUTPUT, (index,), j, None, {}))
+                    boxes[j] = TapeBox(tape, len(nodes) - 1, env[j])
+                results.append(boxes[j])
+        return results
+
+
+class _Plan:
+    """How a program replays on a tape when input i is taped iff taped[i].
+
+    One walk over the operations in order marks each value taped if an
+    argument is, as apply does, and lays out what each taped operation
+    keeps in its node's flat args: its arguments, then its value if a rule
+    of a taped argument reads it. An untaped argument is kept as it is; a
+    taped one that no such rule reads gives way to the zero stand-in of
+    its traced shape and dtype if it is an ndarray, as in Tape._record.
+
+    forward holds (fn, get, dead, record) per operation, record being None
+    for an untaped one and (number of arguments, places in args that take
+    a stand-in, whether the value is kept) for a taped one. A ufunc
+    writes into the first dying argument of its result's shape and dtype
+    that no node keeps (Program); nested holds the same operations with
+    no such writes. backward holds, in reverse order, (slot, lo, hi,
+    out_at, rules) per taped operation: its kept arguments are
+    args[lo:hi], its kept value args[out_at] (None if not kept), and rules
+    are (rule, static, to_input, target) for its taped arguments in
+    argument order, target being an input position or a slot. taped says
+    which outputs are taped.
+    """
+
+    __slots__ = ("forward", "nested", "backward", "taped")
+
+    def __init__(self, program, taped):
+        first = len(program.consts)
+        base = first + len(taped)  # the slot of the first operation's value
+        active = [False] * first + list(taped)
+        held = set()  # the slots whose values a node keeps as they are
+        forward, nested, backward = [], [], []
+        at = 0
+        for i, (op, refs, donors, zeros) in enumerate(
+            zip(program.ops, program.refs, program.donors, program.zeros)
+        ):
+            fn, get, dead, name, static = op
+            live = [active[j] for j in refs]
+            active.append(any(live))
+            record = None
+            if active[-1]:
+                prim = _PRIMITIVES[name]
+                reads = frozenset().union(*(r for r, a in zip(prim.reads, live) if a))
+                keep = [not a or k in reads for k, a in enumerate(live)]
+                held.update(j for j, k in zip(refs, keep) if k)
+                out_at = at + len(refs) if "out" in reads else None
+                if out_at is not None:
+                    held.add(base + i)
+                backward.append((base + i, at, at + len(refs), out_at, tuple(
+                    (rule, static, j < base, j - first if j < base else j)
+                    for j, a, rule in zip(refs, live, prim.vjps) if a and rule is not None
+                )))
+                swap = tuple(
+                    (at + k, zero) for k, (k_kept, zero) in enumerate(zip(keep, zeros))
+                    if not k_kept and zero is not None
+                )
+                record = (len(refs), swap, out_at is not None)
+                at += len(refs) + (out_at is not None)
+            donor = next((j for j in donors if j not in held), None)
+            forward.append((fn, get if donor is None else _getter(refs + (donor,)), dead, record))
+            nested.append((fn, get, dead, record))
+        self.forward, self.nested = tuple(forward), tuple(nested)
+        self.backward = tuple(reversed(backward))
+        self.taped = [active[j] for j in program.outputs]
+
+
+def _tape_of(values):
+    """The tape of the TapeBoxes among values, None if there are none. As
+    in apply, boxes of two tapes, or a TapeBox beside a DualBox, are
+    refused."""
+    tape = dual = None
+    for v in values:
+        if isinstance(v, TapeBox):
+            if tape is None:
+                tape = v.tape
+            elif v.tape is not tape:
+                raise UnregisteredPrimitiveError(
+                    "cannot combine values recorded on different tapes"
+                )
+        elif isinstance(v, DualBox):
+            dual = v
+    if tape is not None and dual is not None:
+        raise UnregisteredPrimitiveError(
+            "cannot mix forward-mode and reverse-mode values in one primitive"
+        )
+    return tape
 
 
 def _donatable(fn, args):

@@ -192,8 +192,9 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     """Advance the state by one forward-backward step; the input is untouched.
 
     The arithmetic is _step_body's, traced once per structure key and
-    replayed (_program): plain values run the primitives directly, boxed
-    ones through apply, which tapes exactly what the body would. The
+    replayed (_program): plain values run the primitives directly,
+    DualBoxes through apply, and TapeBoxes as one program node, which
+    keeps and sweeps bitwise what the body's own nodes would. The
     stability and shape checks, the finiteness checks and the time advance
     run here on every step. A flow-only state (T is Field(None)) runs a
     program for u, v and eta alone; its T is neither computed nor checked
@@ -383,7 +384,7 @@ def _fold(x, n: int, g: GridSpec, c: StepConfig) -> ModelState:
 def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig):
     """n steps from s, recorded as one checkpoint group on the tape of the
     taped leaves of (s, p); the group tapes the fields that n steps of the
-    step program reach from them (Program.reaches, until a step adds none).
+    step program tape from them (Program.plan, until a step adds none).
     When they reach no field, the plain fold is returned and the tape is
     left as it was."""
     leaves, rebuild = tree.flatten((s, p))
@@ -394,7 +395,7 @@ def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig
     k = len(program.outputs)  # the fields lead the leaves of (s, p)
     fields = taped[:k]
     for _ in range(n):
-        last, fields = fields, program.reaches(fields + taped[k:])
+        last, fields = fields, program.plan(fields + taped[k:]).taped
         if fields == last:
             break
 
@@ -417,11 +418,14 @@ def barotropic_streamfunction(s: ModelState, g: GridSpec) -> Field:
 
 
 def transport(s: ModelState, g: GridSpec, i: int) -> float:
-    """Zonal volume transport through the meridional section i, in Sverdrup."""
+    """Zonal volume transport through the meridional section i, in Sverdrup;
+    NonFiniteError if it is not finite."""
     if not 0 <= i < g.nx:
         raise ShapeError(f"section index {i} outside 0..{g.nx - 1}")
     u = np.asarray(unbox(s.u.values))
-    return float(np.sum(u[i, :]) * g.H * g.dy / 1e6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum(u[i, :]) * g.H * g.dy / 1e6)
+    return _finite_diagnostic("transport", value, s.time)
 
 
 def bsf_mse_loss(s: ModelState, ref_psi: Field, g: GridSpec):
@@ -437,14 +441,25 @@ def bsf_mse_loss(s: ModelState, ref_psi: Field, g: GridSpec):
 
 
 def total_energy(s: ModelState, p: PhysParams, g: GridSpec) -> float:
-    """Sum of 0.5*H*(u^2 + v^2) + 0.5*g*eta^2 over all cells."""
+    """Sum of 0.5*H*(u^2 + v^2) + 0.5*g*eta^2 over all cells; NonFiniteError
+    if it is not finite."""
     u = np.asarray(unbox(s.u.values))
     v = np.asarray(unbox(s.v.values))
     eta = np.asarray(unbox(s.eta.values))
     gravity = float(unbox(p.g))
-    return float(
-        0.5 * g.H * (np.sum(u * u) + np.sum(v * v)) + 0.5 * gravity * np.sum(eta * eta)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(
+            0.5 * g.H * (np.sum(u * u) + np.sum(v * v)) + 0.5 * gravity * np.sum(eta * eta)
+        )
+    return _finite_diagnostic("total_energy", value, s.time)
+
+
+def _finite_diagnostic(name: str, value: float, time: float) -> float:
+    """value, or NonFiniteError naming the diagnostic and the model time
+    when it is not finite (a finite state whose squares overflow)."""
+    if not math.isfinite(value):
+        raise NonFiniteError(f"non-finite diagnostic '{name}' at model time {time} s")
+    return value
 
 
 def linear_profile_field(g: GridSpec, south: float, north: float) -> Field:

@@ -12,12 +12,13 @@ Layout (all integers and reals little-endian regardless of host):
     payload  per field, in header order: nx*ny float64, row-major
 
 Write-then-read round-trips bitwise for every field; readers validate the
-magic, version, and grid shape before touching the payload, and refuse a
-payload shorter or longer than the header declares.
+magic, version, grid shape and a finite model time before touching the
+payload, and refuse a payload shorter or longer than the header declares.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -108,6 +109,8 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ModelState:
             ) from exc
         offset += name_len
     (time,) = _unpack(data, "<d", offset, path)
+    if not math.isfinite(time):
+        raise SnapshotError(f"{path}: model time {time} at offset {offset} is not finite")
     offset += 8
 
     expected_names = [name for name, _stag in _FIELDS]

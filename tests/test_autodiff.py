@@ -7,6 +7,7 @@ import pytest
 
 import diffocean.autodiff.primitives as ops
 from diffocean import calibrate, dyncore
+from diffocean.autodiff import engine
 from diffocean.autodiff import (
     DualBox,
     Tape,
@@ -17,6 +18,7 @@ from diffocean.autodiff import (
     sqrt_reg,
     trace,
     tree,
+    unbox,
     vjp,
 )
 from diffocean.autodiff.engine import (
@@ -730,22 +732,27 @@ def test_tape_replay_reruns_checkpoint_groups():
 
 @pytest.mark.parametrize("flow", [False, True], ids=["full-state", "flow-only"])
 def test_program_reaches_the_outputs_a_boxed_replay_tapes(flow):
-    """Program.reaches tells, without running, which outputs of the step
-    program a replay on a fresh tape returns as TapeBoxes: with no leaf
-    taped, with every leaf taped and with each single leaf taped."""
+    """The plan of a taped replay tells, without running, which outputs of
+    the step program are taped: those a tape of the traced definition,
+    one node per primitive, returns as TapeBoxes, and those the replay
+    returns so. With no leaf taped, with every leaf taped and with each
+    single leaf taped."""
     g, p, c, s = dissipative_test_setup(seed=4)
     if flow:
         s = dyncore.flow_only(s)
     values = dyncore._leaf_values(s, p)
     program = dyncore._program(s, p, g, c, values)
+    _, rebuild = tree.flatten((s, p))
     n = len(values)
     patterns = [[False] * n, [True] * n] + [[i == j for j in range(n)] for i in range(n)]
     reached = set()
     for taped in patterns:
+        got = program.plan(taped).taped
         tape = Tape()
-        outs = program([tape.leaf(v) if t else v for v, t in zip(values, taped)])
-        got = program.reaches(taped)
-        assert got == [isinstance(out, TapeBox) for out in outs], taped
+        leaves = [tape.leaf(v) if t else v for v, t in zip(values, taped)]
+        defined = dyncore._step_body(*rebuild(leaves), g, c)
+        assert got == [isinstance(f.values, TapeBox) for f in defined], taped
+        assert got == [isinstance(out, TapeBox) for out in program(leaves)], taped
         reached.add(tuple(got))
     # the patterns tell some fields apart, so the check is not vacuous
     assert len(reached) > 2
@@ -787,6 +794,194 @@ def test_step_n_from_a_plain_state_with_taped_parameters_is_the_definition(n, gr
     assert sum(isinstance(node, _Group) for node in tapes[0].nodes) == groups
 
 
+# The leaves each oracle case tapes, by the names of (s, p)'s fields.
+_TAPED_SETS = {
+    "A_h-r_bot": ("A_h", "r_bot"),
+    "fields-params": (
+        "u", "v", "eta", "T", "A_h", "r_bot", "C_d", "g", "rho0", "tau0",
+        "kappa_T", "lambda_relax", "T_star",
+    ),
+    "T": ("T",),
+    "kappa_T": ("kappa_T",),
+    "C_d": ("C_d",),
+}
+
+
+def _taped_setup(tape, s, p, names):
+    """(s, p) with a leaf of tape for each named field that s and p carry,
+    in tree order, and those leaves."""
+    leaves = []
+
+    def leaf(value):
+        leaves.append(tape.leaf(value))
+        return leaves[-1]
+
+    fields = {
+        n: replace(getattr(s, n), values=leaf(getattr(s, n).values))
+        for n in ("u", "v", "eta", "T")
+        if n in names and getattr(s, n).values is not None
+    }
+    params = {
+        n: leaf(getattr(p, n)) for n in ("A_h", "r_bot", "C_d", "g", "rho0", "tau0",
+                                         "kappa_T", "lambda_relax") if n in names
+    }
+    if "T_star" in names:
+        params["T_star"] = replace(p.T_star, values=leaf(p.T_star.values))
+    return replace(s, **fields), replace(p, **params), leaves
+
+
+@pytest.mark.parametrize("taped", _TAPED_SETS.values(), ids=_TAPED_SETS.keys())
+@pytest.mark.parametrize("flow", [False, True], ids=["full-state", "flow-only"])
+@pytest.mark.parametrize("boundary", ["free-slip", "no-slip"])
+@pytest.mark.parametrize("drag_mode", ["linear", "quadratic"])
+def test_taped_step_is_the_per_node_record_of_its_definition(drag_mode, boundary, flow, taped):
+    """Two taped steps, each one program node, against _step_body recorded
+    node by node through apply: the same values, the same outputs taped,
+    bitwise the same cotangent at every leaf and the same bytes_used after
+    each step, but for one array: each step of _step_body computes the
+    wind profile afresh, a (1, ny) row that a taped tau0's node keeps,
+    where the program holds it once, as a constant."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    p = replace(p, drag_mode=drag_mode, C_d=2e-3, tau0=0.05, kappa_T=2e3,
+                lambda_relax=1e-6, T_star=helpers.linear_profile_field(g, 5.0, 15.0))
+    c = replace(c, boundary=boundary)
+    if flow:
+        s = dyncore.flow_only(s)
+
+    def per_node(state, q):
+        new = dyncore._step_body(state, q, g, c)
+        return replace(state, **dict(zip(("u", "v", "eta", "T"), new)))
+
+    results = []
+    for one_step in (lambda state, q: step(state, q, g, c), per_node):
+        tape = Tape()
+        state, q, leaves = _taped_setup(tape, s, p, taped)
+        forward = []
+        for _ in range(2):
+            state = one_step(state, q)
+            forward.append(tape.bytes_used)
+        outs = [f.values for f in (state.u, state.v, state.eta, state.T) if f.values is not None]
+        rng = np.random.default_rng(5)
+        seeds = {}
+        for out in outs:
+            ct = rng.standard_normal(g.shape)
+            if isinstance(out, TapeBox):
+                seeds[out.index] = ct
+        adjoint = tape.sweep(seeds)
+        results.append((
+            [_bits(unbox(out)) for out in outs],
+            [isinstance(out, TapeBox) for out in outs],
+            forward,
+            [None if leaf.index not in adjoint else _bits(adjoint[leaf.index]) for leaf in leaves],
+        ))
+    (values, outs_taped, nbytes, cts), want = results
+    assert values == want[0]
+    assert outs_taped == want[1]
+    profile = 8 * g.ny if "tau0" in taped else 0
+    assert [nbytes[0], nbytes[1] + profile] == want[2]
+    assert cts == want[3]
+    # the case is not vacuous where a taped leaf reaches a field
+    if any(outs_taped):
+        assert any(ct is not None and any(np.frombuffer(ct)) for ct in cts)
+
+
+def test_a_taped_step_calls_apply_nowhere(monkeypatch):
+    """Once traced, a taped step runs each primitive's fn directly: it calls
+    no apply, and puts one program node and one output node per taped
+    field on the tape (eta, computed from the plain u and v, is plain)."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    step(s, p, g, c)  # the trace runs through apply
+    calls = []
+    monkeypatch.setattr(engine, "apply", lambda name, *args, **static: calls.append(name))
+    tape = Tape()
+    state = replace(s, T=replace(s.T, values=tape.leaf(s.T.values)))
+    out = step(state, replace(p, A_h=tape.leaf(p.A_h)), g, c)
+    assert calls == []
+    assert [type(node) for node in tape.nodes[2:]] == [engine._ProgramNode] + [engine._Node] * 3
+    assert [isinstance(f.values, TapeBox) for f in (out.u, out.v, out.eta, out.T)] == [
+        True, True, False, True
+    ]
+
+
+def _replay_setup():
+    """A small traced function whose plain replay donates, and inputs. Its
+    last operation takes e twice, so the order of its two rules shows in
+    the bits of e's cotangent."""
+    rng = np.random.default_rng(13)
+    c = rng.uniform(0.5, 2.0, (4, 5))
+
+    def f(leaves):
+        x, r = leaves
+        a = ops.mul(ops.mul(x, 2.0), c)
+        d = ops.add(ops.exp(ops.mul(r, 0.5)), a)
+        e = ops.mul(d, d)
+        return [x, ops.sub(e, ops.sqrt(e)), e, e, 3.0, ops.div(e, e)]
+
+    x, r = rng.uniform(0.5, 2.0, (4, 5)), rng.uniform(0.5, 2.0, (1, 5))
+    return f, trace(f, [x, r]), x, r
+
+
+def test_a_taped_replay_hands_an_output_input_its_cotangent():
+    """A program that returns one of its inputs returns that box itself,
+    one that returns a value twice returns one box for it, and a constant
+    comes back plain: each cotangent reaches the leaves as on a tape of
+    the traced function, bitwise, the rules of an operation that takes
+    one value twice included."""
+    f, program, x, r = _replay_setup()
+    grads = []
+    for call in (program, f):
+        tape = Tape()
+        leaves = [tape.leaf(x), tape.leaf(r)]
+        outs = call(leaves)
+        assert outs[0] is leaves[0] and outs[2] is outs[3] and outs[4] == 3.0
+        loss = ops.add(
+            ops.asum(ops.mul(ops.add(outs[0], outs[1]), ops.add(outs[2], outs[3]))),
+            ops.asum(ops.mul(outs[5], 40.0 * x)),
+        )
+        adjoint = tape.sweep({loss.index: 1.0})
+        grads.append([_bits(adjoint[leaf.index]) for leaf in leaves])
+    assert grads[0] == grads[1]
+
+
+def test_a_taped_replay_refuses_boxes_apply_refuses():
+    """Boxes of two tapes, or a TapeBox beside a DualBox, are refused as
+    apply refuses them."""
+    _, program, x, r = _replay_setup()
+    with pytest.raises(UnregisteredPrimitiveError, match="different tapes"):
+        program([Tape().leaf(x), Tape().leaf(r)])
+    with pytest.raises(UnregisteredPrimitiveError, match="cannot mix"):
+        program([Tape().leaf(x), DualBox(r, np.ones((1, 1, 5)))])
+    with pytest.raises(UnregisteredPrimitiveError, match="cannot mix"):
+        program([DualBox(x, np.ones((1, 4, 5))), Tape().leaf(r)])
+
+
+def test_a_taped_replay_over_boxes_writes_nothing_in_place():
+    """On a tape whose values are themselves DualBoxes, the replay writes
+    no result into a dying argument (a ufunc cannot write into a box): its
+    values and tangents are those of a tape of the traced function,
+    bitwise, and it keeps the same values."""
+    f, program, x, r = _replay_setup()
+    plan = program.plan([True, True])
+    assert any(a[1] is not b[1] for a, b in zip(plan.forward, plan.nested))
+    results = []
+    for call in (program, f):
+        tape = Tape()
+        leaves = [
+            tape.leaf(DualBox(x, np.ones((1, 4, 5)))),
+            tape.leaf(DualBox(r, np.full((1, 1, 5), 0.5))),
+        ]
+        outs = call(leaves)
+        kept = [
+            v for node in tape.nodes[2:] if node.name != "<output>"
+            for v in (*node.args, node.out)
+        ]
+        results.append((
+            [(_bits(v.primal.primal), _bits(v.primal.tangent)) for v in outs[1:3]],
+            sum(isinstance(v, DualBox) for v in kept),
+        ))
+    assert results[0] == results[1]
+
+
 def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():
     """An output a group hands out plain holds no derivative, so a sweep
     whose re-recording finds it taped refuses to go on."""
@@ -810,15 +1005,15 @@ def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypa
     out = ops.asum(step_n(state, 7, replace(p, A_h=A_h), g, c).T.values)
     forward = (len(tape.nodes), tape.steps, tape.bytes_used)
     assert forward[1] == 7 and any(isinstance(node, _Group) for node in tape.nodes)
-    segments = set()
-    record = Tape._record
+    # where each re-recorded step's program node stands when it is swept
+    segments = []
+    sweep_program = engine._sweep_program
 
-    def recording(self, *args):
-        index = record(self, *args)
-        segments.add((self is tape, self.nodes is tape.nodes, index >= forward[0]))
-        return index
+    def sweeping(node, cts, adjoint):
+        segments.append([i for i, n in enumerate(tape.nodes) if n is node])
+        return sweep_program(node, cts, adjoint)
 
-    monkeypatch.setattr(Tape, "_record", recording)
+    monkeypatch.setattr(engine, "_sweep_program", sweeping)
     sweeps = []
     for _ in range(2):
         adjoint = tape.sweep({out.index: 1.0})
@@ -826,7 +1021,9 @@ def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypa
         sweeps.append((_bits(adjoint[T.index]), float.hex(float(adjoint[A_h.index]))))
         assert (len(tape.nodes), tape.steps, tape.bytes_used) == forward
     assert sweeps[0] == sweeps[1]
-    assert segments == {(True, True, True)}
+    # every step of both pullbacks, each once, at the end of the tape
+    assert len(segments) == 2 * 7
+    assert all(len(at) == 1 and at[0] >= forward[0] for at in segments)
 
 
 def test_vjp_cotangent_shape_checked():

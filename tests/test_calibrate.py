@@ -10,6 +10,7 @@ import pytest
 
 from diffocean import calibrate, scenarios
 from diffocean.autodiff import Tape, TapeBox, grad, jvp, vjp
+from diffocean.autodiff.engine import Program
 from diffocean.autodiff import primitives as ops
 from diffocean.calibrate import (
     BsfObservations,
@@ -469,13 +470,21 @@ def test_checkpointed_gradient_records_what_a_full_tape_records(small_setup, mon
     loss_theta, theta = _theta_problem(small_setup, [9, 16])
     mismatch = temperature_mismatch_loss(start, 16, p, g, c)
     recorded = []
-    record = Tape._record
+    record, record_program = Tape._record, Program._record
 
     def counting(self, *args):
         recorded.append(args[0].name)
         return record(self, *args)
 
+    def counting_program(self, tape, inputs):
+        # a taped step records its taped primitives as one program node
+        at = len(tape.nodes)
+        outs = record_program(self, tape, inputs)
+        recorded.extend([None] * len(tape.nodes[at].plan.backward))
+        return outs
+
     monkeypatch.setattr(Tape, "_record", counting)
+    monkeypatch.setattr(Program, "_record", counting_program)
 
     def counts():
         out = []

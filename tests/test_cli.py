@@ -384,3 +384,14 @@ def test_resolved_config_is_parseable(small_conf, tmp_path):
                  "--set", "physics.A_h=777.0"]) == 0
     cfg = parse_config(os.path.join(out, "resolved.conf"))
     assert cfg.physics.A_h == 777.0
+
+
+def test_a_diagnostic_that_overflows_is_one_non_finite_error_line(tmp_path, capsys):
+    """With a tiny g the balanced initial eta is near the float limit, so
+    the first step's total energy squares past it: the error names the
+    diagnostic and the model time, not NumPy's operation."""
+    code = main(["run", *ACC_MINI_8x6, "--set", "physics.g=1e-300",
+                 "--out", str(tmp_path / "r")])
+    assert code == 1
+    err = _one_error_line(capsys, "NonFiniteError")
+    assert "diagnostic 'total_energy' at model time " in err

@@ -3,6 +3,7 @@
 import hashlib
 import sys
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -262,17 +263,18 @@ def test_step_rejects_mistagged_field(name, wrong):
         step(s, p, g, StepConfig(dt=300.0))
 
 
-# The tape is swept in reverse node order and each node's cotangents
-# accumulate in that order, so a step that records its primitives or
-# operands in another order can change gradient bits while its forward
-# values stay the same. The pin covers names and parent indices only.
+# A taped step is one program node, swept operation by operation in
+# reverse program order, and each value's cotangents accumulate in that
+# order, so a step that orders its primitives or operands otherwise can
+# change gradient bits while its forward values stay the same. The pin
+# covers the program's primitive names and argument slots only.
 @pytest.mark.parametrize(
     "drag_mode, boundary, nodes, nbytes, digest",
     [
-        ("linear", "free-slip", 60, 8960,
-         "446999a0ac9532adb7b02bf2547cead1b0cf0c8941950476e91dd3cced2eb1b7"),
-        ("quadratic", "no-slip", 72, 16640,
-         "a34bc7806c53f8add508c37b168b1caa3878eb911b93958ef67dc03d6eedb155"),
+        ("linear", "free-slip", 12, 8960,
+         "6b77fcf4b4a4277dd6382d0a711885ac80148a7d8065bc3ae7f69e5dc529a89a"),
+        ("quadratic", "no-slip", 12, 16640,
+         "24b124957e0192b88bf02d0f0d4cdad913d45172f56a60a948e1e770e1f01914"),
     ],
     ids=["linear-free-slip", "quadratic-no-slip"],
 )
@@ -296,10 +298,13 @@ def test_step_tape_structure_pinned(drag_mode, boundary, nodes, nbytes, digest):
         lambda_relax=1e-6,
         T_star=linear_profile_field(g, 5.0, 15.0),
     )
-    step(boxed, p, g, StepConfig(dt=200.0, boundary=boundary))
-    structure = repr([(n.name, n.parents) for n in tape.nodes]).encode()
+    c = StepConfig(dt=200.0, boundary=boundary)
+    step(boxed, p, g, c)
+    # 7 leaves, one program node and one output node per field
     assert len(tape.nodes) == nodes
     assert tape.bytes_used == nbytes
+    program = dyncore._program(boxed, p, g, c, dyncore._leaf_values(boxed, p))
+    structure = repr([(op[3], refs) for op, refs in zip(program.ops, program.refs)]).encode()
     assert hashlib.sha256(structure).hexdigest() == digest
 
 
@@ -517,6 +522,21 @@ def test_transport_arithmetic():
     assert transport(s, g, 3) == pytest.approx(50.0, rel=1e-12)
     with pytest.raises(ShapeError):
         transport(s, g, 8)
+
+
+def test_a_diagnostic_that_overflows_names_itself_and_the_time():
+    """A finite u whose squares and section sum overflow gives
+    NonFiniteError naming the diagnostic and the model time, with no
+    NumPy warning."""
+    g = make_channel_grid(8, 10, 1e6, 1e6, 500.0, 0.0, 0.0)
+    s = replace(zero_state(g), time=600.0)
+    s.u.values[:] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="'total_energy' at model time 600.0 s"):
+            total_energy(s, quiet_params(g), g)
+        with pytest.raises(NonFiniteError, match="'transport' at model time 600.0 s"):
+            transport(s, g, 0)
 
 
 def test_streamfunction_north_wall_equals_transport():

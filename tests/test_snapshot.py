@@ -139,6 +139,21 @@ def test_a_field_name_that_is_not_utf8_is_refused(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_a_model_time_that_is_not_finite_is_refused(tmp_path, time):
+    g = make_channel_grid(8, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
+    path = tmp_path / "time.dosn"
+    write_snapshot(random_state(g, np.random.default_rng(7)), path)
+    data = bytearray(path.read_bytes())
+    # the length of "T" and its byte end the names; the time follows
+    assert data[37:42] == b"\x01\x00\x00\x00T"
+    data[42:50] = struct.pack("<d", time)
+    path.write_bytes(bytes(data))
+    with pytest.raises(SnapshotError, match=f"model time {time} at offset 42 is not finite"):
+        read_snapshot(path)
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.dosn"
     path.write_bytes(b"")
