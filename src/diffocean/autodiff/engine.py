@@ -441,18 +441,35 @@ def _sweep_program(node, cts, adjoint):
     the order a tape of one node per operation sweeps them. A cotangent of
     an operation's value collects in cts; one of an input goes straight to
     the input's node in adjoint, so every sum runs in that tape's order
-    and the gradient is bitwise its gradient.
+    and the gradient is bitwise its gradient. A sum the sweep allocated in
+    cts takes further contributions in place, with the same IEEE additions
+    in the same order, but only while cts alone holds it: its mark is
+    cleared when it is popped, since a rule may hand it on unchanged.
     """
     kept, links = node.args, node.links
+    owned = set()  # ids of the sums in cts that the sweep alone holds
     for slot, lo, hi, out_at, rules in node.plan.backward:
         ct = cts.pop(slot, None)
         if ct is None:
             continue
+        # once popped, a sum may go on unchanged to two targets (add's rule)
+        owned.discard(id(ct))
         args = kept[lo:hi]
         out = None if out_at is None else kept[out_at]
-        for rule, static, to_input, target in rules:
-            into, key = (adjoint, links[target]) if to_input else (cts, target)
-            _accumulate(into, key, rule(ct, args, out, **static))
+        for rule, to_input, target in rules:
+            if to_input:
+                _accumulate(adjoint, links[target], rule(ct, args, out))
+                continue
+            contribution = rule(ct, args, out)
+            held = cts.get(target)
+            if held is None:
+                cts[target] = contribution
+            elif id(held) in owned:
+                np.add(held, contribution, out=held)
+            else:
+                total = cts[target] = np.add(held, contribution)
+                if type(total) is np.ndarray:
+                    owned.add(id(total))
 
 
 def _sweep_group(tape, group, cts, adjoint):
@@ -659,9 +676,9 @@ class _Plan:
     no such writes. backward holds, in reverse order, (slot, lo, hi,
     out_at, rules) per taped operation: its kept arguments are
     args[lo:hi], its kept value args[out_at] (None if not kept), and rules
-    are (rule, static, to_input, target) for its taped arguments in
-    argument order, target being an input position or a slot. taped says
-    which outputs are taped.
+    are (rule, to_input, target) for its taped arguments in argument order,
+    rule taking (ct, args, out) with the operation's statics bound, target
+    being an input position or a slot. taped says which outputs are taped.
     """
 
     __slots__ = ("forward", "nested", "backward", "taped")
@@ -689,7 +706,8 @@ class _Plan:
                 if out_at is not None:
                     held.add(base + i)
                 backward.append((base + i, at, at + len(refs), out_at, tuple(
-                    (rule, static, j < base, j - first if j < base else j)
+                    (partial(rule, **static) if static else rule, j < base,
+                     j - first if j < base else j)
                     for j, a, rule in zip(refs, live, prim.vjps) if a and rule is not None
                 )))
                 swap = tuple(

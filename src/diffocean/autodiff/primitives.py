@@ -54,6 +54,8 @@ def _unbroadcast(grad, ref):
     shape = np.shape(ref)
     if shape == ():
         return float(np.sum(grad))
+    if grad.shape == shape:
+        return grad
     g = np.asarray(grad)
     while g.ndim > len(shape):
         g = g.sum(axis=0)

@@ -95,8 +95,6 @@ def flatten(x) -> tuple[list[Leaf], Callable[[list], Any]]:
     """Flatten x into leaves plus a rebuild function taking new leaf values."""
     leaves: list[Leaf] = []
     spec = _build(x, (), leaves)
-    # rebuild keeps the structure only: a checkpoint group keeps its rebuild,
-    # and holding the leaves would tie a tape to the boxes recorded on it
     n = len(leaves)
 
     def rebuild(values):

@@ -121,11 +121,20 @@ class StepConfig:
 
 
 def cfl_limit(g: GridSpec, gravity: float) -> float:
-    """Largest stable dt for the gravity-wave speed sqrt(g*H)."""
-    c = np.sqrt(float(unbox(gravity)) * g.H)
+    """Largest stable dt for the gravity-wave speed sqrt(g*H).
+
+    Python float arithmetic, which runs on every step: math.sqrt is
+    np.sqrt bitwise, and a negative or NaN g*H gives a NaN speed (so a
+    NaN limit, which no dt passes) as np.sqrt does."""
+    c = _wave_speed(g, gravity)
     if c == 0.0:
-        return np.inf
+        return math.inf
     return CFL_SAFETY / (c * max(1.0 / g.dx, 1.0 / g.dy))
+
+
+def _wave_speed(g: GridSpec, gravity) -> float:
+    gh = float(unbox(gravity)) * g.H
+    return math.sqrt(gh) if gh >= 0.0 else math.nan
 
 
 def check_cfl(c: StepConfig, p: PhysParams, g: GridSpec):
@@ -133,7 +142,7 @@ def check_cfl(c: StepConfig, p: PhysParams, g: GridSpec):
     if not c.dt < limit:
         raise CFLError(
             f"dt = {c.dt} s violates the CFL bound {limit:.6g} s "
-            f"(sqrt(gH) = {np.sqrt(float(unbox(p.g)) * g.H):.6g} m/s)"
+            f"(sqrt(gH) = {_wave_speed(g, p.g):.6g} m/s)"
         )
 
 
@@ -172,8 +181,7 @@ def wind_stress_profile(g: GridSpec, tau0, band: float) -> Field:
 
 
 def _check_finite(name: str, values, time: float):
-    primal = unbox(values)
-    if not np.all(np.isfinite(primal)):
+    if not np.isfinite(unbox(values)).all():
         raise NonFiniteError(
             f"non-finite values in field '{name}' at model time {time} s"
         )
@@ -215,11 +223,7 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     for name, f in zip(names, new):
         _check_finite(name, f, new_time)
     # Field arithmetic pins each new field to the staggering of its input
-    fields = {
-        name: Field(f, getattr(s, name).staggering) for name, f in zip(names, new)
-    }
-    fields.setdefault("T", s.T)
-    return ModelState(**fields, time=new_time)
+    return _with_fields(s, new, new_time)
 
 
 def has_tracer(s: ModelState) -> bool:
@@ -235,12 +239,59 @@ def flow_only(s: ModelState) -> ModelState:
 
 def _leaf_values(s: ModelState, p: PhysParams) -> list:
     """The leaves of (s, p) in tree order, read without walking the tree."""
-    tracer = [s.T.values] if has_tracer(s) else []
     return [
-        s.u.values, s.v.values, s.eta.values, *tracer,
+        *_field_values(s),
         p.A_h, p.r_bot, p.C_d, p.g, p.rho0, p.tau0, p.kappa_T, p.lambda_relax,
         p.T_star.values,
     ]
+
+
+def _field_values(s: ModelState) -> list:
+    """The leaves of s in tree order: u, v, eta, and T if s carries it."""
+    if has_tracer(s):
+        return [s.u.values, s.v.values, s.eta.values, s.T.values]
+    return [s.u.values, s.v.values, s.eta.values]
+
+
+def _rebuilder(s: ModelState, p: PhysParams):
+    """The inverse of _leaf_values for the structure of (s, p): leaves ->
+    (state, params), as tree.flatten's rebuild gives them. It keeps the
+    staggerings, the time and the parameters that are not leaves, never a
+    value: a checkpoint group keeps it, and a box held there would tie the
+    tape to the boxes recorded on it."""
+    like = _with_fields(s, [None] * 4, s.time)  # a skeleton of s
+    k = 4 if has_tracer(s) else 3
+    drag_mode, wind_band, t_star = p.drag_mode, p.wind_band, p.T_star.staggering
+
+    def rebuild(values):
+        q = object.__new__(PhysParams)
+        (q.A_h, q.r_bot, q.C_d, q.g, q.rho0, q.tau0, q.kappa_T, q.lambda_relax,
+         t) = values[k:]
+        q.T_star = _field(t, t_star)
+        q.drag_mode, q.wind_band = drag_mode, wind_band
+        return _with_fields(like, values[:k], like.time), q
+
+    return rebuild
+
+
+def _with_fields(like: ModelState, values, time: float) -> ModelState:
+    """A state with the staggerings of like, the given field values (u, v,
+    eta and T, or u, v and eta and like's T) and time. Built structurally,
+    as tree's rebuild builds one: what a constructor would check again was
+    settled when like was built."""
+    s = object.__new__(ModelState)
+    s.u = _field(values[0], like.u.staggering)
+    s.v = _field(values[1], like.v.staggering)
+    s.eta = _field(values[2], like.eta.staggering)
+    s.T = _field(values[3], like.T.staggering) if len(values) == 4 else like.T
+    s.time = time
+    return s
+
+
+def _field(values, staggering: Staggering) -> Field:
+    f = object.__new__(Field)
+    f.values, f.staggering = values, staggering
+    return f
 
 
 def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
@@ -273,7 +324,7 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
 
 def _trace(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig):
     """Record _step_body once with every leaf of (s, p) a tape leaf."""
-    _, rebuild = tree.flatten((s, p))
+    rebuild = _rebuilder(s, p)
 
     def body(leaves):
         return [f.values for f in _step_body(*rebuild(leaves), g, c)]
@@ -386,9 +437,10 @@ def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig
     taped leaves of (s, p); the group tapes the fields that n steps of the
     step program tape from them (Program.plan, until a step adds none).
     When they reach no field, the plain fold is returned and the tape is
-    left as it was."""
-    leaves, rebuild = tree.flatten((s, p))
-    values = [leaf.value for leaf in leaves]
+    left as it was. (s, p) goes in as its flat leaf list (_leaf_values)
+    and comes back through _rebuilder, so the group's run keeps the
+    skeleton of (s, p) and no value of it."""
+    values = _leaf_values(s, p)
     tape = next(v.tape for v in values if isinstance(v, TapeBox))
     taped = [isinstance(v, TapeBox) for v in values]
     program = _program(s, p, g, c, values)
@@ -399,14 +451,15 @@ def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig
         if fields == last:
             break
 
+    rebuild = _rebuilder(s, p)
+
     def run(inputs):
-        return tree.leaf_values(_fold(rebuild(inputs), n, g, c))
+        return _field_values(_fold(rebuild(inputs), n, g, c))
 
     out = _fold(rebuild([unbox(v) for v in values]), n, g, c)
     if not any(fields):
         return out
-    out_leaves, out_rebuild = tree.flatten(out)
-    s = out_rebuild(tape.group(run, values, [leaf.value for leaf in out_leaves], fields))
+    s = _with_fields(out, tape.group(run, values, _field_values(out), fields), out.time)
     tape.steps += n
     return s
 

@@ -22,6 +22,7 @@ from .dyncore import (
     linear_profile_field,
     step_n,
 )
+from .errors import NonFiniteError
 from .grid import Field, GridSpec, Staggering, make_channel_grid
 
 
@@ -112,13 +113,23 @@ def initial_state(
     noise_u: float = 0.05,
     noise_eta: float = 0.0,
 ) -> ModelState:
-    """Seeded initial condition: T profile plus balanced solenoidal noise."""
+    """Seeded initial condition: T profile plus balanced solenoidal noise.
+
+    NonFiniteError if the elevation is not finite: a tiny g overflows the
+    balance, a huge noise_eta the bump. Either is computed without a NumPy
+    warning and refused here, before any step."""
     rng = np.random.default_rng(seed)
     u, v = solenoidal_noise(g, rng, noise_u)
-    eta = _geostrophic_eta(u, g, float(params.g))
-    if noise_eta > 0:
-        bump = _smooth(rng.standard_normal(g.shape), 4)
-        eta = eta + noise_eta * bump / max(np.std(bump), 1e-30)
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = _geostrophic_eta(u, g, float(params.g))
+        if noise_eta > 0:
+            bump = _smooth(rng.standard_normal(g.shape), 4)
+            eta = eta + noise_eta * bump / max(np.std(bump), 1e-30)
+    if not np.isfinite(eta).all():
+        raise NonFiniteError(
+            f"the initial elevation is not finite at g = {float(params.g)} m/s^2 "
+            f"and noise_eta = {noise_eta} m"
+        )
     T = np.asarray(params.T_star.values).copy()
     return ModelState(
         u=Field(u, Staggering.U_FACE),

@@ -1,5 +1,7 @@
 """Engine-level differentiation behavior: rules, tapes, closed-over inputs."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -730,6 +732,33 @@ def test_tape_replay_reruns_checkpoint_groups():
     assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
 
 
+def test_a_dropped_pullback_through_checkpoint_groups_frees_its_tape_without_gc():
+    """A checkpoint group keeps the skeleton of (s, p), never a value or a
+    box of it: a box kept in the group's run would tie the tape to itself
+    through its own record, and the tape of a dropped pullback would live
+    on until the cycle collector ran."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+
+    def loss(theta):
+        q = replace(p, A_h=theta[0], r_bot=theta[1])
+        return ops.asum(step_n(s, 5, q, g, c).u.values)
+
+    gc.disable()
+    try:
+        _, pullback = vjp(loss, (float(p.A_h), float(p.r_bot)))
+        pullback(1.0)
+        tape = next(
+            cell.cell_contents for cell in pullback.__closure__
+            if isinstance(cell.cell_contents, Tape)
+        )
+        assert sum(isinstance(node, _Group) for node in tape.nodes) == 2
+        alive = weakref.ref(tape)
+        del tape, pullback
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("flow", [False, True], ids=["full-state", "flow-only"])
 def test_program_reaches_the_outputs_a_boxed_replay_tapes(flow):
     """The plan of a taped replay tells, without running, which outputs of
@@ -980,6 +1009,35 @@ def test_a_taped_replay_over_boxes_writes_nothing_in_place():
             sum(isinstance(v, DualBox) for v in kept),
         ))
     assert results[0] == results[1]
+
+
+def test_a_swept_sum_handed_on_twice_is_not_added_into_in_place():
+    """A program node adds an operation's cotangents in place only into a
+    sum the sweep alone holds. Here w's cotangent is a sum of three; add's
+    rule hands it on unchanged to both p and q, and each then receives a
+    further contribution. The swept gradient is bitwise that of a tape of
+    one node per operation."""
+    rng = np.random.default_rng(17)
+    k = rng.uniform(0.5, 2.0, (5, 4, 3))
+
+    def f(leaves):
+        (x,) = leaves
+        p, q = ops.mul(x, 2.0), ops.mul(x, 3.0)
+        z1, z2 = ops.mul(p, k[0]), ops.mul(q, k[1])  # swept after w
+        w = ops.add(p, q)
+        y = ops.add(ops.add(ops.mul(w, k[2]), ops.mul(w, k[3])), ops.mul(w, k[4]))
+        return [ops.add(ops.add(y, z1), z2)]
+
+    x = rng.uniform(0.5, 2.0, (4, 3))
+    program = trace(f, [x])
+    seed = rng.standard_normal((4, 3))
+    grads = []
+    for call in (program, f):
+        tape = Tape()
+        leaf = tape.leaf(x)
+        (out,) = call([leaf])
+        grads.append(_bits(tape.sweep({out.index: seed})[leaf.index]))
+    assert grads[0] == grads[1]
 
 
 def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():

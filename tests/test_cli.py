@@ -395,3 +395,24 @@ def test_a_diagnostic_that_overflows_is_one_non_finite_error_line(tmp_path, caps
     assert code == 1
     err = _one_error_line(capsys, "NonFiniteError")
     assert "diagnostic 'total_energy' at model time " in err
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [("physics.g=1e-306", "g = 1e-306"), ("physics.g=1e-308", "g = 1e-308"),
+     ("initial.noise_eta=1e308", "noise_eta = 1e+308")],
+)
+def test_an_initial_elevation_that_overflows_is_one_non_finite_error_line(
+    tmp_path, capsys, override, named
+):
+    """Dividing by a tiny g overflows the geostrophic elevation of the
+    initial state, and a huge noise_eta its bump: the error names the
+    initial elevation, g and noise_eta, with no NumPy warning and no
+    output left behind."""
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", *ACC_MINI_8x6, "--set", override, "--out", str(out)])
+    assert code == 1 and os.listdir(out) == []
+    err = _one_error_line(capsys, "NonFiniteError")
+    assert "initial elevation is not finite" in err and named in err

@@ -227,6 +227,43 @@ def test_step_rejects_unstable_damping(term, kind):
     assert isinstance(info.value, CFLError)
 
 
+def _step_in_mode(mode, s, p, g, c):
+    """step(s, p, g, c) with p's g and r_bot plain, pushed by jvp or taped
+    by vjp; the value of the new u."""
+
+    def f(x):
+        gravity, r_bot = x
+        return step(s, replace(p, g=gravity, r_bot=r_bot), g, c).u.values
+
+    x = (p.g, p.r_bot)
+    if mode == "plain":
+        return f(x)
+    if mode == "jvp":
+        return jvp(f, x, (1.0, 1.0))[0]
+    return vjp(f, x)[0]
+
+
+@pytest.mark.parametrize("mode", ["plain", "jvp", "vjp"])
+def test_stability_bounds_decide_at_the_exact_float(mode):
+    """dt equal to the CFL limit is refused and the next float below it
+    steps; a damping product dt * rate of exactly 2.0 steps and the next
+    float above it is refused, whether g and r_bot are plain or boxed."""
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 1e-4, 0.0)
+    s = random_state(g, np.random.default_rng(5), amp=0.05)
+    p = quiet_params(g)
+    limit = dyncore.cfl_limit(g, p.g)
+    with pytest.raises(CFLError, match="CFL bound"):
+        _step_in_mode(mode, s, p, g, StepConfig(dt=limit))
+    _step_in_mode(mode, s, p, g, StepConfig(dt=float(np.nextafter(limit, 0.0))))
+
+    c = StepConfig(dt=128.0)
+    assert c.dt < limit
+    _step_in_mode(mode, s, replace(p, r_bot=1.0 / 64.0), g, c)
+    above = float(np.nextafter(1.0 / 64.0, 1.0))
+    with pytest.raises(DampingError, match="momentum"):
+        _step_in_mode(mode, s, replace(p, r_bot=above), g, c)
+
+
 def test_step_reports_nonfinite_field():
     g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
     p = quiet_params(g)
@@ -323,14 +360,27 @@ def traces(monkeypatch):
     return keys
 
 
+def _structure(x):
+    """The rebuild spec of x: containers, field names, staggerings, time,
+    drag mode and wind band, and where each leaf sits."""
+    return tree._build(x, (), [])
+
+
 def test_leaf_values_follow_tree_order():
+    """_leaf_values reads the leaves of (s, p) in tree order, and
+    _rebuilder inverts it as tree.flatten's rebuild does, for plain and
+    boxed leaves; a flow-only state has no T leaf."""
     g, p, c, s = dissipative_test_setup(seed=1)
-    assert all(a is b for a, b in zip(dyncore._leaf_values(s, p), tree.leaf_values((s, p))))
-    assert len(dyncore._leaf_values(s, p)) == len(tree.leaf_values((s, p)))
-    # a flow-only state has no T leaf
-    flow = flow_only(s)
-    assert all(a is b for a, b in zip(dyncore._leaf_values(flow, p), tree.leaf_values((flow, p))))
-    assert len(dyncore._leaf_values(flow, p)) == len(tree.leaf_values((flow, p))) == 12
+    for state, count in ((s, 13), (flow_only(s), 12)):
+        values = dyncore._leaf_values(state, p)
+        assert all(a is b for a, b in zip(values, tree.leaf_values((state, p))))
+        assert len(values) == len(tree.leaf_values((state, p))) == count
+        tape = Tape()
+        for leaves in (values, [tape.leaf(v) for v in values]):
+            got = dyncore._rebuilder(state, p)(leaves)
+            want = tree.flatten((state, p))[1](leaves)
+            assert _structure(got) == _structure(want) == _structure((state, p))
+            assert all(a is b for a, b in zip(tree.leaf_values(got), leaves))
 
 
 def test_step_program_is_traced_once_per_structure(traces):

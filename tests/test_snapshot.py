@@ -1,11 +1,15 @@
 """Snapshot binary format: round-trips and corruption handling."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffocean.errors import (
+    DiffOceanError,
     DomainError,
     SnapshotError,
     SnapshotMagicError,
@@ -168,3 +172,31 @@ def test_flow_only_state_is_refused_before_the_file_is_opened(tmp_path):
     with pytest.raises(DomainError, match="no tracer T"):
         write_snapshot(s, path)
     assert not path.exists()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=4),
+    end=st.one_of(st.none(), st.integers(0, 80), st.integers(1600, 1700)),
+)
+def test_mutated_snapshot_bytes_read_or_raise_a_named_error(tmp_path_factory, edits, end):
+    """Snapshot bytes with edits in the first 80 bytes (the header, the
+    field names, the time and the start of the payload), cut short or
+    padded, either read as a state or raise a DiffOceanError: no other
+    exception and no NumPy warning."""
+    path = tmp_path_factory.getbasetemp() / "mutated.dosn"
+    g = make_channel_grid(8, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
+    write_snapshot(random_state(g, np.random.default_rng(3)), path)
+    data = bytearray(path.read_bytes())
+    for at, byte in edits:
+        data[at] = byte
+    if end is not None:
+        data = data[:end] + bytes(max(0, end - len(data)))
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = read_snapshot(path)
+        except DiffOceanError:
+            return
+    assert state.u.shape == state.T.shape
