@@ -29,9 +29,10 @@ node per operation.
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
 traced computation (a checkpoint group) finds it on the values it is
-given. Tapes are single-owner objects: one tape is built and swept by one
-logical thread. The primitive registry is written during startup and
-read-only afterwards.
+given. A tape holds plain values: its leaves refuse a box, so no replay
+on a tape runs over another trace's boxes. Tapes are single-owner
+objects: one tape is built and swept by one logical thread. The
+primitive registry is written during startup and read-only afterwards.
 """
 
 from __future__ import annotations
@@ -105,53 +106,7 @@ class Box:
     def shape(self):
         return np.shape(self.primal)
 
-    @staticmethod
-    def _operand(other) -> bool:
-        # Defer to the partner type (e.g. Field.__rmul__) for anything that
-        # is not a plain number, array, or another box.
-        return isinstance(other, (int, float, np.ndarray, np.generic, Box))
-
-    # -- arithmetic routed through the registry ------------------------------
-    def __add__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("add", self, other)
-
-    def __radd__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("add", other, self)
-
-    def __sub__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("sub", self, other)
-
-    def __rsub__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("sub", other, self)
-
-    def __mul__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("mul", self, other)
-
-    def __rmul__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("mul", other, self)
-
-    def __truediv__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("div", self, other)
-
-    def __rtruediv__(self, other):
-        if not Box._operand(other):
-            return NotImplemented
-        return apply("div", other, self)
-
+    # -- arithmetic routed through the registry; + - * / come from _OPERATORS --
     def __neg__(self):
         return apply("neg", self)
 
@@ -169,8 +124,6 @@ class Box:
         if axis is not None:
             raise UnregisteredPrimitiveError("only full reductions are registered")
         return apply("mean", self)
-
-    _UFUNCS = {}  # populated after numpy import below
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs.get("out") is not None:
@@ -197,6 +150,26 @@ class Box:
             "cannot convert a traced quantity to float; use its primal"
         )
 
+
+def _operator(name, reflected):
+    """Box's binary dunder for primitive name. It reads the module-global
+    apply on every call, so a replaced engine.apply sees Box arithmetic."""
+
+    def method(self, other):
+        # Defer to the partner type (e.g. Field.__rmul__) for anything that
+        # is not a plain number, array, or another box.
+        if not isinstance(other, (int, float, np.ndarray, np.generic, Box)):
+            return NotImplemented
+        return apply(name, other, self) if reflected else apply(name, self, other)
+
+    return method
+
+
+# Box's binary operators, (dunder stem, primitive), each with its reflection.
+_OPERATORS = (("add", "add"), ("sub", "sub"), ("mul", "mul"), ("truediv", "div"))
+for _stem, _name in _OPERATORS:
+    setattr(Box, f"__{_stem}__", _operator(_name, False))
+    setattr(Box, f"__r{_stem}__", _operator(_name, True))
 
 Box._UFUNCS = {
     np.add: "add",
@@ -313,8 +286,9 @@ class Tape:
     only x is taped, and the sweep calls only the taped arguments' rules.
     A taped Program replay is one program node, then a node per taped
     output; the program node keeps in its args, flat, what a node per
-    operation would keep, and is swept as those nodes would be.
-    `nodes` is the whole record, and `bytes_used` is read off it.
+    operation would keep (_kept), and is swept as those nodes would be.
+    Its values are plain: leaf refuses a box. `nodes` is the whole
+    record, and `bytes_used` is read off it.
     `steps` counts the model steps recorded on the tape; its only writer
     is dyncore._checkpoint, which adds the steps of each checkpoint group
     it records. Both describe the forward record, however often it is
@@ -341,23 +315,21 @@ class Tape:
         return sum(kept.values())
 
     def leaf(self, value) -> TapeBox:
+        if isinstance(value, Box):
+            raise UnregisteredPrimitiveError(
+                f"a tape takes plain values, not a {type(value).__name__}"
+            )
         self.nodes.append(_Node(None, (), (), value, {}))
         return TapeBox(self, len(self.nodes) - 1, value)
 
     def _record(self, prim, parents, args, out, static) -> int:
         index = len(self.nodes)
-        reads = set()
-        for parent, read in zip(parents, prim.reads):
-            if parent is not None:
-                reads |= read
-        kept_args = []
-        for i, a in enumerate(args):
-            # a taped array that no rule reads gives way to a stand-in
-            if parents[i] is not None and i not in reads and isinstance(a, np.ndarray):
-                a = _zeros_like(a)
-            kept_args.append(a)
-        kept_out = out if "out" in reads else None
-        self.nodes.append(_Node(prim.name, parents, tuple(kept_args), kept_out, static))
+        keep, keep_out = _kept(prim, [p is not None for p in parents])
+        kept_args = tuple([
+            a if k or not isinstance(a, np.ndarray) else _zeros_like(a)
+            for a, k in zip(args, keep)
+        ])
+        self.nodes.append(_Node(prim.name, parents, kept_args, out if keep_out else None, static))
         return index
 
     def group(self, run, inputs, outs, taped) -> list:
@@ -396,6 +368,15 @@ class Tape:
         adjoint = dict(seeds)
         _sweep(self, adjoint, 0)
         return adjoint
+
+
+def _kept(prim, live):
+    """What a node of prim keeps when argument k is taped iff live[k]: per
+    argument, whether its value is kept (an untaped one always, a taped one
+    if a rule of a taped argument reads it; a taped array that is not gives
+    way to its zero stand-in), and whether its value is kept."""
+    reads = frozenset().union(*[r for r, a in zip(prim.reads, live) if a])
+    return [not a or k in reads for k, a in enumerate(live)], "out" in reads
 
 
 def _sweep(tape, adjoint, start):
@@ -525,8 +506,9 @@ class Program:
 
     With TapeBox inputs it records one program node on their tape
     (_record), plus one output node per taped output that an operation
-    computes; an input it returns comes back as it was given. The
-    replay calls each fn directly, as a plain one does, from a _Plan
+    computes; an input it returns comes back as it was given. A tape's
+    values are plain, so the replay calls each fn directly and writes
+    into dying buffers, as a plain one does, from a _Plan
     built once per pattern of taped inputs (plan): the node keeps what a
     tape of one node per operation would keep, and the sweep calls the
     same rules in the same order (_sweep_program), so the gradient is
@@ -616,18 +598,14 @@ class Program:
 
     def _record(self, tape, inputs) -> list:
         """Replay on the values of inputs, recording one program node on
-        tape. Each taped operation keeps its arguments as Tape._record
-        would, a taped array that no rule reads giving way to its zero
-        stand-in, and its value if a rule reads it. When an input's value
-        is itself a box (a tape of boxes), nothing is written in place."""
+        tape. Each taped operation keeps what Tape._record would keep
+        (_kept)."""
         links = tuple(x.index if isinstance(x, TapeBox) else None for x in inputs)
         plan = self.plan([link is not None for link in links])
-        values = [unbox(x) for x in inputs]
-        nested = any(isinstance(v, Box) for v in values)
-        env = [*self.consts, *values]
+        env = [*self.consts, *map(unbox, inputs)]
         push = env.append
         kept = []
-        for fn, get, dead, record in plan.nested if nested else plan.forward:
+        for fn, get, dead, record in plan.forward:
             args = get(env)
             for j in dead:
                 env[j] = None
@@ -663,32 +641,30 @@ class _Plan:
 
     One walk over the operations in order marks each value taped if an
     argument is, as apply does, and lays out what each taped operation
-    keeps in its node's flat args: its arguments, then its value if a rule
-    of a taped argument reads it. An untaped argument is kept as it is; a
-    taped one that no such rule reads gives way to the zero stand-in of
-    its traced shape and dtype if it is an ndarray, as in Tape._record.
+    keeps in its node's flat args, by the rule of Tape._record (_kept):
+    its arguments, a taped array that is not read giving way to the zero
+    stand-in of its traced shape and dtype, then its value if it is read.
 
     forward holds (fn, get, dead, record) per operation, record being None
     for an untaped one and (number of arguments, places in args that take
     a stand-in, whether the value is kept) for a taped one. A ufunc
     writes into the first dying argument of its result's shape and dtype
-    that no node keeps (Program); nested holds the same operations with
-    no such writes. backward holds, in reverse order, (slot, lo, hi,
-    out_at, rules) per taped operation: its kept arguments are
+    that no node keeps (Program). backward holds, in reverse order, (slot,
+    lo, hi, out_at, rules) per taped operation: its kept arguments are
     args[lo:hi], its kept value args[out_at] (None if not kept), and rules
     are (rule, to_input, target) for its taped arguments in argument order,
     rule taking (ct, args, out) with the operation's statics bound, target
     being an input position or a slot. taped says which outputs are taped.
     """
 
-    __slots__ = ("forward", "nested", "backward", "taped")
+    __slots__ = ("forward", "backward", "taped")
 
     def __init__(self, program, taped):
         first = len(program.consts)
         base = first + len(taped)  # the slot of the first operation's value
         active = [False] * first + list(taped)
         held = set()  # the slots whose values a node keeps as they are
-        forward, nested, backward = [], [], []
+        forward, backward = [], []
         at = 0
         for i, (op, refs, donors, zeros) in enumerate(
             zip(program.ops, program.refs, program.donors, program.zeros)
@@ -699,10 +675,9 @@ class _Plan:
             record = None
             if active[-1]:
                 prim = _PRIMITIVES[name]
-                reads = frozenset().union(*(r for r, a in zip(prim.reads, live) if a))
-                keep = [not a or k in reads for k, a in enumerate(live)]
+                keep, keep_out = _kept(prim, live)
                 held.update(j for j, k in zip(refs, keep) if k)
-                out_at = at + len(refs) if "out" in reads else None
+                out_at = at + len(refs) if keep_out else None
                 if out_at is not None:
                     held.add(base + i)
                 backward.append((base + i, at, at + len(refs), out_at, tuple(
@@ -718,8 +693,7 @@ class _Plan:
                 at += len(refs) + (out_at is not None)
             donor = next((j for j in donors if j not in held), None)
             forward.append((fn, get if donor is None else _getter(refs + (donor,)), dead, record))
-            nested.append((fn, get, dead, record))
-        self.forward, self.nested = tuple(forward), tuple(nested)
+        self.forward = tuple(forward)
         self.backward = tuple(reversed(backward))
         self.taped = [active[j] for j in program.outputs]
 

@@ -56,18 +56,20 @@ class OptimRecord:
 
 @dataclass
 class OptimHistory:
-    """Per-iteration log of a gradient-descent run."""
+    """Per-iteration log of a gradient-descent run; refuses, by iterate, a
+    record whose loss or gradient norm is not finite."""
 
     records: list[OptimRecord]
 
     def append(self, record: OptimRecord):
         if self.records and record.iteration <= self.records[-1].iteration:
             raise DomainError("history iterations must increase strictly")
-        if not np.isfinite(record.loss):
-            named = ", ".join(f"{k}={v}" for k, v in record.metrics.items())
-            raise NonFiniteError(
-                f"loss not finite at iteration {record.iteration}: {named}"
-            )
+        for what, value in (("loss", record.loss), ("gradient norm", record.grad_norm)):
+            if not np.isfinite(value):
+                named = ", ".join(f"{k}={v}" for k, v in record.metrics.items())
+                raise NonFiniteError(
+                    f"{what} not finite at iteration {record.iteration}: {named}"
+                )
         self.records.append(record)
 
     @property
@@ -228,7 +230,9 @@ def _descend(x, loss, gradient, step, iters, alpha, describe):
     x, loss, gradient), or None when it finds no step. The descent stops
     after iters steps, at a zero gradient, or when step returns None. Each
     record carries the step size accepted from its iterate; the last one
-    keeps alpha. Returns (history, x at the last iterate).
+    keeps alpha. Returns (history, x at the last iterate). A non-finite
+    loss or gradient norm raises NonFiniteError (OptimHistory.append),
+    since no step along a non-finite gradient lowers the loss.
     """
     history = OptimHistory([])
     for it in range(iters + 1):

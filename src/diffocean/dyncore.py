@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -89,20 +90,11 @@ class PhysParams:
             raise DomainError("T_star, the relaxation target at centers, is required")
 
 
+# The scalar leaves of PhysParams in tree order; T_star's values follow them.
+_PARAM_SCALARS = ("A_h", "r_bot", "C_d", "g", "rho0", "tau0", "kappa_T", "lambda_relax")
+_param_scalars = attrgetter(*_PARAM_SCALARS)
 tree.register_container(
-    PhysParams,
-    children=(
-        "A_h",
-        "r_bot",
-        "C_d",
-        "g",
-        "rho0",
-        "tau0",
-        "kappa_T",
-        "lambda_relax",
-        "T_star",
-    ),
-    aux=("drag_mode", "wind_band"),
+    PhysParams, children=(*_PARAM_SCALARS, "T_star"), aux=("drag_mode", "wind_band")
 )
 
 
@@ -239,11 +231,7 @@ def flow_only(s: ModelState) -> ModelState:
 
 def _leaf_values(s: ModelState, p: PhysParams) -> list:
     """The leaves of (s, p) in tree order, read without walking the tree."""
-    return [
-        *_field_values(s),
-        p.A_h, p.r_bot, p.C_d, p.g, p.rho0, p.tau0, p.kappa_T, p.lambda_relax,
-        p.T_star.values,
-    ]
+    return [*_field_values(s), *_param_scalars(p), p.T_star.values]
 
 
 def _field_values(s: ModelState) -> list:
@@ -265,9 +253,8 @@ def _rebuilder(s: ModelState, p: PhysParams):
 
     def rebuild(values):
         q = object.__new__(PhysParams)
-        (q.A_h, q.r_bot, q.C_d, q.g, q.rho0, q.tau0, q.kappa_T, q.lambda_relax,
-         t) = values[k:]
-        q.T_star = _field(t, t_star)
+        q.__dict__.update(zip(_PARAM_SCALARS, values[k:]))
+        q.T_star = _field(values[-1], t_star)
         q.drag_mode, q.wind_band = drag_mode, wind_band
         return _with_fields(like, values[:k], like.time), q
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,7 +53,9 @@ class GridSpec:
             )
         if self.Lx <= 0 or self.Ly <= 0 or self.H <= 0:
             raise ShapeError("domain extents and depth must be positive")
-        for name, spacing in (("dx", self.dx), ("dy", self.dy)):
+        for name, length, count in (("dx", self.Lx, self.nx), ("dy", self.Ly, self.ny)):
+            # a count too large for a float makes the spacing underflow to 0
+            spacing = length / count if count <= sys.float_info.max else 0.0
             # the damping bound divides by the squared spacing
             if not 0.0 < spacing * spacing < math.inf:
                 raise DomainError(

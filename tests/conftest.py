@@ -1,10 +1,18 @@
-"""Shared fixtures: the acc-mini reference configuration and derived states."""
+"""Shared fixtures: the acc-mini reference configuration and derived states,
+and the one determinism policy of the property tests."""
 
 import pytest
+from hypothesis import settings
 
 from diffocean import scenarios
 from diffocean.config import parse_config
 from diffocean.dyncore import step_n
+
+# Property tests draw the same examples on every run, keep no example
+# database and have no per-example deadline; each test states only its
+# example count.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -984,31 +984,18 @@ def test_a_taped_replay_refuses_boxes_apply_refuses():
         program([DualBox(x, np.ones((1, 4, 5))), Tape().leaf(r)])
 
 
-def test_a_taped_replay_over_boxes_writes_nothing_in_place():
-    """On a tape whose values are themselves DualBoxes, the replay writes
-    no result into a dying argument (a ufunc cannot write into a box): its
-    values and tangents are those of a tape of the traced function,
-    bitwise, and it keeps the same values."""
-    f, program, x, r = _replay_setup()
-    plan = program.plan([True, True])
-    assert any(a[1] is not b[1] for a, b in zip(plan.forward, plan.nested))
-    results = []
-    for call in (program, f):
-        tape = Tape()
-        leaves = [
-            tape.leaf(DualBox(x, np.ones((1, 4, 5)))),
-            tape.leaf(DualBox(r, np.full((1, 1, 5), 0.5))),
-        ]
-        outs = call(leaves)
-        kept = [
-            v for node in tape.nodes[2:] if node.name != "<output>"
-            for v in (*node.args, node.out)
-        ]
-        results.append((
-            [(_bits(v.primal.primal), _bits(v.primal.tangent)) for v in outs[1:3]],
-            sum(isinstance(v, DualBox) for v in kept),
-        ))
-    assert results[0] == results[1]
+def test_a_tape_refuses_a_boxed_leaf_by_name():
+    """A tape holds plain values: a leaf that is a DualBox or a TapeBox is
+    refused, naming its type, and the tape stays empty."""
+    x = np.ones((4, 5))
+    tape = Tape()
+    for box in (DualBox(x, np.ones((1, 4, 5))), Tape().leaf(x)):
+        with pytest.raises(
+            UnregisteredPrimitiveError,
+            match=rf"^a tape takes plain values, not a {type(box).__name__}$",
+        ):
+            tape.leaf(box)
+    assert tape.nodes == []
 
 
 def test_a_swept_sum_handed_on_twice_is_not_added_into_in_place():

@@ -4,6 +4,7 @@ import hashlib
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -543,6 +544,29 @@ def test_calibrate_survives_blowup_and_records_accepted_alpha(small_setup):
     assert all(b < a for a, b in zip(losses, losses[1:]))
     assert history.records[0].alpha in [5000.0 / 2**k for k in range(1, 21)]
     assert history.final.alpha == 5000.0
+
+
+def test_descent_refuses_a_non_finite_gradient():
+    """sqrt(t0 - 1) + t1 * t1 at (1, 1) has the gradient (inf, 2). No step
+    along it lowers the loss, so the descent would stop as if converged;
+    instead it raises NonFiniteError naming the iterate."""
+
+    def loss_theta(theta):
+        return ops.sqrt(theta[0] - 1.0) + theta[1] * theta[1]
+
+    def describe(theta, grads):
+        return {"t0": theta[0], "t1": theta[1]}, float(np.hypot(*grads))
+
+    with np.errstate(divide="ignore"):
+        loss_value, grads = grad(loss_theta, (1.0, 1.0))
+    assert grads == (np.inf, 2.0)
+    with pytest.raises(
+        NonFiniteError, match=r"^gradient norm not finite at iteration 0: t0=1.0, t1=1.0$"
+    ):
+        calibrate._descend(
+            (1.0, 1.0), loss_value, grads, partial(calibrate._backtrack, loss_theta),
+            5, 1.0, describe,
+        )
 
 
 @pytest.mark.parametrize("outcome", [NonFiniteError, DampingError, np.nan, np.inf])

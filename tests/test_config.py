@@ -1,11 +1,16 @@
 """Config file parsing, validation, overrides, and echo round-trip."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffocean.config import parse_config, render_config
+from diffocean import config
+from diffocean.config import RunConfig, parse_config, render_config
 from diffocean.dyncore import cfl_limit
-from diffocean.errors import ConfigError
+from diffocean.errors import ConfigError, DiffOceanError
 from diffocean.scenarios import build_grid
 
 MINIMAL = """
@@ -204,3 +209,62 @@ def test_sections_are_read_only():
     cfg = parse_config("acc-mini.conf")
     with pytest.raises(AttributeError):
         cfg.grid.nx = 8
+
+
+# Text for --set values, one strategy per schema parser: well-formed values,
+# inf, nan, huge, subnormal, empty and malformed text.
+_JUNK = st.one_of(
+    st.sampled_from(["", " ", "1e", "0x10", "--1", "1 2", "1,,2", "\u0661\u0662", "auto-cfl"]),
+    st.text(max_size=6),
+)
+_FLOAT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "1e-400", "5e-324", "1e308"]),
+    _JUNK,
+)
+_INT = st.one_of(
+    st.integers(-10, 200).map(str),
+    st.sampled_from(["-1", "0", "4", "1" + "0" * 400, "9" * 5000]),
+    _JUNK,
+)
+_TEXT = {
+    config._parse_float: _FLOAT,
+    config._parse_dt: st.one_of(st.just(config.AUTO_CFL), _FLOAT),
+    config._parse_int: _INT,
+    config._parse_int_list: st.lists(_INT, max_size=4).map(",".join),
+    config._parse_str: st.one_of(
+        st.sampled_from(["linear", "quadratic", "free-slip", "no-slip", "out"]), _JUNK
+    ),
+}
+_KEYS = [
+    f"{section}.{key}" if section else key
+    for section, keys in config._SCHEMA.items() for key in keys
+]
+
+
+def _override(keypath):
+    section, _, key = keypath.rpartition(".")
+    parse = config._SCHEMA[section or None][key].parse
+    return _TEXT[parse].map(lambda text: f"{keypath}={text}")
+
+
+@pytest.mark.parametrize("keypath", _KEYS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_an_override_of_every_key_parses_or_raises_a_named_error(keypath, data):
+    """acc-mini with a --set override of keypath, and up to two of other
+    keys, gives a RunConfig or raises a DiffOceanError: no other exception
+    and no warning. Half the examples resolve dt from the grid (auto-cfl)
+    unless a later override sets it."""
+    overrides = [
+        *data.draw(st.sampled_from([[], [f"stepping.dt={config.AUTO_CFL}"]])),
+        data.draw(_override(keypath)),
+        *data.draw(st.lists(st.sampled_from(_KEYS).flatmap(_override), max_size=2)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            cfg = parse_config("acc-mini.conf", overrides)
+        except DiffOceanError:
+            return
+    assert isinstance(cfg, RunConfig)

@@ -59,6 +59,14 @@ def test_make_channel_grid_rejects_a_spacing_without_a_positive_finite_square(ex
         make_channel_grid(8, 8, *extents, 500.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("counts", [(10**400, 8), (8, 2**1024 - 1)], ids=["nx", "ny"])
+def test_make_channel_grid_refuses_a_count_too_large_for_a_float(counts):
+    """A cell count beyond the largest float makes the spacing underflow to
+    zero, which is refused by name rather than raising OverflowError."""
+    with pytest.raises(DomainError, match=r"d[xy] = 0 m"):
+        make_channel_grid(*counts, 1e6, 1e6, 500.0, 0.0, 0.0)
+
+
 def test_laplacian_of_constant_is_zero():
     g = make_channel_grid(16, 12, 1e6, 1e6, 100.0, 0.0, 0.0)
     for stag in (Staggering.CENTER, Staggering.U_FACE, Staggering.V_FACE):

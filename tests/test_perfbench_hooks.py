@@ -41,10 +41,14 @@ def test_benchmark_tracer_and_stencil_cases_fit_the_package(monkeypatch):
             assert got.tobytes() == want.tobytes(), name
         # a primitive called directly goes through the replaced apply
         primitives.add(cases[0][1][0], 1.0)
+        # so does Box arithmetic, forward and reflected
+        leaf = engine.Tape().leaf(cases[0][1][0])
+        leaf * 2.0
+        2.0 - leaf
         counted = tracer.spans[0].applies
     finally:
         tracer.uninstall()
-    assert counted == len(cases) + 1
+    assert counted == len(cases) + 3
     assert all(owner.apply is original for owner, original in zip(owners, originals))
 
 

@@ -174,7 +174,7 @@ def test_flow_only_state_is_refused_before_the_file_is_opened(tmp_path):
     assert not path.exists()
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(
     edits=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 255)), max_size=4),
     end=st.one_of(st.none(), st.integers(0, 80), st.integers(1600, 1700)),
