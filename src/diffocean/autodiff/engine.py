@@ -17,14 +17,11 @@ reaches, and the sweep records it again at the end of the same tape,
 sweeps those nodes and drops them, trading one extra forward for memory.
 The nodes are a tape's whole record: what it keeps is read off them. A tape
 also is a trace: a Program keeps the structure of a record and its
-constants, drops its primals, and replays it on new inputs (trace). A
-plain replay writes each ufunc operation into the buffer of an operand
-that dies there, so it allocates fewer arrays than the traced function.
-A taped replay stands on its tape as one program node, which keeps what
-one node per operation would keep; the sweep runs it from an adjoint
-list the program builds once per pattern of taped inputs (trace once,
-transpose once per activity pattern), bitwise as it would sweep one
-node per operation.
+constants, drops its primals, and replays it on new inputs (trace) in
+one loop over a plan of one op table: plain, writing each ufunc into a
+dying operand's buffer; tangent, through apply; or taped, as one program
+node that the sweep runs from an adjoint list built once per pattern of
+taped inputs, bitwise as it would sweep one node per operation.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and code that needs the tape of a
@@ -116,20 +113,19 @@ class Box:
         return apply("power", self, p=float(p))
 
     def sum(self, axis=None, **kwargs):
-        if axis is not None:
-            raise UnregisteredPrimitiveError("only full reductions are registered")
+        _refuse_keywords("sum", axis=axis, **kwargs)
         return apply("sum", self)
 
     def mean(self, axis=None, **kwargs):
-        if axis is not None:
-            raise UnregisteredPrimitiveError("only full reductions are registered")
+        _refuse_keywords("mean", axis=axis, **kwargs)
         return apply("mean", self)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
+        if method != "__call__":
             raise UnregisteredPrimitiveError(
                 f"unregistered primitive: {ufunc.__name__}.{method}"
             )
+        _refuse_keywords(ufunc.__name__, **kwargs)
         name = Box._UFUNCS.get(ufunc)
         if name is None:
             raise UnregisteredPrimitiveError(
@@ -149,6 +145,17 @@ class Box:
         raise UnregisteredPrimitiveError(
             "cannot convert a traced quantity to float; use its primal"
         )
+
+
+# The NumPy keywords a boxed value takes, each only at its default: no
+# registered primitive has any of them.
+_DEFAULTS = {"axis": None, "dtype": None, "out": None, "keepdims": False, "where": True}
+
+
+def _refuse_keywords(what, **kwargs):
+    for key, value in kwargs.items():
+        if key not in _DEFAULTS or value is not _DEFAULTS[key]:
+            raise UnregisteredPrimitiveError(f"unregistered primitive: {what} with {key}=")
 
 
 def _operator(name, reflected):
@@ -487,35 +494,28 @@ class Program:
 
     Built from a tape of primitive applications, its leaves (inputs, in
     the order the program takes them) and the values it returns (outputs:
-    boxes on the tape, or plain constants). Every node of the tape becomes
-    one operation, in recording order: a primitive and the slots of its
-    arguments (refs) in a flat value list that starts with the constants,
-    then the inputs, then one value per operation, each dropped after its
-    last use. Each distinct constant argument is kept once. A program
-    replays inputs of the shapes and dtypes it was traced with.
+    boxes on the tape, or plain constants). ops holds one row per node, in
+    recording order: (name, refs, dead, static, donors, zeros). refs are
+    the slots of its arguments in a flat value list of the constants (each
+    distinct one once), the inputs, then one value per operation; dead the
+    slots whose last use it is; donors the dead ones a ufunc may write its
+    result into, those of the result's recorded shape and dtype (inputs,
+    constants and outputs never die); zeros the zero stand-ins of its
+    array arguments. It replays inputs of the traced shapes and dtypes.
 
-    Called on plain inputs, it calls each primitive's fn directly, and an
-    operation whose fn is a NumPy ufunc writes its result into the buffer
-    of a donor: an argument that an earlier operation produced, that dies
-    at this operation, and whose recorded shape and dtype are those of the
-    result. Inputs, constants and outputs are never written. This rests on
-    a rule every primitive's fn keeps: it returns a scalar or an ndarray
-    that owns its memory and shares none with its arguments, so a dying
-    result is no view of a value still live. With DualBox inputs it calls
-    apply per operation, which pushes the traced function's tangents.
-
-    With TapeBox inputs it records one program node on their tape
-    (_record), plus one output node per taped output that an operation
-    computes; an input it returns comes back as it was given. A tape's
-    values are plain, so the replay calls each fn directly and writes
-    into dying buffers, as a plain one does, from a _Plan
-    built once per pattern of taped inputs (plan): the node keeps what a
-    tape of one node per operation would keep, and the sweep calls the
-    same rules in the same order (_sweep_program), so the gradient is
-    bitwise that tape's.
+    Every replay is one loop (_run) over a _Plan built from ops (plan).
+    Plain inputs run the plan with no input taped, which calls each fn
+    directly and writes a ufunc's result into its first donor: every fn
+    returns a scalar or an ndarray that owns its memory, so a dying value
+    is no view of a live one. DualBoxes run the plan for taped=None, which
+    calls apply per operation and so pushes the traced tangents. TapeBoxes
+    run the plan of their taped inputs, which keeps what a tape of one
+    node per operation keeps, as one program node (_record); the sweep
+    calls the same rules in the same order (_sweep_program), so the
+    gradient is bitwise that tape's.
     """
 
-    __slots__ = ("consts", "ops", "plain", "outputs", "refs", "donors", "zeros", "plans")
+    __slots__ = ("consts", "arity", "ops", "outputs", "plans")
 
     def __init__(self, tape, inputs, outputs):
         nodes = tape.nodes
@@ -534,44 +534,33 @@ class Program:
             if id(value) not in constant:
                 constant[id(value)] = len(self.consts)
                 self.consts.append(value)
+        self.arity = len(inputs)
+        first = len(self.consts) + len(inputs)  # the slot of the first op's value
         slots = {leaf.index: len(self.consts) + k for k, leaf in enumerate(inputs)}
-        ops, zeros = [], []
+        rows = []
         for index, node in enumerate(nodes):
-            if node.name is None:
-                continue
-            prim = _PRIMITIVES[node.name]
-            refs = tuple(
-                constant[id(a)] if p is None else slots[p]
-                for p, a in zip(node.parents, node.args)
-            )
-            fn = partial(prim.fn, **node.static) if node.static else prim.fn
-            slots[index] = len(self.consts) + len(inputs) + len(ops)
-            ops.append((fn, refs, node.name, node.static, _donatable(prim.fn, node.args)))
-            zeros.append(tuple(
-                _zeros_like(a) if isinstance(a, np.ndarray) else None for a in node.args
-            ))
+            if node.name is not None:
+                slots[index] = first + len(rows)
+                rows.append((node, tuple(
+                    constant[id(a)] if p is None else slots[p]
+                    for p, a in zip(node.parents, node.args)
+                )))
         self.outputs = tuple(
             slots[out.index] if t else constant[id(out)] for out, t in zip(outputs, taped)
         )
         # An operation's value is dropped at its last use, as the traced
         # code drops a temporary, so a replay holds no more than a run.
-        first = len(self.consts) + len(inputs)
-        last = {j: i for i, (_, refs, _, _, _) in enumerate(ops) for j in refs if j >= first}
-        last.update(dict.fromkeys(self.outputs, len(ops)))
-        self.ops, self.plain, self.donors = [], [], []
-        for i, (fn, refs, name, static, donatable) in enumerate(ops):
+        last = {j: i for i, (_, refs) in enumerate(rows) for j in refs if j >= first}
+        last.update(dict.fromkeys(self.outputs, len(rows)))
+        ops = []
+        for i, (node, refs) in enumerate(rows):
             dead = tuple(j for j in set(refs) if last.get(j) == i)
-            # inputs, constants and outputs never die, so never donate
-            donor = tuple(refs[k] for k in donatable if refs[k] in dead)
-            get = _getter(refs)
-            self.ops.append((fn, get, dead, name, static))
-            # a ufunc takes its out argument by position, after its inputs
-            into = _getter(refs + donor[:1]) if donor else get
-            self.plain.append((fn, into, dead, name, static))
-            self.donors.append(donor)
-        self.ops, self.plain, self.donors = tuple(self.ops), tuple(self.plain), tuple(self.donors)
-        self.refs = tuple(refs for _, refs, _, _, _ in ops)
-        self.zeros = tuple(zeros)
+            donatable = _donatable(_PRIMITIVES[node.name].fn, node.args)
+            ops.append((node.name, refs, dead, node.static,
+                        tuple(refs[k] for k in donatable if refs[k] in dead),
+                        tuple(_zeros_like(a) if isinstance(a, np.ndarray) else None
+                              for a in node.args)))
+        self.ops = tuple(ops)
         self.plans = {}
 
     def __call__(self, inputs) -> list:
@@ -579,18 +568,14 @@ class Program:
         if boxed and (tape := _tape_of(inputs)) is not None:
             return self._record(tape, inputs)
         env = [*self.consts, *inputs]
-        push = env.append
-        for fn, get, dead, name, static in self.ops if boxed else self.plain:
-            args = get(env)
-            for j in dead:
-                env[j] = None
-            push(apply(name, *args, **static) if boxed else fn(*args))
+        _run(self.plan(None if boxed else [False] * self.arity), env)
         return [env[j] for j in self.outputs]
 
     def plan(self, taped) -> _Plan:
-        """The _Plan of a replay whose input i is taped iff taped[i], built
-        on first use; its `taped` says which outputs such a replay tapes."""
-        taped = tuple(taped)
+        """The _Plan of a replay whose input i is taped iff taped[i], or of
+        a tangent replay for taped=None, built on first use; its `taped`
+        says which outputs such a replay tapes."""
+        taped = None if taped is None else tuple(taped)
         plan = self.plans.get(taped)
         if plan is None:
             plan = self.plans[taped] = _Plan(self, taped)
@@ -598,83 +583,60 @@ class Program:
 
     def _record(self, tape, inputs) -> list:
         """Replay on the values of inputs, recording one program node on
-        tape. Each taped operation keeps what Tape._record would keep
-        (_kept)."""
+        tape, then one output node per taped output an operation computes;
+        an input it returns comes back as it was given."""
         links = tuple(x.index if isinstance(x, TapeBox) else None for x in inputs)
         plan = self.plan([link is not None for link in links])
         env = [*self.consts, *map(unbox, inputs)]
-        push = env.append
-        kept = []
-        for fn, get, dead, record in plan.forward:
-            args = get(env)
-            for j in dead:
-                env[j] = None
-            push(fn(*args))
-            if record is not None:
-                n, swap, keep_out = record
-                kept += args[:n]
-                for at, zero in swap:
-                    if isinstance(kept[at], np.ndarray):
-                        kept[at] = zero
-                if keep_out:
-                    kept.append(env[-1])
         nodes = tape.nodes
         index = len(nodes)
-        nodes.append(_ProgramNode(tuple(kept), links, plan))
-        first = len(self.consts)
-        results, boxes = [], {}
+        nodes.append(_ProgramNode(tuple(_run(plan, env)), links, plan))
+        boxes = dict(enumerate(inputs, len(self.consts)))  # by slot
+        results = []
         for j, taped in zip(self.outputs, plan.taped):
-            if not taped:
-                results.append(env[j])
-            elif j < first + len(inputs):
-                results.append(inputs[j - first])
-            else:
-                if j not in boxes:
-                    nodes.append(_Node(_OUTPUT, (index,), j, None, {}))
-                    boxes[j] = TapeBox(tape, len(nodes) - 1, env[j])
-                results.append(boxes[j])
+            if taped and j not in boxes:
+                nodes.append(_Node(_OUTPUT, (index,), j, None, {}))
+                boxes[j] = TapeBox(tape, len(nodes) - 1, env[j])
+            results.append(boxes[j] if taped else env[j])
         return results
 
 
 class _Plan:
-    """How a program replays on a tape when input i is taped iff taped[i].
+    """How a program replays when input i is taped iff taped[i], or with
+    tangents when taped is None.
 
-    One walk over the operations in order marks each value taped if an
-    argument is, as apply does, and lays out what each taped operation
-    keeps in its node's flat args, by the rule of Tape._record (_kept):
-    its arguments, a taped array that is not read giving way to the zero
-    stand-in of its traced shape and dtype, then its value if it is read.
-
-    forward holds (fn, get, dead, record) per operation, record being None
-    for an untaped one and (number of arguments, places in args that take
-    a stand-in, whether the value is kept) for a taped one. A ufunc
-    writes into the first dying argument of its result's shape and dtype
-    that no node keeps (Program). backward holds, in reverse order, (slot,
-    lo, hi, out_at, rules) per taped operation: its kept arguments are
-    args[lo:hi], its kept value args[out_at] (None if not kept), and rules
-    are (rule, to_input, target) for its taped arguments in argument order,
-    rule taking (ct, args, out) with the operation's statics bound, target
-    being an input position or a slot. taped says which outputs are taped.
+    One walk over the operations marks each value taped if an argument
+    is, as apply does, and lays out what each taped operation keeps in its
+    node's flat args by the rule of Tape._record (_kept): its arguments, a
+    taped array no rule reads giving way to its zero stand-in, then its
+    value if it is read. forward holds (fn, get, dead, record) per
+    operation; record is None for an untaped one, else (number of
+    arguments, places in args that take a stand-in, whether the value is
+    kept). fn is the primitive's fn, a ufunc writing into the first donor
+    no node keeps, or for tangents apply, looked up when called, with no
+    donor. backward holds, in reverse order, (slot, lo, hi, out_at, rules)
+    per taped operation: its kept arguments are args[lo:hi], its kept
+    value args[out_at] (None if not kept), and rules are (rule, to_input,
+    target) for its taped arguments in argument order, rule taking (ct,
+    args, out) with the operation's statics bound, target being an input
+    position or a slot. taped says which outputs are taped.
     """
 
     __slots__ = ("forward", "backward", "taped")
 
     def __init__(self, program, taped):
         first = len(program.consts)
-        base = first + len(taped)  # the slot of the first operation's value
-        active = [False] * first + list(taped)
+        base = first + program.arity  # the slot of the first operation's value
+        active = [False] * first + list(taped or [False] * program.arity)
         held = set()  # the slots whose values a node keeps as they are
         forward, backward = [], []
         at = 0
-        for i, (op, refs, donors, zeros) in enumerate(
-            zip(program.ops, program.refs, program.donors, program.zeros)
-        ):
-            fn, get, dead, name, static = op
+        for i, (name, refs, dead, static, donors, zeros) in enumerate(program.ops):
+            prim = _PRIMITIVES[name]
             live = [active[j] for j in refs]
             active.append(any(live))
             record = None
             if active[-1]:
-                prim = _PRIMITIVES[name]
                 keep, keep_out = _kept(prim, live)
                 held.update(j for j, k in zip(refs, keep) if k)
                 out_at = at + len(refs) if keep_out else None
@@ -691,11 +653,39 @@ class _Plan:
                 )
                 record = (len(refs), swap, out_at is not None)
                 at += len(refs) + (out_at is not None)
-            donor = next((j for j in donors if j not in held), None)
-            forward.append((fn, get if donor is None else _getter(refs + (donor,)), dead, record))
+            if taped is None:
+                fn, donor = _applier(name, static), None
+            else:
+                fn = partial(prim.fn, **static) if static else prim.fn
+                donor = next((j for j in donors if j not in held), None)
+            # a ufunc takes its out argument by position, after its inputs
+            get = _getter(refs if donor is None else refs + (donor,))
+            forward.append((fn, get, dead, record))
         self.forward = tuple(forward)
         self.backward = tuple(reversed(backward))
         self.taped = [active[j] for j in program.outputs]
+
+
+def _run(plan, env) -> list:
+    """Run plan's operations on env, the constants and then the inputs:
+    each value is appended to env and dropped at its last use. Returns
+    what the taped operations keep, flat, as the plan lays it out."""
+    push = env.append
+    kept = []
+    for fn, get, dead, record in plan.forward:
+        args = get(env)
+        for j in dead:
+            env[j] = None
+        push(fn(*args))
+        if record is not None:
+            n, swap, keep_out = record
+            kept += args[:n]
+            for at, zero in swap:
+                if isinstance(kept[at], np.ndarray):
+                    kept[at] = zero
+            if keep_out:
+                kept.append(env[-1])
+    return kept
 
 
 def _tape_of(values):
@@ -743,6 +733,12 @@ def _getter(refs):
     if len(refs) == 1:
         return itemgetter(slice(refs[0], refs[0] + 1))
     return itemgetter(*refs)
+
+
+def _applier(name, static):
+    """args -> apply(name, *args, **static), with apply looked up in this
+    module on every call, so a replaced engine.apply sees a tangent replay."""
+    return lambda *args: apply(name, *args, **static)
 
 
 def _constants(nodes):

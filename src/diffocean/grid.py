@@ -132,8 +132,8 @@ def make_channel_grid(
 class Field:
     """A 2-D 64-bit real array tagged with its grid position.
 
-    With an ndarray on the left, `+`, `-` and `*` defer to the Field and
-    return a Field at its staggering; `/` raises TypeError.
+    With an ndarray or a number on the left, `+`, `-`, `*` and `/` defer
+    to the Field and return a Field at its staggering.
     """
 
     values: object
@@ -151,7 +151,18 @@ class Field:
     def shape(self):
         return np.shape(unbox(self.values))
 
-    def _binary(self, other, op):
+    def __neg__(self):
+        return Field(ops.neg(self.values), self.staggering)
+
+    def __pow__(self, p):
+        return Field(ops.power(self.values, p=float(p)), self.staggering)
+
+
+def _operator(prim, reflected):
+    """Field's binary dunder for prim: the values of two Fields of one
+    staggering, or of a Field and a plain operand, in operator order."""
+
+    def method(self, other):
         if isinstance(other, Field):
             if other.staggering is not self.staggering:
                 raise StaggeringError(
@@ -159,35 +170,17 @@ class Field:
                     f"{other.staggering.value} without explicit interpolation"
                 )
             other = other.values
-        return Field(op(self.values, other), self.staggering)
+        a, b = (other, self.values) if reflected else (self.values, other)
+        return Field(prim(a, b), self.staggering)
 
-    def __add__(self, other):
-        return self._binary(other, ops.add)
+    return method
 
-    def __radd__(self, other):
-        return Field(ops.add(other, self.values), self.staggering)
 
-    def __sub__(self, other):
-        return self._binary(other, ops.sub)
-
-    def __rsub__(self, other):
-        return Field(ops.sub(other, self.values), self.staggering)
-
-    def __mul__(self, other):
-        return self._binary(other, ops.mul)
-
-    def __rmul__(self, other):
-        return Field(ops.mul(other, self.values), self.staggering)
-
-    def __truediv__(self, other):
-        return self._binary(other, ops.div)
-
-    def __neg__(self):
-        return Field(ops.neg(self.values), self.staggering)
-
-    def __pow__(self, p):
-        return Field(ops.power(self.values, p=float(p)), self.staggering)
-
+# Field's binary operators, (dunder stem, primitive), each with its reflection.
+_OPERATORS = (("add", ops.add), ("sub", ops.sub), ("mul", ops.mul), ("truediv", ops.div))
+for _stem, _prim in _OPERATORS:
+    setattr(Field, f"__{_stem}__", _operator(_prim, False))
+    setattr(Field, f"__r{_stem}__", _operator(_prim, True))
 
 tree.register_container(Field, children=("values",), aux=("staggering",))
 

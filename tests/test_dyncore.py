@@ -341,7 +341,7 @@ def test_step_tape_structure_pinned(drag_mode, boundary, nodes, nbytes, digest):
     assert len(tape.nodes) == nodes
     assert tape.bytes_used == nbytes
     program = dyncore._program(boxed, p, g, c, dyncore._leaf_values(boxed, p))
-    structure = repr([(op[3], refs) for op, refs in zip(program.ops, program.refs)]).encode()
+    structure = repr([(name, refs) for name, refs, *_ in program.ops]).encode()
     assert hashlib.sha256(structure).hexdigest() == digest
 
 

@@ -5,6 +5,8 @@ import operator
 import numpy as np
 import pytest
 
+from diffocean.autodiff import Tape, unbox
+from diffocean.autodiff import primitives as ops
 from diffocean.errors import DomainError, ShapeError, StaggeringError
 from diffocean.grid import (
     Field,
@@ -278,7 +280,7 @@ def test_field_rejects_mixed_staggering_arithmetic():
         _ = u + c
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
 def test_ndarray_left_operand_defers_to_field(op):
     rng = np.random.default_rng(3)
     row = rng.standard_normal((1, 8))  # like the Coriolis rows f_at_u, f_at_v
@@ -289,6 +291,29 @@ def test_ndarray_left_operand_defers_to_field(op):
     assert out.values.tobytes() == op(row, f.values).tobytes()
 
 
-def test_ndarray_left_division_by_field_raises():
-    with pytest.raises(TypeError):
-        _ = np.ones((8, 8)) / center(np.ones((8, 8)))
+@pytest.mark.parametrize(
+    "op, name",
+    [(operator.add, "add"), (operator.sub, "sub"), (operator.mul, "mul"), (operator.truediv, "div")],
+)
+def test_field_operators_record_their_primitive_on_operands_in_order(op, name):
+    """Every binary operator, with a Field on either side or both, records
+    one node of its primitive on the operands in operator order, and its
+    value is the primitive's, bitwise, at the Field's staggering."""
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(0.5, 2.0, (2, 8, 8))
+    tape = Tape()
+    x = tape.leaf(a)
+    field = Field(x, Staggering.U_FACE)
+    for left, right, operands in [
+        (field, Field(b, Staggering.U_FACE), (x, b)),
+        (field, b, (x, b)),
+        (b, field, (b, x)),
+        (2.5, field, (2.5, x)),
+    ]:
+        out = op(left, right)
+        assert out.staggering is Staggering.U_FACE
+        node = tape.nodes[out.values.index]
+        assert node.name == name
+        assert node.parents == tuple(getattr(v, "index", None) for v in operands)
+        want = getattr(ops, name)(*(unbox(v) for v in operands))
+        assert out.values.primal.tobytes() == want.tobytes()
