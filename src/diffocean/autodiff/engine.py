@@ -10,26 +10,26 @@ bitwise identical whether or not derivatives are being propagated. Forward
 mode wraps values in DualBox (value, tangent), where the tangent stacks m
 directions on a leading axis, (m,) + value shape; reverse mode wraps them
 in TapeBox and records each application on a Tape, which keeps only what
-the rules of the taped arguments read, and is later swept backwards. A
-checkpoint group stands on a tape for a whole pure computation that ran
-plain: it keeps only its inputs, tapes only the outputs a taped input
-reaches, and the sweep records it again at the end of the same tape,
-sweeps those nodes and drops them, trading one extra forward for memory.
-The nodes are a tape's whole record: what it keeps is read off them. A tape
+the rules of the taped arguments read, and is later swept backwards. The
+nodes are a tape's whole record: what it keeps is read off them. A tape
 also is a trace: a Program keeps the structure of a record and its
 constants, drops its primals, and replays it on new inputs (trace) in
 one loop over a plan of one op table: plain, writing each ufunc into a
 dying operand's buffer; tangent, through apply; or taped, as one program
 node that the sweep runs from an adjoint list built once per pattern of
-taped inputs, bitwise as it would sweep one node per operation.
+taped inputs, bitwise as it would sweep one node per operation. A
+checkpoint group stands on a tape for n replays of one Program that ran
+plain, each feeding its outputs back as its leading inputs: it keeps only
+its inputs, tapes only the outputs a taped input reaches, and the sweep
+replays the program n times at the end of the same tape, sweeps those
+nodes and drops them, trading one extra forward for memory.
 
 A tape is reached only through its boxes: there is no ambient "current
-tape", so independent traces may nest, and code that needs the tape of a
-traced computation (a checkpoint group) finds it on the values it is
-given. A tape holds plain values: its leaves refuse a box, so no replay
-on a tape runs over another trace's boxes. Tapes are single-owner
-objects: one tape is built and swept by one logical thread. The
-primitive registry is written during startup and read-only afterwards.
+tape", so independent traces may nest, and a replay finds its tape on
+the values it is given. A tape holds plain values: its leaves refuse a
+box, so no replay on a tape runs over another trace's boxes. Tapes are
+single-owner objects: one tape is built and swept by one logical thread.
+The primitive registry is written during startup and read-only afterwards.
 """
 
 from __future__ import annotations
@@ -243,14 +243,17 @@ _OUTPUT = "<output>"
 
 
 class _Group:
-    """A checkpoint group: args are its plain input values, links[i] the
-    node args[i] stands for (None for a constant), run(inputs) re-runs it,
-    returning its outputs as a list, and taped[i] says whether output i
-    has a node."""
+    """A checkpoint group (Program.checkpoint): n replays of program, each
+    feeding its outputs back as its leading inputs. args are the plain
+    values of its inputs, links[i] the node of input i (None for a plain
+    input)."""
 
-    __slots__ = ("args", "links", "run", "taped")
+    __slots__ = ("program", "n", "args", "links")
     name = _GROUP
     out = None
+
+    def __init__(self, program, n, args, links):
+        self.program, self.n, self.args, self.links = program, n, args, links
 
 
 class _ProgramNode:
@@ -284,9 +287,9 @@ class Tape:
     """Ordered record of primitive applications for one reverse-mode sweep.
 
     Every intermediate primal needed by a backward rule is saved on the
-    tape, except inside a checkpoint group (see group), which keeps only
-    its inputs and is recorded again by the sweep (_sweep_group). A node
-    keeps the primals read by the cotangent rules of its taped arguments,
+    tape, except inside a checkpoint group (Program.checkpoint), which
+    keeps only its inputs and is replayed by the sweep (_sweep_group). A
+    node keeps the primals read by the cotangent rules of its taped arguments,
     plus its constant arguments (tiny or shared across steps); a taped
     array that no such rule reads is dropped for a shared read-only zero
     stand-in of its shape and dtype. So `c * x` keeps neither operand when
@@ -295,17 +298,18 @@ class Tape:
     output; the program node keeps in its args, flat, what a node per
     operation would keep (_kept), and is swept as those nodes would be.
     Its values are plain: leaf refuses a box. `nodes` is the whole
-    record, and `bytes_used` is read off it.
-    `steps` counts the model steps recorded on the tape; its only writer
-    is dyncore._checkpoint, which adds the steps of each checkpoint group
-    it records. Both describe the forward record, however often it is
-    swept, and neither limits the tape: checkpoint groups are what bound a
-    gradient's memory.
+    record, and `bytes_used` and `steps` are read off it: both describe
+    the forward record, however often it is swept, and neither limits the
+    tape: checkpoint groups are what bound a gradient's memory.
     """
 
     def __init__(self):
         self.nodes: list = []
-        self.steps = 0
+
+    @property
+    def steps(self) -> int:
+        """The replays its checkpoint groups stand for: dyncore's steps."""
+        return sum(node.n for node in self.nodes if node.name is _GROUP)
 
     @property
     def bytes_used(self) -> int:
@@ -339,33 +343,6 @@ class Tape:
         self.nodes.append(_Node(prim.name, parents, kept_args, out if keep_out else None, static))
         return index
 
-    def group(self, run, inputs, outs, taped) -> list:
-        """Record a computation that ran plain as one checkpoint group.
-
-        inputs are its input values as the caller holds them, boxes of this
-        tape or plain constants; outs are its plain outputs, and run(inputs)
-        must give them bitwise from any inputs equal to these, boxed or not.
-        taped[i] says whether output i depends on a taped input: those come
-        back as TapeBoxes, the others plain, and the sweep refuses a
-        re-recording that tapes the outputs otherwise. The group keeps only
-        the plain values of its inputs.
-        """
-        if any(isinstance(v, Box) and getattr(v, "tape", None) is not self for v in inputs):
-            raise UnregisteredPrimitiveError("a group takes plain values and its tape's boxes")
-        node = _Group()
-        node.links = tuple(v.index if isinstance(v, TapeBox) else None for v in inputs)
-        node.args = tuple(map(unbox, inputs))
-        node.run, node.taped = run, tuple(taped)
-        index = len(self.nodes)
-        self.nodes.append(node)
-        results = []
-        for position, (out, is_taped) in enumerate(zip(outs, node.taped)):
-            if is_taped:
-                self.nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
-                out = TapeBox(self, len(self.nodes) - 1, out)
-            results.append(out)
-        return results
-
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
         """Backward pass: cotangents per seed node -> cotangents per leaf.
 
@@ -394,7 +371,7 @@ def _sweep(tape, adjoint, start):
     rules of its taped arguments in argument order. The outputs of a
     program or a group hand their cotangents to it: a program node sweeps
     its operations as their own nodes would be swept (_sweep_program), and
-    a group records itself again on the tape and sweeps those nodes
+    a group replays its program on the tape and sweeps those nodes
     (_sweep_group).
     """
     nodes = tape.nodes
@@ -464,26 +441,20 @@ def _sweep_group(tape, group, cts, adjoint):
     """Sweep a checkpoint group of tape, given the cotangents of its
     outputs by position.
 
-    The group runs again with its input nodes as parents, recording at the
-    end of the tape. The new nodes are those a tape of the whole
+    Its program replays n times with the group's input nodes as parents,
+    at the end of the tape, taping the outputs the group tapes (the same
+    plans decided those). The new nodes are those a tape of the whole
     computation holds in the group's place, so the same loop and adjoints
     sweep them in full-tape order, bitwise; they are dropped afterwards.
     """
     start = len(tape.nodes)
+    values = [v if p is None else TapeBox(tape, p, v) for v, p in zip(group.args, group.links)]
+    k = len(group.program.outputs)
     try:
-        outs = group.run([
-            v if p is None else TapeBox(tape, p, v) for v, p in zip(group.args, group.links)
-        ])
-        for position, (out, taped) in enumerate(zip(outs, group.taped)):
-            if isinstance(out, TapeBox) != taped:
-                # what was computed from a plain output holds no derivative
-                raise RuntimeError(
-                    f"checkpoint group output {position} was "
-                    f"{'taped' if taped else 'plain'} when the group ran, but "
-                    f"not when it was recorded again"
-                )
+        for _ in range(group.n):
+            values[:k] = group.program(values)
         for position, ct in cts.items():
-            _accumulate(adjoint, outs[position].index, ct)
+            _accumulate(adjoint, values[position].index, ct)
         _sweep(tape, adjoint, start)
     finally:
         del tape.nodes[start:]
@@ -598,6 +569,35 @@ class Program:
                 nodes.append(_Node(_OUTPUT, (index,), j, None, {}))
                 boxes[j] = TapeBox(tape, len(nodes) - 1, env[j])
             results.append(boxes[j] if taped else env[j])
+        return results
+
+    def checkpoint(self, inputs, n, outs) -> list:
+        """Record n replays that ran plain, each feeding its outputs back as
+        its leading inputs, as one checkpoint group on the tape of inputs
+        that keeps only their plain values; outs are the last replay's. It
+        tapes the outputs n taped replays tape (plan, until a replay adds
+        none), as TapeBoxes; with none, outs come back and nothing is
+        recorded. _tape_of refuses boxes of two tapes or of two kinds."""
+        tape = _tape_of(inputs)
+        taped = [isinstance(x, TapeBox) for x in inputs]
+        k = len(self.outputs)
+        reached = taped[:k]
+        for _ in range(n):
+            last, reached = reached, self.plan(reached + taped[k:]).taped
+            if reached == last:
+                break
+        if not any(reached):
+            return outs
+        nodes = tape.nodes
+        index = len(nodes)
+        links = tuple(x.index if t else None for x, t in zip(inputs, taped))
+        nodes.append(_Group(self, n, tuple(map(unbox, inputs)), links))
+        results = []
+        for position, (out, is_taped) in enumerate(zip(outs, reached)):
+            if is_taped:
+                nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
+                out = TapeBox(tape, len(nodes) - 1, out)
+            results.append(out)
         return results
 
 

@@ -106,12 +106,18 @@ class _Workspace:
         self._write_text("resolved.conf", render_config(self.cfg))
 
     def path(self, name: str) -> str:
-        """The path of an output about to be written; discard removes it."""
+        """The path of an output about to be written, opened once (made or
+        emptied) so that discard removes it; ConfigError naming it if it
+        cannot be opened, as when a directory has its name."""
         target = os.path.join(self.outdir, name)
         if os.path.exists(target) and not self.force:
             raise ConfigError(
                 f"refusing to overwrite existing output {target} (use --force)"
             )
+        try:
+            open(target, "wb").close()
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {target}: {exc.strerror}") from exc
         self.written.append(target)
         return target
 

@@ -241,24 +241,12 @@ def _field_values(s: ModelState) -> list:
     return [s.u.values, s.v.values, s.eta.values]
 
 
-def _rebuilder(s: ModelState, p: PhysParams):
-    """The inverse of _leaf_values for the structure of (s, p): leaves ->
-    (state, params), as tree.flatten's rebuild gives them. It keeps the
-    staggerings, the time and the parameters that are not leaves, never a
-    value: a checkpoint group keeps it, and a box held there would tie the
-    tape to the boxes recorded on it."""
-    like = _with_fields(s, [None] * 4, s.time)  # a skeleton of s
-    k = 4 if has_tracer(s) else 3
-    drag_mode, wind_band, t_star = p.drag_mode, p.wind_band, p.T_star.staggering
-
-    def rebuild(values):
-        q = object.__new__(PhysParams)
-        q.__dict__.update(zip(_PARAM_SCALARS, values[k:]))
-        q.T_star = _field(values[-1], t_star)
-        q.drag_mode, q.wind_band = drag_mode, wind_band
-        return _with_fields(like, values[:k], like.time), q
-
-    return rebuild
+def _unboxed(s: ModelState, p: PhysParams) -> tuple:
+    """(s, p) with every leaf unboxed, as tree.flatten's rebuild builds it."""
+    q = object.__new__(PhysParams)
+    q.__dict__.update(p.__dict__, **{k: unbox(getattr(p, k)) for k in _PARAM_SCALARS})
+    q.T_star = _field(unbox(p.T_star.values), p.T_star.staggering)
+    return _with_fields(s, [unbox(v) for v in _field_values(s)], s.time), q
 
 
 def _with_fields(like: ModelState, values, time: float) -> ModelState:
@@ -311,12 +299,12 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
 
 def _trace(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig):
     """Record _step_body once with every leaf of (s, p) a tape leaf."""
-    rebuild = _rebuilder(s, p)
+    leaves, rebuild = tree.flatten((s, p))
 
     def body(leaves):
         return [f.values for f in _step_body(*rebuild(leaves), g, c)]
 
-    return trace(body, _leaf_values(s, p))
+    return trace(body, [leaf.value for leaf in leaves])
 
 
 def _step_body(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> tuple:
@@ -395,9 +383,9 @@ def step_n(s: ModelState, n: int, p: PhysParams, g: GridSpec, c: StepConfig) -> 
     ceil(sqrt(n)) steps from the first step on (_checkpoint), except that
     steps whose fields no taped leaf reaches run plain. A group runs
     plain and keeps only its input state on the tape, and the sweep
-    records one group again at a time: a gradient holds O(sqrt(n)) states
-    instead of n steps of tape, for one more plain forward, and is bitwise
-    the full-tape one.
+    replays one group's step programs at a time: a gradient holds
+    O(sqrt(n)) states instead of n steps of tape, for one more plain
+    forward, and is bitwise the full-tape one.
     """
     if n < 0:
         raise DomainError(f"step count must be non-negative, got {n}")
@@ -420,35 +408,14 @@ def _fold(x, n: int, g: GridSpec, c: StepConfig) -> ModelState:
 
 
 def _checkpoint(s: ModelState, p: PhysParams, n: int, g: GridSpec, c: StepConfig):
-    """n steps from s, recorded as one checkpoint group on the tape of the
-    taped leaves of (s, p); the group tapes the fields that n steps of the
-    step program tape from them (Program.plan, until a step adds none).
-    When they reach no field, the plain fold is returned and the tape is
-    left as it was. (s, p) goes in as its flat leaf list (_leaf_values)
-    and comes back through _rebuilder, so the group's run keeps the
-    skeleton of (s, p) and no value of it."""
+    """n steps from s, run plain through step (each checked once) and
+    recorded as one checkpoint group of n step-program replays on the tape
+    of (s, p)'s taped leaves (Program.checkpoint), which the sweep replays;
+    the plain state, and nothing recorded, if they reach no field."""
+    out = _fold(_unboxed(s, p), n, g, c)
     values = _leaf_values(s, p)
-    tape = next(v.tape for v in values if isinstance(v, TapeBox))
-    taped = [isinstance(v, TapeBox) for v in values]
-    program = _program(s, p, g, c, values)
-    k = len(program.outputs)  # the fields lead the leaves of (s, p)
-    fields = taped[:k]
-    for _ in range(n):
-        last, fields = fields, program.plan(fields + taped[k:]).taped
-        if fields == last:
-            break
-
-    rebuild = _rebuilder(s, p)
-
-    def run(inputs):
-        return _field_values(_fold(rebuild(inputs), n, g, c))
-
-    out = _fold(rebuild([unbox(v) for v in values]), n, g, c)
-    if not any(fields):
-        return out
-    s = _with_fields(out, tape.group(run, values, _field_values(out), fields), out.time)
-    tape.steps += n
-    return s
+    fields = _program(s, p, g, c, values).checkpoint(values, n, _field_values(out))
+    return _with_fields(out, fields, out.time)
 
 
 def barotropic_streamfunction(s: ModelState, g: GridSpec) -> Field:

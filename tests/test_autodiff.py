@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffocean.autodiff.primitives as ops
 from diffocean import calibrate, dyncore
@@ -772,10 +774,10 @@ def test_tape_replay_reruns_checkpoint_groups():
 
 
 def test_a_dropped_pullback_through_checkpoint_groups_frees_its_tape_without_gc():
-    """A checkpoint group keeps the skeleton of (s, p), never a value or a
-    box of it: a box kept in the group's run would tie the tape to itself
-    through its own record, and the tape of a dropped pullback would live
-    on until the cycle collector ran."""
+    """A checkpoint group keeps its step program and the plain values of
+    its inputs, never a box: a box kept in the group would tie the tape to
+    itself through its own record, and the tape of a dropped pullback
+    would live on until the cycle collector ran."""
     g, p, c, s = dissipative_test_setup(seed=4)
 
     def loss(theta):
@@ -953,6 +955,61 @@ def test_taped_step_is_the_per_node_record_of_its_definition(drag_mode, boundary
         assert any(ct is not None and any(np.frombuffer(ct)) for ct in cts)
 
 
+@settings(max_examples=30)
+@given(
+    drag_mode=st.sampled_from(["linear", "quadratic"]),
+    boundary=st.sampled_from(["free-slip", "no-slip"]),
+    flow=st.booleans(),
+    taped=st.sampled_from(sorted(_TAPED_SETS)),
+    n=st.integers(1, 10),
+)
+def test_checkpointed_step_n_is_a_loop_of_step(drag_mode, boundary, flow, taped, n):
+    """The reverse sweep through step_n's checkpoint groups (uneven last
+    groups included) against a loop of step, bitwise: the same values, the
+    same outputs taped and the same cotangent at every leaf. step_n's tape
+    counts n steps when a taped leaf reaches a field and holds only its
+    leaves when none does, and two sweeps leave every tape's nodes, steps
+    and bytes as the forward left them."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    p = replace(p, drag_mode=drag_mode, C_d=2e-3, tau0=0.05, kappa_T=2e3,
+                lambda_relax=1e-6, T_star=helpers.linear_profile_field(g, 5.0, 15.0))
+    c = replace(c, boundary=boundary)
+    if flow:
+        s = dyncore.flow_only(s)
+
+    def loop(state, q):
+        for _ in range(n):
+            state = step(state, q, g, c)
+        return state
+
+    results = []
+    for run in (lambda state, q: step_n(state, n, q, g, c), loop):
+        tape = Tape()
+        state, q, leaves = _taped_setup(tape, s, p, _TAPED_SETS[taped])
+        final = run(state, q)
+        outs = [f.values for f in (final.u, final.v, final.eta, final.T) if f.values is not None]
+        forward = (len(tape.nodes), tape.steps, tape.bytes_used)
+        rng = np.random.default_rng(n)
+        seeds = {out.index: rng.standard_normal(g.shape)
+                 for out in outs if isinstance(out, TapeBox)}
+        sweeps = []
+        for _ in range(2):
+            adjoint = tape.sweep(seeds)
+            sweeps.append([None if leaf.index not in adjoint else _bits(adjoint[leaf.index])
+                           for leaf in leaves])
+            assert (len(tape.nodes), tape.steps, tape.bytes_used) == forward
+        assert sweeps[0] == sweeps[1]
+        results.append(([_bits(unbox(out)) for out in outs],
+                        [isinstance(out, TapeBox) for out in outs], sweeps[0], forward))
+    checkpointed, looped = results
+    assert checkpointed[:3] == looped[:3]
+    nodes, steps, _ = checkpointed[3]
+    if any(checkpointed[1]):
+        assert steps == n
+    else:
+        assert steps == 0 and nodes == len(leaves)
+
+
 def test_a_taped_step_calls_apply_nowhere(monkeypatch):
     """Once traced, a taped step runs each primitive's fn directly: it calls
     no apply, and puts one program node and one output node per taped
@@ -1064,18 +1121,6 @@ def test_a_swept_sum_handed_on_twice_is_not_added_into_in_place():
         (out,) = call([leaf])
         grads.append(_bits(tape.sweep({out.index: seed})[leaf.index]))
     assert grads[0] == grads[1]
-
-
-def test_checkpoint_group_refuses_a_re_recording_that_tapes_a_plain_output():
-    """An output a group hands out plain holds no derivative, so a sweep
-    whose re-recording finds it taped refuses to go on."""
-    tape = Tape()
-    x = tape.leaf(2.0)
-    run = lambda inputs: [ops.mul(inputs[0], 3.0), ops.mul(inputs[0], 2.0)]
-    y, z = tape.group(run, [x], [6.0, 4.0], [True, False])
-    assert isinstance(y, TapeBox) and z == 4.0
-    with pytest.raises(RuntimeError, match="output 1 was plain"):
-        tape.sweep({y.index: 1.0})
 
 
 def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypatch):
@@ -1218,9 +1263,13 @@ def test_mixing_two_tapes_rejected():
     b = Tape().leaf(2.0)
     with pytest.raises(UnregisteredPrimitiveError):
         apply("add", a, b)
-    # a checkpoint group runs plain, so it checks its inputs itself
-    with pytest.raises(UnregisteredPrimitiveError, match="its tape's boxes"):
-        a.tape.group(lambda xs: xs, [a, b], [1.0, 2.0], [True, True])
+    # a checkpoint group ran plain, so it checks its inputs itself, as a
+    # taped replay does, and records nothing
+    program = trace(lambda xs: [ops.mul(xs[0], xs[1])], [1.0, 2.0])
+    for other, message in ((b, "different tapes"), (DualBox(2.0, 1.0), "cannot mix")):
+        with pytest.raises(UnregisteredPrimitiveError, match=message):
+            program.checkpoint([a, other], 3, [8.0])
+    assert len(a.tape.nodes) == 1 and a.tape.steps == 0
 
 
 def test_independent_grad_inside_a_traced_function():

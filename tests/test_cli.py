@@ -298,6 +298,20 @@ def test_os_level_failures_are_one_line_config_errors(small_conf, tmp_path, caps
     assert "\n" not in err
 
 
+@pytest.mark.parametrize("name", ["resolved.conf", "state_final.dosn"])
+def test_an_output_name_held_by_a_directory_is_one_config_error_line(tmp_path, capsys, name):
+    """With --force, an output whose name a directory holds gives one
+    ConfigError line naming its path; the directory stays, and the run
+    leaves none of the files it wrote before."""
+    out = tmp_path / "r"
+    (out / name).mkdir(parents=True)
+    code = main(["run", *ACC_MINI_8x6, "--set", "stepping.n_steps=2",
+                 "--out", str(out), "--force"])
+    assert code == 1
+    assert str(out / name) in _one_error_line(capsys, "ConfigError")
+    assert os.listdir(out) == [name] and (out / name).is_dir()
+
+
 def test_gradcheck_subcommand_accuracy(small_conf, tmp_path):
     out = str(tmp_path / "gc")
     assert main(["gradcheck", "--config", small_conf, "--out", out,

@@ -367,20 +367,21 @@ def _structure(x):
 
 
 def test_leaf_values_follow_tree_order():
-    """_leaf_values reads the leaves of (s, p) in tree order, and
-    _rebuilder inverts it as tree.flatten's rebuild does, for plain and
-    boxed leaves; a flow-only state has no T leaf."""
+    """_leaf_values reads the leaves of (s, p) in tree order, and _unboxed
+    builds (s, p) as tree.flatten's rebuild does from the unboxed leaves,
+    for plain and boxed leaves; a flow-only state has no T leaf."""
     g, p, c, s = dissipative_test_setup(seed=1)
     for state, count in ((s, 13), (flow_only(s), 12)):
         values = dyncore._leaf_values(state, p)
         assert all(a is b for a, b in zip(values, tree.leaf_values((state, p))))
         assert len(values) == len(tree.leaf_values((state, p))) == count
         tape = Tape()
+        _, rebuild = tree.flatten((state, p))
         for leaves in (values, [tape.leaf(v) for v in values]):
-            got = dyncore._rebuilder(state, p)(leaves)
-            want = tree.flatten((state, p))[1](leaves)
+            got = dyncore._unboxed(*rebuild(leaves))
+            want = rebuild(values)
             assert _structure(got) == _structure(want) == _structure((state, p))
-            assert all(a is b for a, b in zip(tree.leaf_values(got), leaves))
+            assert all(a is b for a, b in zip(tree.leaf_values(got), values))
 
 
 def test_step_program_is_traced_once_per_structure(traces):

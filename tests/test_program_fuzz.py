@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffocean.autodiff.primitives as ops
-from diffocean.autodiff import DualBox, Tape, TapeBox, trace
+from diffocean.autodiff import DualBox, Tape, TapeBox, jvp, trace, vjp
 from diffocean.autodiff.engine import Primitive
 
 PRIMITIVES = {p.name: p for p in vars(ops).values() if isinstance(p, Primitive)}
@@ -191,3 +191,22 @@ def test_a_tangent_replay_is_apply_per_operation(drawn):
             else:
                 assert bits(got) == bits(want)
     assert [bits(v) for v in inputs + constants] == before
+
+
+@settings(max_examples=60)
+@given(programs(), st.integers(0, 2**32 - 1))
+def test_the_tangent_and_adjoint_of_a_program_are_transposes(drawn, seed):
+    """<J v, w> from jvp equals <v, Jᵀ w> from vjp to 1e-12, relative to
+    ‖J v‖·‖w‖, for random v and w."""
+    inputs, constants, steps, outputs = drawn
+    program = trace(as_function(constants, steps, outputs), inputs)
+    rng = np.random.default_rng(seed)
+    v = [rng.standard_normal(np.shape(x)) for x in inputs]
+    values, jv = jvp(program, inputs, v)
+    w = [rng.standard_normal(np.shape(y)) for y in values]
+    _, pullback = vjp(program, inputs)
+    jtw = pullback(w)
+    forward = sum(float(np.vdot(a, b)) for a, b in zip(jv, w))
+    reverse = sum(float(np.vdot(a, b)) for a, b in zip(v, jtw))
+    scale = np.sqrt(sum(float(np.vdot(a, a)) for a in jv) * sum(float(np.vdot(b, b)) for b in w))
+    assert abs(forward - reverse) <= 1e-12 * scale
