@@ -27,23 +27,12 @@ from .engine import (
     trace,
     unbox,
 )
-from .primitives import (
-    REG_EPS_DEFAULT,
-    amean,
-    asum,
-    exp,
-    log,
-    power,
-    sqrt,
-    sqrt_reg,
-    where_pos,
-)
+from .primitives import sqrt_reg
 
 __all__ = [
     "DualBox",
     "Tape",
     "TapeBox",
-    "Box",
     "jvp",
     "vjp",
     "grad",
@@ -53,14 +42,6 @@ __all__ = [
     "unbox",
     "apply",
     "tree",
-    "REG_EPS_DEFAULT",
-    "exp",
-    "log",
-    "sqrt",
-    "power",
-    "asum",
-    "amean",
-    "where_pos",
 ]
 
 

@@ -200,9 +200,6 @@ class DualBox(Box):
         self.primal = primal
         self.tangent = tangent
 
-    def __repr__(self):
-        return f"DualBox({self.primal!r}, tangent={self.tangent!r})"
-
 
 class TapeBox(Box):
     """Reverse-mode handle: a node index on a Tape plus its primal value."""
@@ -213,9 +210,6 @@ class TapeBox(Box):
         self.tape = tape
         self.index = index
         self.primal = primal
-
-    def __repr__(self):
-        return f"TapeBox(node={self.index}, {self.primal!r})"
 
 
 def unbox(x):

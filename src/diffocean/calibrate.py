@@ -201,18 +201,13 @@ def _trial(evaluate, x):
     return (value, extra) if np.isfinite(value) else (np.inf, None)
 
 
-def _trial_value(loss, x) -> float:
-    """loss(x) as a float; inf when the trial run blows up or is unstable."""
-    return _trial(lambda y: (loss(y), None), x)[0]
-
-
 def _three_point_alpha(loss_of, T0, loss0, gT, alpha0: float) -> float:
     """The best of {alpha0/4, alpha0, 4*alpha0} along the gradient gT at
     T0, whose loss is loss0; DivergenceError when none lowers it."""
     if not np.any(gT):
         return alpha0
     candidates = (0.25 * alpha0, alpha0, 4.0 * alpha0)
-    values = [_trial_value(loss_of, T0 - a * gT) for a in candidates]
+    values = [_trial(lambda T: (loss_of(T), None), T0 - a * gT)[0] for a in candidates]
     best = int(np.argmin(values))
     if values[best] < loss0:
         return candidates[best]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -145,31 +145,24 @@ def _cmd_run(ws):
     cfg = ws.cfg
     state = scenarios.build_initial_state(cfg, ws.grid, ws.params)
     every = cfg.output.snapshot_every
+    header = ["step", "time", "sum_eta", "total_energy", "transport_sv"]
     rows = []
     ws.snapshot(state, "state_000000.dosn")
     for k in range(1, cfg.stepping.n_steps + 1):
         state = step(state, ws.params, ws.grid, ws.stepcfg)
-        rows.append(
-            {
-                "step": k,
-                "time": state.time,
-                "sum_eta": float(np.sum(state.eta.values)),
-                "total_energy": total_energy(state, ws.params, ws.grid),
-                "transport_sv": transport(state, ws.grid, 0),
-            }
+        values = (
+            k,
+            state.time,
+            float(np.sum(state.eta.values)),
+            total_energy(state, ws.params, ws.grid),
+            transport(state, ws.grid, 0),
         )
+        rows.append(dict(zip(header, values)))
         if every and k % every == 0:
             ws.snapshot(state, f"state_{k:06d}.dosn")
     ws.snapshot(state, "state_final.dosn")
-    ws.write_csv(
-        "diagnostics.csv",
-        ["step", "time", "sum_eta", "total_energy", "transport_sv"],
-        rows,
-    )
+    ws.write_csv("diagnostics.csv", header, rows)
     print(f"run: {cfg.stepping.n_steps} steps, outputs in {ws.outdir}")
-
-
-_GRADCHECK_HEADER = ["n_steps", "mode", "eps", "ad_value", "fd_value", "error", "accuracy"]
 
 
 def _cmd_gradcheck(ws):
@@ -181,7 +174,8 @@ def _cmd_gradcheck(ws):
     reports = gc.accuracy_over_steps(
         family, cfg.gradcheck.n_list, eps=cfg.gradcheck.eps, seed=cfg.seed
     )
-    ws.write_csv("gradcheck.csv", _GRADCHECK_HEADER, [r.row() for r in reports])
+    rows = [r.row() for r in reports]
+    ws.write_csv("gradcheck.csv", list(rows[0]), rows)
     worst = min(
         (r.accuracy for r in reports if r.accuracy is not None), default=float("nan")
     )
@@ -191,16 +185,14 @@ def _cmd_gradcheck(ws):
     )
 
 
-def _history_rows(history, metric_keys):
-    rows = []
-    for rec in history.records:
-        row = {"iter": rec.iteration, "loss": rec.loss}
-        for key in metric_keys:
-            row[key] = rec.metrics[key]
-        row["grad_norm"] = rec.grad_norm
-        row["alpha"] = rec.alpha
-        rows.append(row)
-    return rows
+def _write_history(ws, history):
+    """history.csv: iter, loss, the record's metrics, grad_norm, alpha."""
+    rows = [
+        {"iter": r.iteration, "loss": r.loss, **r.metrics,
+         "grad_norm": r.grad_norm, "alpha": r.alpha}
+        for r in history.records
+    ]
+    ws.write_csv("history.csv", list(rows[0]), rows)
 
 
 def _cmd_reconstruct(ws):
@@ -221,11 +213,7 @@ def _cmd_reconstruct(ws):
         g=ws.grid,
         stepcfg=ws.stepcfg,
     )
-    ws.write_csv(
-        "history.csv",
-        ["iter", "loss", "distance", "grad_norm", "alpha"],
-        _history_rows(history, ["distance"]),
-    )
+    _write_history(ws, history)
     ws.snapshot(base, "reference_initial.dosn")
     ws.snapshot(replace(base, T=perturbed), "perturbed_initial.dosn")
     ws.snapshot(replace(base, T=recovered), "recovered_initial.dosn")
@@ -264,11 +252,7 @@ def _cmd_calibrate(ws):
         alpha=sec.alpha,
         iters=sec.iters,
     )
-    ws.write_csv(
-        "history.csv",
-        ["iter", "loss", "A_h", "r_bot", "grad_norm", "alpha"],
-        _history_rows(history, ["A_h", "r_bot"]),
-    )
+    _write_history(ws, history)
     print(
         f"calibrate: A_h {a_est:.10g} (truth {truth_a:.10g}, "
         f"{100 * abs(a_est - truth_a) / truth_a:.3g}% off), "
@@ -293,11 +277,8 @@ def _cmd_sensitivity(ws):
         g=ws.grid,
         stepcfg=ws.stepcfg,
     )
-    ws.write_csv(
-        "sensitivity.csv",
-        ["A_h", "r_bot", "loss", "dL_dAh", "dL_drbot"],
-        list(grid_result.rows()),
-    )
+    rows = list(grid_result.rows())
+    ws.write_csv("sensitivity.csv", list(rows[0]), rows)
     print(
         f"sensitivity: {sec.n_a}x{sec.n_r} grid over {sec.decades:g} "
         f"decade{'' if sec.decades == 1 else 's'} around "
@@ -309,20 +290,14 @@ def _cmd_benchmark(ws):
     cfg = ws.cfg
     w = scenarios.gradcheck_reference_state(cfg, ws.grid, ws.params, ws.stepcfg)
     family = scenarios.reconstruction_cost_family(w, ws.params, ws.grid, ws.stepcfg)
-    rows = gc.cost_scaling(
+    timings = gc.cost_scaling(
         family,
         cfg.benchmark.n_list,
         repetitions=cfg.benchmark.repetitions,
     )
-    ws.write_csv(
-        "timing.csv",
-        ["n_steps", "forward_ms", "vjp_ms"],
-        [
-            {"n_steps": r.n_steps, "forward_ms": r.forward_ms, "vjp_ms": r.vjp_ms}
-            for r in rows
-        ],
-    )
-    slope = gc.loglog_slope([r.n_steps for r in rows], [r.vjp_ms for r in rows])
+    rows = [asdict(t) for t in timings]
+    ws.write_csv("timing.csv", list(rows[0]), rows)
+    slope = gc.loglog_slope([t.n_steps for t in timings], [t.vjp_ms for t in timings])
     print(f"benchmark: vjp log-log slope {slope:.3f} over n={list(cfg.benchmark.n_list)}")
 
 

@@ -6,6 +6,10 @@ numbers (no silent typos). Physical values are validated against the model
 type invariants after parsing, so a bad value is rejected before any model
 object is built. `--set section.key=value` overrides are applied after the
 file is parsed and before validation.
+
+_SCHEMA states every section and key once: parse_config returns a
+RunConfig built from it, read as cfg.seed and cfg.<section>.<key>, and
+render_config writes it back in schema order.
 """
 
 from __future__ import annotations
@@ -43,10 +47,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -114,7 +114,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "A_h": _Key(_parse_float, default=0.0, check=_non_negative("A_h")),
         "r_bot": _Key(_parse_float, default=0.0, check=_non_negative("r_bot")),
         "drag_mode": _Key(
-            _parse_str, default="linear",
+            str, default="linear",
             check=_choice("drag_mode", ("linear", "quadratic")),
         ),
         "C_d": _Key(_parse_float, default=0.0, check=_non_negative("C_d")),
@@ -133,7 +133,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "dt": _Key(_parse_dt, required=True),
         "n_steps": _Key(_parse_int, default=1, check=_non_negative("n_steps")),
         "boundary": _Key(
-            _parse_str, default="free-slip",
+            str, default="free-slip",
             check=_choice("boundary", ("free-slip", "no-slip")),
         ),
     },
@@ -144,7 +144,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         ),
     },
     "output": {
-        "directory": _Key(_parse_str, required=True),
+        "directory": _Key(str, required=True),
         "snapshot_every": _Key(
             _parse_int, default=0, check=_non_negative("snapshot_every")
         ),
@@ -204,9 +204,10 @@ _REQUIRED_SECTIONS = ("grid", "stepping", "output")
 
 
 class Section:
-    """Read-only attribute view of one configuration section."""
+    """Read-only attribute view of one configuration section (name None:
+    the top level)."""
 
-    def __init__(self, name: str, values: dict):
+    def __init__(self, name: str | None, values: dict):
         object.__setattr__(self, "_name", name)
         object.__setattr__(self, "_values", dict(values))
 
@@ -214,7 +215,8 @@ class Section:
         try:
             return self._values[key]
         except KeyError as exc:
-            raise AttributeError(f"[{self._name}] has no key {key!r}") from exc
+            place = f"[{self._name}]" if self._name else "the top level"
+            raise AttributeError(f"{place} has no key {key!r}") from exc
 
     def __setattr__(self, key, value):
         raise AttributeError("configuration sections are read-only")
@@ -223,23 +225,12 @@ class Section:
         return self._values.items()
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    grid: Section
-    physics: Section
-    stepping: Section
-    initial: Section
-    output: Section
-    gradcheck: Section
-    reconstruct: Section
-    calibrate: Section
-    sensitivity: Section
-    benchmark: Section
+class RunConfig(Section):
+    """A validated configuration: the top level of _SCHEMA as a Section
+    whose values are its top-level keys (cfg.seed) and one Section per
+    [section] (cfg.grid.nx)."""
 
     def section(self, name: str) -> Section:
-        if name == "seed":
-            raise ConfigError("seed is a top-level key, not a section")
         return getattr(self, name)
 
 
@@ -353,10 +344,8 @@ def _validate_and_fill(raw: dict, source: str) -> RunConfig:
     if not stepping["dt"] > 0:
         raise ConfigError(f"{source}: stepping dt must be positive")
 
-    return RunConfig(
-        seed=values[None]["seed"],
-        **{name: Section(name, v) for name, v in values.items() if name is not None},
-    )
+    top = values.pop(None)
+    return RunConfig(None, {**top, **{name: Section(name, v) for name, v in values.items()}})
 
 
 def parse_config(path, overrides=None) -> RunConfig:
@@ -375,8 +364,6 @@ def parse_config(path, overrides=None) -> RunConfig:
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):

@@ -154,9 +154,6 @@ class Field:
     def __neg__(self):
         return Field(ops.neg(self.values), self.staggering)
 
-    def __pow__(self, p):
-        return Field(ops.power(self.values, p=float(p)), self.staggering)
-
 
 def _operator(prim, reflected):
     """Field's binary dunder for prim: the values of two Fields of one

@@ -294,6 +294,12 @@ def test_define_primitive_rejects_rule_and_read_set_counts_that_differ():
     assert "bad_rule_count" not in _PRIMITIVES
 
 
+def test_define_primitive_rejects_a_name_already_defined():
+    with pytest.raises(ValueError, match="primitive 'add' already defined"):
+        define_primitive("add", np.add, jvp=None, vjps=(), reads=())
+    assert _PRIMITIVES["add"] is ops.add
+
+
 def test_define_primitive_rejects_read_set_out_of_range():
     with pytest.raises(ValueError, match="names argument 2 of 2"):
         define_primitive(
@@ -375,6 +381,11 @@ def test_unregistered_ufunc_raises():
         jvp(lambda x: np.tanh(x), 0.5, 1.0)
     with pytest.raises(UnregisteredPrimitiveError):
         vjp(lambda x: np.arctan(x), np.ones(3))
+    # a registered ufunc called through a method other than __call__
+    with pytest.raises(UnregisteredPrimitiveError, match=r"unregistered primitive: add\.reduce"):
+        jvp(lambda x: np.add.reduce(x), np.ones(3), np.ones(3))
+    with pytest.raises(UnregisteredPrimitiveError, match="unregistered primitive: 'tanh'"):
+        apply("tanh", 0.5)
 
 
 def test_np_power_is_box_pow():
@@ -429,6 +440,10 @@ def test_control_flow_on_traced_value_raises():
 
     with pytest.raises((UnregisteredPrimitiveError, TypeError)):
         grad(f, 1.0)
+    with pytest.raises(UnregisteredPrimitiveError, match="truth value of a traced quantity"):
+        grad(lambda x: x if x else -x, 1.0)
+    with pytest.raises(UnregisteredPrimitiveError, match="cannot convert a traced quantity"):
+        jvp(float, 1.0, 1.0)
 
 
 def test_primal_preservation_bitwise():
@@ -1159,6 +1174,16 @@ def test_vjp_cotangent_shape_checked():
     _, pullback = vjp(lambda x: ops.mul(x, 2.0), np.ones((3, 3)))
     with pytest.raises(ShapeError):
         pullback(np.ones((2, 2)))
+    with pytest.raises(ShapeError, match="tree mismatch: expected 1 leaves, got 2"):
+        pullback((np.ones((3, 3)), np.ones((3, 3))))
+
+
+def test_a_tree_refuses_a_short_rebuild_and_a_second_registration():
+    _, rebuild = tree.flatten((1.0, np.ones(2)))
+    with pytest.raises(ShapeError, match="rebuild expected 2 leaf values, got 1"):
+        rebuild([1.0])
+    with pytest.raises(ValueError, match="container ModelState already registered"):
+        tree.register_container(dyncore.ModelState, children=("u",))
 
 
 def test_jvp_tangent_shape_checked():
@@ -1172,6 +1197,8 @@ def test_jvp_tangent_shape_checked():
     ((np.ones(2), 1.0), r"leading axes \(\), an earlier leaf \(2,\)"),
     # stacks that disagree on m
     ((np.ones(2), np.ones(3)), r"leading axes \(3,\), an earlier leaf \(2,\)"),
+    # a tangent tree with a leaf too few
+    ((1.0,), "tree mismatch: expected 2 leaves, got 1"),
 ])
 def test_jvp_direction_stacks_checked(k, match):
     with pytest.raises(ShapeError, match=match):
@@ -1233,6 +1260,8 @@ def test_random_direction_is_unit_and_deterministic():
     assert tree.tree_dot(k1, k2) == pytest.approx(1.0, abs=1e-12)
     assert k1["b"] == k2["b"]
     assert k1["a"].tobytes() == k2["a"].tobytes()
+    with pytest.raises(ShapeError, match="direction is empty"):
+        random_direction({"a": np.zeros(0)})
 
 
 def test_closed_over_value_puts_no_node_on_the_tape():
@@ -1323,3 +1352,47 @@ def test_unbroadcast_scalar_against_array():
     _, g = grad(f, (2.0, arr))
     assert g[0] == pytest.approx(arr.sum())
     np.testing.assert_array_equal(g[1], 2.0)
+
+
+_W = np.arange(1.0, 7.0).reshape(2, 3)
+_ROW = np.array([0.5, -1.0, 2.0])
+
+# (loss, point, its gradient) for rules a model step never takes.
+_RULE_CASES = {
+    # -x of a box is Box.__neg__
+    "neg": (lambda x: ops.asum(ops.mul(-x, _W)), _W + 1.0, -_W),
+    # a 1-D row broadcast against a field: its cotangent sums the leading axis
+    "row-broadcast": (
+        lambda t: ops.asum(ops.mul(t[0], t[1])),
+        (_ROW, _W),
+        (_W.sum(axis=0), np.broadcast_to(_ROW, _W.shape)),
+    ),
+    # x ** 0 is constant, so its derivative is zero, also at x = 0
+    "pow-0": (lambda x: ops.asum(x**0), np.array([0.0, 1.0, -2.0]), np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_CASES))
+def test_grad_and_jvp_of_a_rule_no_step_takes(case):
+    """grad gives the known gradient, leaf by leaf in shape and value, and
+    jvp along a direction k gives <gradient, k>."""
+    loss, x, want = _RULE_CASES[case]
+    value, got = grad(loss, x)
+    assert value == float(loss(x))
+    for g, w in zip(tree.leaf_values(got), tree.leaf_values(want)):
+        assert np.shape(g) == np.shape(w)
+        np.testing.assert_array_equal(g, w)
+    k = random_direction(x, seed=4)
+    _, slope = jvp(loss, x, k)
+    assert slope == pytest.approx(tree.tree_dot(want, k), rel=1e-12, abs=1e-15)
+
+
+def test_the_cotangent_of_a_summed_float_is_a_float():
+    """sum of a scalar hands its scalar operand a float cotangent, as its
+    primal is one, not a 0-d array."""
+    tape = Tape()
+    x = tape.leaf(2.0)
+    out = ops.asum(x)
+    ct = tape.sweep({out.index: 1.0})[x.index]
+    assert type(ct) is float and ct == 1.0
+    assert grad(ops.asum, 2.0) == (2.0, 1.0)

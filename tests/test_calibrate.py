@@ -24,7 +24,7 @@ from diffocean.calibrate import (
     reference_bsf_observations,
     sensitivity_grid,
     temperature_mismatch_loss,
-    _trial_value,
+    _trial,
 )
 from diffocean.dyncore import (
     PhysParams,
@@ -397,6 +397,10 @@ def test_losses_that_read_the_tracer_refuse_a_flow_only_state(small_setup, monke
     monkeypatch.setattr(calibrate, "step_n", no_step)
     with pytest.raises(DomainError, match="carries no tracer T"):
         temperature_mismatch_loss(flow, 2, p, g, c)
+    with pytest.raises(DomainError, match="rollout length must be at least 1, got 0"):
+        reconstruct_initial_state(
+            start.T, 0, 0.25, 3, base_state=start, params=p, g=g, stepcfg=c
+        )
     with pytest.raises(DomainError, match="carries no tracer T"):
         reconstruct_initial_state(
             start.T, 2, 0.25, 3, base_state=flow, params=p, g=g, stepcfg=c
@@ -571,13 +575,13 @@ def test_descent_refuses_a_non_finite_gradient():
 
 @pytest.mark.parametrize("outcome", [NonFiniteError, DampingError, np.nan, np.inf])
 def test_trial_value_counts_blowup_as_inf(outcome):
-    def loss(x):
+    def evaluate(x):
         if isinstance(outcome, type):
             raise outcome("trial blew up")
-        return outcome
+        return outcome, "extra"
 
-    assert _trial_value(loss, 1.0) == np.inf
-    assert _trial_value(lambda x: 2.0 * x, 1.5) == 3.0
+    assert _trial(evaluate, 1.0) == (np.inf, None)
+    assert _trial(lambda x: (2.0 * x, "extra"), 1.5) == (3.0, "extra")
 
 
 def test_calibrate_nan_observation_raises_at_the_start(small_setup):

@@ -211,6 +211,29 @@ def test_sections_are_read_only():
         cfg.grid.nx = 8
 
 
+def test_a_key_that_does_not_exist_is_an_attribute_error_naming_it():
+    cfg = parse_config("acc-mini.conf")
+    with pytest.raises(AttributeError, match=r"^\[grid\] has no key 'depth'$"):
+        cfg.grid.depth
+    with pytest.raises(AttributeError, match=r"^the top level has no key 'sead'$"):
+        cfg.sead
+
+
+@pytest.mark.parametrize(
+    "line, match",
+    [
+        ("[grid", r"malformed section header '\[grid'"),
+        ("nx 16", "expected 'key = value', got 'nx 16'"),
+    ],
+    ids=["unclosed-section", "no-equals"],
+)
+def test_a_malformed_line_is_refused_with_its_line_number(tmp_path, line, match):
+    text = MINIMAL + f"\n{line}\n"
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ConfigError, match=f":{lineno}: {match}"):
+        parse_config(write(tmp_path, text))
+
+
 # Text for --set values, one strategy per schema parser: well-formed values,
 # inf, nan, huge, subnormal, empty and malformed text.
 _JUNK = st.one_of(
@@ -232,7 +255,7 @@ _TEXT = {
     config._parse_dt: st.one_of(st.just(config.AUTO_CFL), _FLOAT),
     config._parse_int: _INT,
     config._parse_int_list: st.lists(_INT, max_size=4).map(",".join),
-    config._parse_str: st.one_of(
+    str: st.one_of(
         st.sampled_from(["linear", "quadratic", "free-slip", "no-slip", "out"]), _JUNK
     ),
 }

@@ -35,7 +35,7 @@ from diffocean.errors import (
     StaggeringError,
 )
 from diffocean.grid import Field, Staggering, make_channel_grid
-from diffocean.scenarios import linear_profile_field, solenoidal_noise
+from diffocean.scenarios import initial_state, linear_profile_field, solenoidal_noise
 from helpers import dissipative_test_setup, random_state
 
 
@@ -167,6 +167,8 @@ def test_step_n_identity_and_composition():
 
     out0 = step_n(s, 0, p, g, c)
     assert out0 is s  # bitwise-identical, in fact the same object
+    with pytest.raises(DomainError, match="step count must be non-negative, got -1"):
+        step_n(s, -1, p, g, c)
 
     four = step_n(s, 4, p, g, c)
     nested = step(step(step(step(s, p, g, c), p, g, c), p, g, c), p, g, c)
@@ -705,6 +707,11 @@ def test_params_validation():
         quiet_params(g, r_bot=-1e-6)
     with pytest.raises(DomainError):
         PhysParams(drag_mode="cubic")
+    with pytest.raises(DomainError, match="rho0 must be positive, got 0.0"):
+        quiet_params(g, rho0=0.0)
+    for band in (0.0, 1.5):
+        with pytest.raises(DomainError, match=rf"wind_band must lie in \(0, 1\], got {band}"):
+            quiet_params(g, wind_band=band)
     with pytest.raises(DomainError):
         StepConfig(dt=100.0, boundary="slippery")
     with pytest.raises(CFLError):
@@ -733,6 +740,16 @@ def test_params_without_a_relaxation_target_are_refused_when_built():
         PhysParams(A_h=300.0, r_bot=1e-5, tau0=0.05)
     with pytest.raises(DomainError, match="T_star"):
         replace(quiet_params(g), T_star=None)
+
+
+def test_an_initial_state_without_noise_or_gravity_is_at_rest_and_flat():
+    """noise_u = 0 gives zero velocities, and g = 0 a zero elevation: no
+    pressure gradient balances the flow."""
+    g = make_channel_grid(8, 6, 1e6, 1e6, 100.0, 1e-4, 1e-11)
+    still = initial_state(g, quiet_params(g), seed=3, noise_u=0.0)
+    assert not any(np.any(f.values) for f in (still.u, still.v, still.eta))
+    flat = initial_state(g, quiet_params(g, g=0.0), seed=3)
+    assert np.any(flat.u.values) and not np.any(flat.eta.values)
 
 
 def test_solenoidal_noise_matches_requested_rms():

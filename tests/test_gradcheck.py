@@ -90,6 +90,11 @@ def test_grad_error_constant_loss_reports_undefined():
     assert report.row()["accuracy"] == "undefined"
 
 
+def test_grad_error_refuses_an_unknown_mode():
+    with pytest.raises(DomainError, match="mode must be 'jvp' or 'vjp', got 'fd'"):
+        grad_error(lambda x: x * x, 1.0, mode="fd")
+
+
 def test_grad_error_modes_agree(acc_mini):
     cfg, g, p, c, w = acc_mini
     loss = state_aggregate_loss(p, g, c, 2)

@@ -109,6 +109,17 @@ def test_laplacian_shape_mismatch():
         laplacian(center(np.zeros((8, 9))), g)
 
 
+def test_laplacian_refuses_a_corner_field_and_an_unknown_wall_rule():
+    g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
+    zeros = np.zeros(g.shape)
+    with pytest.raises(StaggeringError, match="laplacian is not defined on corner fields"):
+        laplacian(Field(zeros, Staggering.CORNER), g)
+    with pytest.raises(ValueError, match="unknown boundary kind 'slip'"):
+        laplacian(Field(zeros, Staggering.U_FACE), g, boundary="slip")
+    with pytest.raises(ValueError, match="unknown y boundary condition 'x'"):
+        ops.laplacian(zeros, dx=g.dx, dy=g.dy, ybc="x")
+
+
 def test_ddx_ddy_constants():
     g = make_channel_grid(12, 8, 1e6, 8e5, 100.0, 0.0, 0.0)
     c = center(np.full(g.shape, 2.5))
@@ -206,6 +217,7 @@ def test_divergence_staggering_mismatch():
 def test_interp_preserves_constants():
     g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
     c = center(np.full(g.shape, 4.2))
+    assert interp(c, Staggering.CENTER) is c and interp(c, "center") is c
     for to in (Staggering.U_FACE, Staggering.V_FACE):
         out = interp(c, to)
         assert out.staggering is to
@@ -234,7 +246,8 @@ def test_interp_round_trip_is_documented_smoothing():
 
 def test_interp_rejects_non_adjacent_pair():
     g = make_channel_grid(8, 8, 1e6, 1e6, 100.0, 0.0, 0.0)
-    u = Field(np.zeros(g.shape), Staggering.U_FACE)
+    u = Field(np.zeros(g.shape), "u-face")
+    assert u.staggering is Staggering.U_FACE
     with pytest.raises(StaggeringError):
         interp(u, Staggering.V_FACE)
 

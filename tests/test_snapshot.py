@@ -2,6 +2,7 @@
 
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from diffocean.errors import (
     SnapshotVersionError,
 )
 from diffocean.dyncore import flow_only
-from diffocean.grid import make_channel_grid
+from diffocean.grid import Field, Staggering, make_channel_grid
 from diffocean.snapshot import read_snapshot, write_snapshot
 from helpers import random_state
 
@@ -115,6 +116,16 @@ def test_grid_shape_mismatch(tmp_path):
         read_snapshot(path, grid=other)
     # without a grid argument the self-described shape is accepted
     read_snapshot(path)
+
+
+def test_fields_of_two_shapes_are_refused_before_the_file_is_opened(tmp_path):
+    g = make_channel_grid(6, 6, 1e6, 1e6, 100.0, 0.0, 0.0)
+    state = random_state(g, np.random.default_rng(5))
+    state = replace(state, eta=Field(np.zeros((8, 6)), Staggering.CENTER))
+    path = tmp_path / "mixed.dosn"
+    with pytest.raises(SnapshotShapeError, match=r"'eta' has shape \(8, 6\), expected \(6, 6\)"):
+        write_snapshot(state, path)
+    assert not path.exists()
 
 
 def test_unexpected_field_names(tmp_path):
