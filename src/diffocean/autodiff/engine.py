@@ -10,19 +10,23 @@ bitwise identical whether or not derivatives are being propagated. Forward
 mode wraps values in DualBox (value, tangent), where the tangent stacks m
 directions on a leading axis, (m,) + value shape; reverse mode wraps them
 in TapeBox and records each application on a Tape, which keeps only what
-the rules of the taped arguments read, and is later swept backwards. The
-nodes are a tape's whole record: what it keeps is read off them. A tape
-also is a trace: a Program keeps the structure of a record and its
-constants, drops its primals, and replays it on new inputs (trace) in
-one loop over a plan of one op table: plain, writing each ufunc into a
-dying operand's buffer; tangent, through apply; or taped, as one program
-node that the sweep runs from an adjoint list built once per pattern of
-taped inputs, bitwise as it would sweep one node per operation. A
-checkpoint group stands on a tape for n replays of one Program that ran
-plain, each feeding its outputs back as its leading inputs: it keeps only
-its inputs, tapes only the outputs a taped input reaches, and the sweep
-replays the program n times at the end of the same tape, sweeps those
-nodes and drops them, trading one extra forward for memory.
+the rules of the taped arguments read, and is later swept backwards. A box
+refuses by name what would drop its derivative unseen: a branch, a
+comparison or a conversion on it (_REFUSED). The nodes are a tape's whole
+record: what it keeps is read off them. A tape also is a trace: a Program
+keeps the structure of a record and its constants, drops its primals, and
+replays it on new inputs (trace) in one loop over a plan of one op table:
+plain, writing each ufunc into a dying operand's buffer; tangent, through
+apply; or taped, as one program node that the sweep runs from an adjoint
+list built once per pattern of taped inputs, bitwise as it would sweep one
+node per operation. A checkpoint group stands on a tape for n replays of
+one Program that ran plain, each feeding its outputs back as its leading
+inputs: it keeps only its inputs, tapes only the outputs a taped input
+reaches, and the sweep replays the program n times at the end of the
+tape, sweeps those nodes and drops them, trading one extra forward for
+memory. A program node and a group tape their outputs by one routine
+(_tape_outputs), and the sweep adds two cotangents by one rule
+(_accumulate), in place into a sum that it alone holds.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and a replay finds its tape on
@@ -122,29 +126,16 @@ class Box:
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__":
-            raise UnregisteredPrimitiveError(
-                f"unregistered primitive: {ufunc.__name__}.{method}"
-            )
+            raise UnregisteredPrimitiveError(f"unregistered primitive: {ufunc.__name__}.{method}")
         _refuse_keywords(ufunc.__name__, **kwargs)
         name = Box._UFUNCS.get(ufunc)
         if name is None:
-            raise UnregisteredPrimitiveError(
-                f"unregistered primitive: {ufunc.__name__}"
-            )
+            raise UnregisteredPrimitiveError(f"unregistered primitive: {ufunc.__name__}")
         if name == "power":
             return Box.__pow__(*inputs)
         return apply(name, *inputs)
 
-    def __bool__(self):
-        raise UnregisteredPrimitiveError(
-            "truth value of a traced quantity is undefined; "
-            "control flow must not branch on differentiated values"
-        )
-
-    def __float__(self):
-        raise UnregisteredPrimitiveError(
-            "cannot convert a traced quantity to float; use its primal"
-        )
+    __hash__ = object.__hash__  # by identity, though == is refused
 
 
 # The NumPy keywords a boxed value takes, each only at its default: no
@@ -178,16 +169,29 @@ for _stem, _name in _OPERATORS:
     setattr(Box, f"__{_stem}__", _operator(_name, False))
     setattr(Box, f"__r{_stem}__", _operator(_name, True))
 
+# What a boxed value refuses, by dunder: a branch on it, or a conversion,
+# would drop its derivative unseen. A reflected comparison (0 <= x) is x's.
+_BRANCH = "control flow must not branch on differentiated values"
+_REFUSED = {
+    "__bool__": f"truth value of a traced quantity is undefined; {_BRANCH}",
+    "__float__": "cannot convert a traced quantity to float; use its primal",
+    "__int__": "cannot convert a traced quantity to int; use its primal",
+    "__abs__": "unregistered primitive: abs",
+    **{f"__{stem}__": f"cannot compare a traced quantity ({op}); {_BRANCH}" for stem, op in (
+        ("eq", "=="), ("ne", "!="), ("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">="))},
+}
+
+
+def _refuse(message):
+    raise UnregisteredPrimitiveError(message)
+
+
+for _dunder, _message in _REFUSED.items():
+    setattr(Box, _dunder, lambda self, *other, _message=_message: _refuse(_message))
+
 Box._UFUNCS = {
-    np.add: "add",
-    np.subtract: "sub",
-    np.multiply: "mul",
-    np.true_divide: "div",
-    np.negative: "neg",
-    np.exp: "exp",
-    np.log: "log",
-    np.sqrt: "sqrt",
-    np.power: "power",
+    np.add: "add", np.subtract: "sub", np.multiply: "mul", np.true_divide: "div",
+    np.negative: "neg", np.exp: "exp", np.log: "log", np.sqrt: "sqrt", np.power: "power",
 }
 
 
@@ -338,13 +342,10 @@ class Tape:
         return index
 
     def sweep(self, seeds: dict[int, object]) -> dict[int, object]:
-        """Backward pass: cotangents per seed node -> cotangents per leaf.
-
-        Runs _sweep over the whole tape and returns its adjoints, in which
-        only the leaves' entries remain.
-        """
+        """Backward pass: cotangents per seed node -> cotangents per leaf,
+        by _sweep over the whole tape with one owned set (_accumulate)."""
         adjoint = dict(seeds)
-        _sweep(self, adjoint, 0)
+        _sweep(self, adjoint, 0, set())
         return adjoint
 
 
@@ -357,7 +358,7 @@ def _kept(prim, live):
     return [not a or k in reads for k, a in enumerate(live)], "out" in reads
 
 
-def _sweep(tape, adjoint, start):
+def _sweep(tape, adjoint, start, owned):
     """Sweep tape.nodes[start:] backwards into adjoint, cotangents by node.
 
     Visits every node exactly once, in reverse recording order, and pops
@@ -373,24 +374,39 @@ def _sweep(tape, adjoint, start):
         node = nodes[idx]
         if node.name is None or (ct := adjoint.pop(idx, None)) is None:
             continue
+        owned.discard(id(ct))
         if node.name is _OUTPUT:
             adjoint.setdefault(node.parents[0], {})[node.args] = ct
         elif node.name is _PROGRAM:
-            _sweep_program(node, ct, adjoint)
+            _sweep_program(node, ct, adjoint, owned)
         elif node.name is _GROUP:
-            _sweep_group(tape, node, ct, adjoint)
+            _sweep_group(tape, node, ct, adjoint, owned)
         else:
             for parent, rule in zip(node.parents, _PRIMITIVES[node.name].vjps):
                 if parent is not None and rule is not None:
-                    _accumulate(adjoint, parent, rule(ct, node.args, node.out, **node.static))
+                    ct_parent = rule(ct, node.args, node.out, **node.static)
+                    _accumulate(adjoint, parent, ct_parent, owned)
 
 
-def _accumulate(adjoint, idx, ct):
-    held = adjoint.get(idx)
-    adjoint[idx] = ct if held is None else np.add(held, ct)
+def _accumulate(store, key, ct, owned):
+    """Add the contribution ct into the cotangent store[key], the sweep's
+    one sum rule. A first contribution is stored as it is (a rule may hand
+    one array to two keys); a sum this rule allocated takes further ones in
+    place while its id is in owned, the sweep's set of what it alone holds,
+    which a cotangent leaves when it is popped. In place or not, it is the
+    same IEEE addition, so the gradient is bitwise the same."""
+    held = store.get(key)
+    if held is None:
+        store[key] = ct
+    elif id(held) in owned:
+        np.add(held, ct, out=held)
+    else:
+        total = store[key] = np.add(held, ct)
+        if type(total) is np.ndarray:
+            owned.add(id(total))
 
 
-def _sweep_program(node, cts, adjoint):
+def _sweep_program(node, cts, adjoint, owned):
     """Sweep a taped program node, given the cotangents of its taped
     outputs by slot (a dict of its own, which the sweep fills).
 
@@ -400,38 +416,25 @@ def _sweep_program(node, cts, adjoint):
     the order a tape of one node per operation sweeps them. A cotangent of
     an operation's value collects in cts; one of an input goes straight to
     the input's node in adjoint, so every sum runs in that tape's order
-    and the gradient is bitwise its gradient. A sum the sweep allocated in
-    cts takes further contributions in place, with the same IEEE additions
-    in the same order, but only while cts alone holds it: its mark is
-    cleared when it is popped, since a rule may hand it on unchanged.
+    and the gradient is bitwise its gradient. Both sum by _accumulate,
+    under the sweep's one owned set, which a popped cotangent leaves.
     """
     kept, links = node.args, node.links
-    owned = set()  # ids of the sums in cts that the sweep alone holds
     for slot, lo, hi, out_at, rules in node.plan.backward:
         ct = cts.pop(slot, None)
         if ct is None:
             continue
-        # once popped, a sum may go on unchanged to two targets (add's rule)
         owned.discard(id(ct))
         args = kept[lo:hi]
         out = None if out_at is None else kept[out_at]
         for rule, to_input, target in rules:
             if to_input:
-                _accumulate(adjoint, links[target], rule(ct, args, out))
-                continue
-            contribution = rule(ct, args, out)
-            held = cts.get(target)
-            if held is None:
-                cts[target] = contribution
-            elif id(held) in owned:
-                np.add(held, contribution, out=held)
+                _accumulate(adjoint, links[target], rule(ct, args, out), owned)
             else:
-                total = cts[target] = np.add(held, contribution)
-                if type(total) is np.ndarray:
-                    owned.add(id(total))
+                _accumulate(cts, target, rule(ct, args, out), owned)
 
 
-def _sweep_group(tape, group, cts, adjoint):
+def _sweep_group(tape, group, cts, adjoint, owned):
     """Sweep a checkpoint group of tape, given the cotangents of its
     outputs by position.
 
@@ -448,8 +451,8 @@ def _sweep_group(tape, group, cts, adjoint):
         for _ in range(group.n):
             values[:k] = group.program(values)
         for position, ct in cts.items():
-            _accumulate(adjoint, values[position].index, ct)
-        _sweep(tape, adjoint, start)
+            _accumulate(adjoint, values[position].index, ct, owned)
+        _sweep(tape, adjoint, start, owned)
     finally:
         del tape.nodes[start:]
 
@@ -547,23 +550,14 @@ class Program:
         return plan
 
     def _record(self, tape, inputs) -> list:
-        """Replay on the values of inputs, recording one program node on
-        tape, then one output node per taped output an operation computes;
-        an input it returns comes back as it was given."""
+        """Replay on the values of inputs as one program node on tape, its
+        outputs taped by _tape_outputs."""
         links = tuple(x.index if isinstance(x, TapeBox) else None for x in inputs)
         plan = self.plan([link is not None for link in links])
         env = [*self.consts, *map(unbox, inputs)]
-        nodes = tape.nodes
-        index = len(nodes)
-        nodes.append(_ProgramNode(tuple(_run(plan, env)), links, plan))
-        boxes = dict(enumerate(inputs, len(self.consts)))  # by slot
-        results = []
-        for j, taped in zip(self.outputs, plan.taped):
-            if taped and j not in boxes:
-                nodes.append(_Node(_OUTPUT, (index,), j, None, {}))
-                boxes[j] = TapeBox(tape, len(nodes) - 1, env[j])
-            results.append(boxes[j] if taped else env[j])
-        return results
+        node = _ProgramNode(tuple(_run(plan, env)), links, plan)
+        given = dict(enumerate(inputs, len(self.consts)))  # the inputs by slot
+        return _tape_outputs(tape, node, self.outputs, plan.taped, env, given)
 
     def checkpoint(self, inputs, n, outs) -> list:
         """Record n replays that ran plain, each feeding its outputs back as
@@ -582,17 +576,25 @@ class Program:
                 break
         if not any(reached):
             return outs
-        nodes = tape.nodes
-        index = len(nodes)
         links = tuple(x.index if t else None for x, t in zip(inputs, taped))
-        nodes.append(_Group(self, n, tuple(map(unbox, inputs)), links))
-        results = []
-        for position, (out, is_taped) in enumerate(zip(outs, reached)):
-            if is_taped:
-                nodes.append(_Node(_OUTPUT, (index,), position, None, {}))
-                out = TapeBox(tape, len(nodes) - 1, out)
-            results.append(out)
-        return results
+        group = _Group(self, n, tuple(map(unbox, inputs)), links)
+        return _tape_outputs(tape, group, range(len(outs)), reached, outs, {})
+
+
+def _tape_outputs(tape, node, keys, taped, values, boxes) -> list:
+    """Append node, a program or a group, to tape, then one output node per
+    taped key: its place in node's cotangents (a program's slot, a group's
+    position) and in values. A key in boxes (a returned input, a value
+    returned twice) comes back as that box. Returns values[key] per key,
+    boxed where taped: the one routine that tapes a replay's outputs."""
+    nodes = tape.nodes
+    nodes.append(node)
+    index = len(nodes) - 1
+    for key, is_taped in zip(keys, taped):
+        if is_taped and key not in boxes:
+            nodes.append(_Node(_OUTPUT, (index,), key, None, {}))
+            boxes[key] = TapeBox(tape, len(nodes) - 1, values[key])
+    return [boxes[key] if is_taped else values[key] for key, is_taped in zip(keys, taped)]
 
 
 class _Plan:
@@ -683,9 +685,9 @@ def _run(plan, env) -> list:
 
 
 def _tape_of(values):
-    """The tape of the TapeBoxes among values, None if there are none. As
-    in apply, boxes of two tapes, or a TapeBox beside a DualBox, are
-    refused."""
+    """The tape of the TapeBoxes among values, None if there are none.
+    Boxes of two tapes, or a TapeBox beside a DualBox, are refused here,
+    for apply too."""
     tape = dual = None
     for v in values:
         if isinstance(v, TapeBox):
@@ -772,16 +774,12 @@ def apply(name: str, *args, **static):
             if box is None:
                 box = a
             elif type(a) is not type(box):
-                raise UnregisteredPrimitiveError(
-                    "cannot mix forward-mode and reverse-mode values in one primitive"
-                )
+                _tape_of(args)  # refuses a TapeBox beside a DualBox
             values.append(a.primal)
             if type(a) is DualBox:
                 links.append(a.tangent)
             elif a.tape is not box.tape:
-                raise UnregisteredPrimitiveError(
-                    "cannot combine values recorded on different tapes"
-                )
+                _tape_of(args)  # refuses boxes of two tapes
             else:
                 links.append(a.index)
         else:

@@ -486,7 +486,7 @@ def _lap_fn(a, dx, dy, ybc):
     elif ybc == "noslip":
         south, north = -a[..., 0], -a[..., -1]
     else:
-        raise ValueError(f"unknown y boundary condition {ybc!r}")
+        raise DomainError(f"unknown y boundary condition {ybc!r}")
     a2 = 2.0 * a
     xx = _roll_x(a, -1)
     np.subtract(xx, a2, out=xx)

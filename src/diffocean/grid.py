@@ -249,7 +249,7 @@ def _lap_ybc(staggering: Staggering, boundary: str) -> str:
             return "neumann"
         if boundary == "no-slip":
             return "noslip"
-        raise ValueError(f"unknown boundary kind {boundary!r}")
+        raise DomainError(f"unknown boundary kind {boundary!r}")
     if staggering is Staggering.CENTER:
         return "neumann"
     raise StaggeringError("laplacian is not defined on corner fields")

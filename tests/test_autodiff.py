@@ -438,12 +438,30 @@ def test_control_flow_on_traced_value_raises():
             return x
         return -x
 
-    with pytest.raises((UnregisteredPrimitiveError, TypeError)):
+    with pytest.raises(UnregisteredPrimitiveError):
         grad(f, 1.0)
     with pytest.raises(UnregisteredPrimitiveError, match="truth value of a traced quantity"):
         grad(lambda x: x if x else -x, 1.0)
     with pytest.raises(UnregisteredPrimitiveError, match="cannot convert a traced quantity"):
         jvp(float, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("mode", ["grad", "jvp"])
+@pytest.mark.parametrize("f, words", [
+    (lambda x: x if x == 1.0 else -x, r"cannot compare a traced quantity \(==\)"),
+    (lambda x: -x if x != 1.0 else x, r"cannot compare a traced quantity \(!=\)"),
+    (lambda x: x if 0 <= x else -x, r"cannot compare a traced quantity \(>=\)"),
+    (abs, "unregistered primitive: abs"),
+    (int, "cannot convert a traced quantity to int"),
+], ids=["eq", "ne", "reflected-le", "abs", "int"])
+def test_comparing_or_converting_a_traced_value_is_refused_by_name(f, words, mode):
+    """Without a refusal, == and != compare identities, so the eq and ne
+    cases would take -x at x = 1.0 where the plain function takes x."""
+    assert f(1.0) == 1.0
+    with pytest.raises(UnregisteredPrimitiveError, match=words):
+        grad(f, 1.0) if mode == "grad" else jvp(f, 1.0, 1.0)
+    box = Tape().leaf(1.0)
+    assert {box: "kept"}[box] == "kept"  # a box still hashes, by identity
 
 
 def test_primal_preservation_bitwise():
@@ -1025,6 +1043,23 @@ def test_checkpointed_step_n_is_a_loop_of_step(drag_mode, boundary, flow, taped,
         assert steps == 0 and nodes == len(leaves)
 
 
+def test_a_replaced_apply_sees_box_arithmetic(monkeypatch):
+    """Box's operators look apply up in the engine when they are called, so
+    a wrapper put in its place (the benchmark's call counter) sees every
+    operator, reflected ones included."""
+    calls = []
+    original = engine.apply
+
+    def counting(name, *args, **static):
+        calls.append(name)
+        return original(name, *args, **static)
+
+    monkeypatch.setattr(engine, "apply", counting)
+    value, _ = jvp(lambda x: (2.0 - x * x) / x + -x, 3.0, 1.0)
+    assert value == (2.0 - 9.0) / 3.0 - 3.0
+    assert calls == ["mul", "sub", "div", "neg", "add"]
+
+
 def test_a_taped_step_calls_apply_nowhere(monkeypatch):
     """Once traced, a taped step runs each primitive's fn directly: it calls
     no apply, and puts one program node and one output node per taped
@@ -1153,9 +1188,9 @@ def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypa
     segments = []
     sweep_program = engine._sweep_program
 
-    def sweeping(node, cts, adjoint):
+    def sweeping(node, cts, adjoint, owned):
         segments.append([i for i, n in enumerate(tape.nodes) if n is node])
-        return sweep_program(node, cts, adjoint)
+        return sweep_program(node, cts, adjoint, owned)
 
     monkeypatch.setattr(engine, "_sweep_program", sweeping)
     sweeps = []
@@ -1168,6 +1203,29 @@ def test_pullbacks_through_checkpoint_groups_leave_the_tape_as_recorded(monkeypa
     # every step of both pullbacks, each once, at the end of the tape
     assert len(segments) == 2 * 7
     assert all(len(at) == 1 and at[0] >= forward[0] for at in segments)
+
+
+def test_a_popped_sum_handed_to_two_parents_is_added_into_by_neither():
+    """p's cotangent is a sum the sweep allocates (of the two mul nodes'
+    contributions), outside any program. Popped, add's rule hands it
+    unchanged to both a and b, and each takes one more contribution later
+    (from exp): summed in place, one would carry the other's. Both leaves'
+    cotangents are the written out sums, bitwise, and the seeds are left
+    as they were."""
+    rng = np.random.default_rng(11)
+    a0, b0 = rng.uniform(0.5, 2.0, (2, 5, 4))
+    seeds = rng.uniform(-1.0, 1.0, (4, 5, 4))
+    tape = Tape()
+    a, b = tape.leaf(a0), tape.leaf(b0)
+    ea, eb = ops.exp(a), ops.exp(b)
+    p = ops.add(a, b)
+    outs = (ea, eb, ops.mul(p, 2.0), ops.mul(p, 3.0))
+    given = seeds.copy()
+    adjoint = tape.sweep({out.index: seed for out, seed in zip(outs, given)})
+    ct_p = seeds[3] * 3.0 + seeds[2] * 2.0
+    assert _bits(adjoint[a.index]) == _bits(ct_p + seeds[0] * np.exp(a0))
+    assert _bits(adjoint[b.index]) == _bits(ct_p + seeds[1] * np.exp(b0))
+    assert _bits(given) == _bits(seeds)
 
 
 def test_vjp_cotangent_shape_checked():

@@ -114,9 +114,9 @@ def test_laplacian_refuses_a_corner_field_and_an_unknown_wall_rule():
     zeros = np.zeros(g.shape)
     with pytest.raises(StaggeringError, match="laplacian is not defined on corner fields"):
         laplacian(Field(zeros, Staggering.CORNER), g)
-    with pytest.raises(ValueError, match="unknown boundary kind 'slip'"):
+    with pytest.raises(DomainError, match="unknown boundary kind 'slip'"):
         laplacian(Field(zeros, Staggering.U_FACE), g, boundary="slip")
-    with pytest.raises(ValueError, match="unknown y boundary condition 'x'"):
+    with pytest.raises(DomainError, match="unknown y boundary condition 'x'"):
         ops.laplacian(zeros, dx=g.dx, dy=g.dy, ybc="x")
 
 
