@@ -113,6 +113,19 @@ def _linear(name, fn, transpose):
     )
 
 
+def _elementwise(name, fn, rule, reads):
+    """Define a unary elementwise primitive from its cotangent rule
+    rule(ct, args, out, **kw), which reads `reads`. Its Jacobian is
+    diagonal, so the tangent applies the same local partial: rule(t[0], ...)."""
+    return define_primitive(
+        name,
+        fn,
+        jvp=lambda t, args, out, **kw: rule(t[0], args, out, **kw),
+        vjps=(rule,),
+        reads=(reads,),
+    )
+
+
 # -- elementwise algebra -------------------------------------------------------
 
 def _add_jvp(t, args, out):
@@ -212,36 +225,16 @@ def _power_grad(a, p):
     return p * np.power(a, p - 1.0)
 
 
-power = define_primitive(
+power = _elementwise(
     "power",
     lambda a, p: np.power(a, p),
-    jvp=lambda t, args, out, p: np.multiply(_power_grad(args[0], p), t[0]),
-    vjps=(lambda ct, args, out, p: np.multiply(ct, _power_grad(args[0], p)),),
-    reads=((0,),),
+    lambda ct, args, out, p: np.multiply(ct, _power_grad(args[0], p)),
+    (0,),
 )
-
-exp = define_primitive(
-    "exp",
-    np.exp,
-    jvp=lambda t, args, out: np.multiply(out, t[0]),
-    vjps=(lambda ct, args, out: np.multiply(ct, out),),
-    reads=(("out",),),
-)
-
-log = define_primitive(
-    "log",
-    np.log,
-    jvp=lambda t, args, out: np.true_divide(t[0], args[0]),
-    vjps=(lambda ct, args, out: np.true_divide(ct, args[0]),),
-    reads=((0,),),
-)
-
-sqrt = define_primitive(
-    "sqrt",
-    np.sqrt,
-    jvp=lambda t, args, out: np.true_divide(t[0], 2.0 * out),
-    vjps=(lambda ct, args, out: np.true_divide(ct, 2.0 * out),),
-    reads=(("out",),),
+exp = _elementwise("exp", np.exp, lambda ct, args, out: np.multiply(ct, out), ("out",))
+log = _elementwise("log", np.log, lambda ct, args, out: np.true_divide(ct, args[0]), (0,))
+sqrt = _elementwise(
+    "sqrt", np.sqrt, lambda ct, args, out: np.true_divide(ct, 2.0 * out), ("out",)
 )
 
 
@@ -259,12 +252,11 @@ def _sqrt_reg_factor(x, eps=REG_EPS_DEFAULT):
     return 2.0 * np.sqrt(np.maximum(x, eps))
 
 
-sqrt_reg = define_primitive(
+sqrt_reg = _elementwise(
     "sqrt_reg",
     _sqrt_reg_fn,
-    jvp=lambda t, args, out, **kw: np.true_divide(t[0], _sqrt_reg_factor(args[0], **kw)),
-    vjps=(lambda ct, args, out, **kw: np.true_divide(ct, _sqrt_reg_factor(args[0], **kw)),),
-    reads=((0,),),
+    lambda ct, args, out, **kw: np.true_divide(ct, _sqrt_reg_factor(args[0], **kw)),
+    (0,),
 )
 
 
@@ -326,7 +318,14 @@ amean = define_primitive(
 roll_x = _linear("roll_x", _roll_x, lambda ct, n: _roll_x(ct, -n))
 
 
+# The values shift_yp puts in the northern wall column: zeros, or the edge
+# value repeated.
+SHIFT_FILLS = ("zero", "edge")
+
+
 def _shift_yp_fn(a, fill):
+    if fill not in SHIFT_FILLS:
+        raise DomainError(f"unknown shift_yp fill {fill!r}, expected one of {SHIFT_FILLS}")
     a, out, f, o = _flat(a)
     o[:-1] = f[1:]
     out[..., -1] = 0.0 if fill == "zero" else a[..., -1]

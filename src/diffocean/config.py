@@ -19,9 +19,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .dyncore import cfl_limit
+from .dyncore import DRAG_MODES, cfl_limit
 from .errors import ConfigError
-from .grid import make_channel_grid
+from .grid import WALL_RULES, make_channel_grid
 
 AUTO_CFL = "auto-cfl"
 AUTO_CFL_FRACTION = 0.5
@@ -115,7 +115,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "r_bot": _Key(_parse_float, default=0.0, check=_non_negative("r_bot")),
         "drag_mode": _Key(
             str, default="linear",
-            check=_choice("drag_mode", ("linear", "quadratic")),
+            check=_choice("drag_mode", DRAG_MODES),
         ),
         "C_d": _Key(_parse_float, default=0.0, check=_non_negative("C_d")),
         "g": _Key(_parse_float, default=9.81, check=_positive("g")),
@@ -134,7 +134,7 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
         "n_steps": _Key(_parse_int, default=1, check=_non_negative("n_steps")),
         "boundary": _Key(
             str, default="free-slip",
-            check=_choice("boundary", ("free-slip", "no-slip")),
+            check=_choice("boundary", tuple(WALL_RULES)),
         ),
     },
     "initial": {
@@ -200,7 +200,10 @@ _SCHEMA: dict[str | None, dict[str, _Key]] = {
     },
 }
 
-_REQUIRED_SECTIONS = ("grid", "stepping", "output")
+# The sections that hold a required key, in schema order.
+_REQUIRED_SECTIONS = tuple(
+    name for name, keys in _SCHEMA.items() if any(k.required for k in keys.values())
+)
 
 
 class Section:

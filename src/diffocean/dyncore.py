@@ -14,10 +14,11 @@ A loss that reads only the flow (the streamfunction calibration loss)
 runs that way; u, v and eta are bitwise those of the full step.
 
 step traces its arithmetic (_step_body) once per structure key (the grid,
-the step config, the drag mode and wind band, whether the state carries
-T, the staggerings and the leaf shapes) and replays the recorded program
-on every later call, plain or boxed; the stability, shape and finiteness
-checks and the time advance still run on every step, outside the program.
+the step config, the drag mode and wind band, the staggerings and the leaf
+shapes, which tell whether the state carries T) and replays the recorded
+program on every later call, plain or boxed. The field shapes are checked
+once per key, before its trace; the stability and finiteness checks and
+the time advance still run on every step, outside the program.
 
 step/step_n never mutate their input state and are bitwise deterministic;
 concurrent rollouts from shared immutable states are safe.
@@ -34,9 +35,20 @@ import numpy as np
 from .autodiff import TapeBox, trace, tree, unbox
 from .autodiff import primitives as ops
 from .errors import CFLError, DampingError, DomainError, NonFiniteError, ShapeError
-from .grid import Field, GridSpec, Staggering, ddx, ddy, divergence, interp, laplacian
+from .grid import (
+    WALL_RULES, Field, GridSpec, Staggering, ddx, ddy, divergence, interp, laplacian,
+)
 
 CFL_SAFETY = 0.7
+
+# The prognostic fields of a state in tree order, each at its staggering.
+FIELDS = {
+    "u": Staggering.U_FACE,
+    "v": Staggering.V_FACE,
+    "eta": Staggering.CENTER,
+    "T": Staggering.CENTER,
+}
+DRAG_MODES = ("linear", "quadratic")
 
 
 @dataclass
@@ -56,7 +68,7 @@ class ModelState:
     time: float = 0.0
 
 
-tree.register_container(ModelState, children=("u", "v", "eta", "T"), aux=("time",))
+tree.register_container(ModelState, children=FIELDS, aux=("time",))
 
 
 @dataclass
@@ -76,7 +88,7 @@ class PhysParams:
     T_star: Field = None  # relaxation target at centers, degC
 
     def __post_init__(self):
-        if self.drag_mode not in ("linear", "quadratic"):
+        if self.drag_mode not in DRAG_MODES:
             raise DomainError(f"unknown drag mode {self.drag_mode!r}")
         for name in ("A_h", "r_bot", "C_d", "g", "kappa_T", "lambda_relax"):
             value = getattr(self, name)
@@ -108,7 +120,7 @@ class StepConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise CFLError(f"time step must be positive, got {self.dt}")
-        if self.boundary not in ("free-slip", "no-slip"):
+        if self.boundary not in WALL_RULES:
             raise DomainError(f"unknown boundary kind {self.boundary!r}")
 
 
@@ -179,8 +191,6 @@ def _check_finite(name: str, values, time: float):
         )
 
 
-_FIELDS = ("u", "v", "eta", "T")
-
 # Step programs by structure key (_program), shared by every caller: a
 # program is a pure function of its key. Emptied when full, so a sweep over
 # many grids or time steps cannot grow it without bound.
@@ -195,24 +205,18 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
     replayed (_program): plain values run the primitives directly,
     DualBoxes through apply, and TapeBoxes as one program node, which
     keeps and sweeps bitwise what the body's own nodes would. The
-    stability and shape checks, the finiteness checks and the time advance
-    run here on every step. A flow-only state (T is Field(None)) runs a
+    stability checks, the finiteness checks and the time advance run here
+    on every step; the field shapes are checked once per structure key,
+    before it is traced. A flow-only state (T is Field(None)) runs a
     program for u, v and eta alone; its T is neither computed nor checked
     and passes through unchanged.
     """
     check_cfl(c, p, g)
     check_damping(c, p, g)
-    names = _FIELDS if has_tracer(s) else _FIELDS[:3]
-    for name in names:
-        if getattr(s, name).shape != g.shape:
-            raise ShapeError(
-                f"state field '{name}' has shape {getattr(s, name).shape}, "
-                f"grid is {g.shape}"
-            )
     values = _leaf_values(s, p)
     new = _program(s, p, g, c, values)(values)
     new_time = s.time + c.dt
-    for name, f in zip(names, new):
+    for name, f in zip(FIELDS, new):
         _check_finite(name, f, new_time)
     # Field arithmetic pins each new field to the staggering of its input
     return _with_fields(s, new, new_time)
@@ -242,7 +246,9 @@ def _field_values(s: ModelState) -> list:
 
 
 def _unboxed(s: ModelState, p: PhysParams) -> tuple:
-    """(s, p) with every leaf unboxed, as tree.flatten's rebuild builds it."""
+    """(s, p) with every leaf unboxed, as tree.flatten's rebuild builds it
+    (a hand copy: the rebuild costs several times more, once per
+    checkpoint group)."""
     q = object.__new__(PhysParams)
     q.__dict__.update(p.__dict__, **{k: unbox(getattr(p, k)) for k in _PARAM_SCALARS})
     q.T_star = _field(unbox(p.T_star.values), p.T_star.staggering)
@@ -274,22 +280,29 @@ def _program(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig, values):
 
     The key holds what fixes the program: the grid and the step config
     (their numbers are trace constants), the drag mode and wind band (the
-    wind profile is a trace constant), whether the state carries the
-    tracer (a flow-only program has three outputs, not four), the
-    staggering of each field and the shape of each leaf. The values of the
-    leaves do not enter it: the body has no branch on them (where_pos is a
-    primitive). Nor do their dtypes: the fields are float64, and parameters
-    of any real dtype no wider than float64 keep every array of the step
-    float64, the dtype the program's plain replay writes into dying buffers
-    (Program).
+    wind profile is a trace constant), the staggering of each field and
+    the shape of each leaf (a flow-only state has no T leaf, and its
+    program three outputs, not four). The values of the leaves do not
+    enter it: the body has no branch on them (where_pos is a primitive).
+    Nor do their dtypes: the fields are float64, and parameters of any
+    real dtype no wider than float64 keep every array of the step float64,
+    the dtype the program's plain replay writes into dying buffers
+    (Program). A key is traced only when the state's fields have the
+    grid's shape, so a wrong shape never gets a program and raises
+    ShapeError on every call.
     """
     key = (
-        g, c, p.drag_mode, p.wind_band, has_tracer(s),
+        g, c, p.drag_mode, p.wind_band,
         s.u.staggering, s.v.staggering, s.eta.staggering, s.T.staggering,
         p.T_star.staggering, *[getattr(x, "shape", ()) for x in values],
     )
     traced = _PROGRAMS.get(key)
     if traced is None:
+        for name, f in zip(FIELDS, _field_values(s)):
+            if np.shape(unbox(f)) != g.shape:
+                raise ShapeError(
+                    f"state field '{name}' has shape {np.shape(unbox(f))}, grid is {g.shape}"
+                )
         traced = _trace(s, p, g, c)
         if len(_PROGRAMS) >= _MAX_PROGRAMS:
             _PROGRAMS.clear()
@@ -476,7 +489,7 @@ def linear_profile_field(g: GridSpec, south: float, north: float) -> Field:
 
 
 def states_equal_bitwise(a: ModelState, b: ModelState) -> bool:
-    for name in ("u", "v", "eta", "T"):
+    for name in FIELDS:
         va = np.asarray(unbox(getattr(a, name).values))
         vb = np.asarray(unbox(getattr(b, name).values))
         if va.tobytes() != vb.tobytes():

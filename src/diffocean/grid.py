@@ -238,6 +238,11 @@ def divergence(u: Field, v: Field, g: GridSpec) -> Field:
     )
 
 
+# The wall conditions on tangential velocity, each with the Laplacian's
+# meridional boundary rule for it.
+WALL_RULES = {"free-slip": "neumann", "no-slip": "noslip"}
+
+
 # Laplacian meridional boundary rule per staggering. Tracer and elevation
 # obey no normal flux; tangential velocity follows the configured wall
 # condition; normal velocity vanishes at the walls.
@@ -245,11 +250,9 @@ def _lap_ybc(staggering: Staggering, boundary: str) -> str:
     if staggering is Staggering.V_FACE:
         return "dirichlet"
     if staggering is Staggering.U_FACE:
-        if boundary == "free-slip":
-            return "neumann"
-        if boundary == "no-slip":
-            return "noslip"
-        raise DomainError(f"unknown boundary kind {boundary!r}")
+        if boundary not in WALL_RULES:
+            raise DomainError(f"unknown boundary kind {boundary!r}")
+        return WALL_RULES[boundary]
     if staggering is Staggering.CENTER:
         return "neumann"
     raise StaggeringError("laplacian is not defined on corner fields")

@@ -16,6 +16,7 @@ from . import calibrate
 from .autodiff import primitives as ops
 from .config import RunConfig
 from .dyncore import (
+    FIELDS,
     ModelState,
     PhysParams,
     StepConfig,
@@ -23,29 +24,19 @@ from .dyncore import (
     step_n,
 )
 from .errors import NonFiniteError
-from .grid import Field, GridSpec, Staggering, make_channel_grid
+from .grid import Field, GridSpec, make_channel_grid
 
 
 def build_grid(cfg: RunConfig) -> GridSpec:
-    g = cfg.grid
-    return make_channel_grid(g.nx, g.ny, g.Lx, g.Ly, g.H, g.f0, g.beta)
+    return make_channel_grid(**dict(cfg.grid.items()))
 
 
 def build_params(cfg: RunConfig, g: GridSpec) -> PhysParams:
-    p = cfg.physics
-    return PhysParams(
-        A_h=p.A_h,
-        r_bot=p.r_bot,
-        drag_mode=p.drag_mode,
-        C_d=p.C_d,
-        g=p.g,
-        rho0=p.rho0,
-        tau0=p.tau0,
-        wind_band=p.wind_band,
-        kappa_T=p.kappa_T,
-        lambda_relax=p.lambda_relax,
-        T_star=linear_profile_field(g, p.T_star_south, p.T_star_north),
-    )
+    """The [physics] keys by name, T_star_south and T_star_north made
+    into the relaxation target T_star."""
+    p = dict(cfg.physics.items())
+    south, north = p.pop("T_star_south"), p.pop("T_star_north")
+    return PhysParams(**p, T_star=linear_profile_field(g, south, north))
 
 
 def build_step_config(cfg: RunConfig) -> StepConfig:
@@ -131,13 +122,8 @@ def initial_state(
             f"and noise_eta = {noise_eta} m"
         )
     T = np.asarray(params.T_star.values).copy()
-    return ModelState(
-        u=Field(u, Staggering.U_FACE),
-        v=Field(v, Staggering.V_FACE),
-        eta=Field(eta, Staggering.CENTER),
-        T=Field(T, Staggering.CENTER),
-        time=0.0,
-    )
+    fields = zip(FIELDS.items(), (u, v, eta, T))
+    return ModelState(**{name: Field(a, stag) for (name, stag), a in fields}, time=0.0)
 
 
 def build_initial_state(cfg: RunConfig, g: GridSpec, params: PhysParams, seed=None) -> ModelState:

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .autodiff import unbox
-from .dyncore import ModelState, has_tracer
+from .dyncore import FIELDS, ModelState, has_tracer
 from .errors import (
     DomainError,
     SnapshotMagicError,
@@ -33,17 +33,10 @@ from .errors import (
     SnapshotVersionError,
     SnapshotError,
 )
-from .grid import Field, GridSpec, Staggering
+from .grid import Field, GridSpec
 
 MAGIC = b"DOSN"
 VERSION = 1
-
-_FIELDS = (
-    ("u", Staggering.U_FACE),
-    ("v", Staggering.V_FACE),
-    ("eta", Staggering.CENTER),
-    ("T", Staggering.CENTER),
-)
 
 
 def write_snapshot(state: ModelState, path) -> None:
@@ -55,7 +48,7 @@ def write_snapshot(state: ModelState, path) -> None:
         )
     arrays = {}
     shape = None
-    for name, _stag in _FIELDS:
+    for name in FIELDS:
         a = np.ascontiguousarray(np.asarray(unbox(getattr(state, name).values), dtype="<f8"))
         if shape is None:
             shape = a.shape
@@ -65,13 +58,13 @@ def write_snapshot(state: ModelState, path) -> None:
             )
         arrays[name] = a
     nx, ny = shape
-    parts = [MAGIC, struct.pack("<IIII", VERSION, nx, ny, len(_FIELDS))]
-    for name, _stag in _FIELDS:
+    parts = [MAGIC, struct.pack("<IIII", VERSION, nx, ny, len(FIELDS))]
+    for name in FIELDS:
         encoded = name.encode("utf-8")
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
     parts.append(struct.pack("<d", float(state.time)))
-    for name, _stag in _FIELDS:
+    for name in FIELDS:
         parts.append(arrays[name].tobytes(order="C"))
     with open(path, "wb") as handle:
         handle.write(b"".join(parts))
@@ -113,7 +106,7 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ModelState:
         raise SnapshotError(f"{path}: model time {time} at offset {offset} is not finite")
     offset += 8
 
-    expected_names = [name for name, _stag in _FIELDS]
+    expected_names = list(FIELDS)
     if names != expected_names:
         raise SnapshotError(
             f"{path}: field names {names} do not match the model state "
@@ -139,7 +132,7 @@ def read_snapshot(path, grid: GridSpec | None = None) -> ModelState:
             f"{payload_bytes}-byte payload"
         )
     fields = {}
-    for name, stag in _FIELDS:
+    for name, stag in FIELDS.items():
         a = np.frombuffer(
             data, dtype="<f8", count=count, offset=offset
         ).reshape(nx, ny)

@@ -282,6 +282,50 @@ def test_sqrt_reg_primal_is_exact_sqrt():
     np.testing.assert_array_equal(sqrt_reg(x), np.sqrt(x))
 
 
+# The tangent formula of each unary elementwise primitive, written out:
+# (primitive, statics, tangent of t at a with output out).
+_ELEMENTWISE_TANGENTS = {
+    "exp": (ops.exp, {}, lambda t, a, out: out * t),
+    "log": (ops.log, {}, lambda t, a, out: t / a),
+    "sqrt": (ops.sqrt, {}, lambda t, a, out: t / (2 * out)),
+    "power": (ops.power, {"p": 3.0}, lambda t, a, out: (3.0 * np.power(a, 2.0)) * t),
+    "power-half": (ops.power, {"p": 0.5}, lambda t, a, out: (0.5 * np.power(a, -0.5)) * t),
+    "sqrt_reg": (sqrt_reg, {}, lambda t, a, out: t / (2.0 * np.sqrt(np.maximum(a, 1e-12)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTWISE_TANGENTS))
+@pytest.mark.parametrize("primal", ["field", "scalar"])
+def test_elementwise_tangents_are_their_formulas_bitwise(name, primal):
+    """Each unary elementwise primitive's tangent is its local partial
+    times the tangent, bitwise: a (2, nx, ny) stack on a field and an (m,)
+    stack on a scalar."""
+    prim, static, formula = _ELEMENTWISE_TANGENTS[name]
+    rng = np.random.default_rng(7)
+    if primal == "field":
+        a, t = rng.uniform(0.5, 2.0, (5, 4)), rng.standard_normal((2, 5, 4))
+    else:
+        a, t = 1.7, rng.standard_normal(3)
+    out, tangent = jvp(lambda x: prim(x, **static), a, t)
+    want = formula(t, a, np.asarray(out))
+    assert np.shape(tangent) == np.shape(want)
+    assert np.asarray(tangent).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["plain", "jvp", "grad"])
+def test_shift_yp_refuses_an_unknown_fill_by_name(mode):
+    """A fill other than 'zero' and 'edge' is a DomainError naming it, in
+    every mode, not a forward and a transpose that disagree."""
+    a = np.arange(12.0).reshape(3, 4)
+    f = {
+        "plain": lambda: ops.shift_yp(a, fill="Edge"),
+        "jvp": lambda: jvp(lambda x: ops.shift_yp(x, fill="Edge"), a, np.ones_like(a)),
+        "grad": lambda: grad(lambda x: ops.asum(ops.shift_yp(x, fill="Edge")), a),
+    }[mode]
+    with pytest.raises(DomainError, match="unknown shift_yp fill 'Edge'"):
+        f()
+
+
 def test_define_primitive_rejects_rule_and_read_set_counts_that_differ():
     with pytest.raises(ValueError, match="2 cotangent rules but 1 read-sets"):
         define_primitive(

@@ -1,12 +1,19 @@
 """Command-line surface: outputs, determinism, error reporting."""
 
+import contextlib
 import csv
+import io
 import os
+import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diffocean import config, errors
 from diffocean.cli import main
 from diffocean.snapshot import read_snapshot
 
@@ -430,3 +437,64 @@ def test_an_initial_elevation_that_overflows_is_one_non_finite_error_line(
     assert code == 1 and os.listdir(out) == []
     err = _one_error_line(capsys, "NonFiniteError")
     assert "initial elevation is not finite" in err and named in err
+
+
+# A few steps of every experiment on the 8x6 grid, so one fuzzed run takes
+# a fraction of a second.
+_FEW_STEPS = [
+    "stepping.n_steps=3", "gradcheck.spinup_steps=2", "gradcheck.n_list=1,2",
+    "reconstruct.l_steps=2", "reconstruct.iters=2", "calibrate.spinup_steps=2",
+    "calibrate.window_steps=4", "calibrate.obs_every=2", "calibrate.iters=2",
+    "sensitivity.n_a=3", "sensitivity.n_r=3", "benchmark.n_list=1,2",
+    "benchmark.repetitions=3",
+]
+# --set text per schema parser. Counts stay small, so no draw makes a run
+# long; numbers span the float range, with signs, zeros and a few values
+# the parser refuses.
+_NUMBERS = ["0", "-0.0", "5e-324", "1e-300", "1e-5", "0.5", "1", "3", "250", "1e5",
+            "1e300", "1e308", "-1", "-1e-300", "-1e300", "nan", "1e400", "x"]
+_COUNTS = ["-1", "0", "1", "2", "3", "5"]
+_CLI_TEXT = {
+    config._parse_float: st.sampled_from(_NUMBERS),
+    config._parse_dt: st.sampled_from([config.AUTO_CFL, *_NUMBERS]),
+    config._parse_int: st.sampled_from(_COUNTS),
+    config._parse_int_list: st.lists(st.sampled_from(_COUNTS), max_size=3).map(",".join),
+    str: st.sampled_from(["linear", "quadratic", "free-slip", "no-slip", "slip", ""]),
+}
+_CLI_KEYS = [(section, key) for section, keys in config._SCHEMA.items() for key in keys]
+
+
+@st.composite
+def _cli_override(draw):
+    section, key = draw(st.sampled_from(_CLI_KEYS))
+    text = draw(_CLI_TEXT[config._SCHEMA[section][key].parse])
+    return f"{section}.{key}={text}" if section else f"{key}={text}"
+
+
+@pytest.mark.parametrize(
+    "command", ["run", "gradcheck", "reconstruct", "calibrate", "sensitivity", "benchmark"]
+)
+@settings(max_examples=15)
+@given(overrides=st.lists(_cli_override(), max_size=3))
+def test_a_fuzzed_run_exits_0_or_prints_one_named_error_line(command, overrides):
+    """Every subcommand on the 8x6 grid with up to three drawn --set
+    overrides exits 0 with nothing on stderr, or exits 1 with one
+    `error: <NamedError>:` line and leaves nothing in --out: never a
+    traceback and never a NumPy warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        argv = [command, *ACC_MINI_8x6, *[a for o in _FEW_STEPS + overrides for a in ("--set", o)],
+                "--out", out]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            return
+        assert code == 1 and len(lines) == 1, lines
+        named = re.match(r"error: (\w+): \S", lines[0])
+        assert named and issubclass(getattr(errors, named.group(1)), errors.DiffOceanError)
+        assert not os.path.exists(out) or os.listdir(out) == []

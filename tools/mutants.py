@@ -27,6 +27,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENGINE = "src/diffocean/autodiff/engine.py"
+PRIMITIVES = "src/diffocean/autodiff/primitives.py"
 SUBSET = [
     "tests/test_program_fuzz.py",
     "tests/test_autodiff.py",
@@ -109,9 +110,15 @@ MUTANTS = [
     ("the taping fixpoint runs one round", ENGINE,
      "        for _ in range(n):\n            last, reached",
      "        for _ in range(min(n, 1)):\n            last, reached"),
-    ("exp's cotangent rule is scaled by 1 + 1e-9", "src/diffocean/autodiff/primitives.py",
-     "vjps=(lambda ct, args, out: np.multiply(ct, out),),",
-     "vjps=(lambda ct, args, out: np.multiply(ct, out) * (1 + 1e-9),),"),
+    ("exp's rule is scaled by 1 + 1e-9", PRIMITIVES,
+     "lambda ct, args, out: np.multiply(ct, out), (",
+     "lambda ct, args, out: np.multiply(ct, out) * (1 + 1e-9), ("),
+    ("_elementwise passes t instead of t[0]", PRIMITIVES,
+     "jvp=lambda t, args, out, **kw: rule(t[0], args, out, **kw),",
+     "jvp=lambda t, args, out, **kw: rule(t, args, out, **kw),"),
+    ("shift_yp accepts any fill", PRIMITIVES,
+     "    if fill not in SHIFT_FILLS:\n",
+     "    if False:\n"),
     ("Box's operators bind apply when they are made", ENGINE,
      _APPLY_END, _APPLY_END + _BOUND_OPERATORS),
     ("_sweep keeps the mark after the pop", ENGINE,
