@@ -142,7 +142,9 @@ def vjp(f, x):
             g = adjoint.get(box.index)
             if g is None:
                 g = _zero_like(box.primal)
-            elif not isinstance(box.primal, np.ndarray):
+            elif isinstance(box.primal, np.ndarray):
+                g = np.asarray(g, dtype=float)  # a 0-d leaf's cotangent may be a float
+            else:
                 g = float(g)
             grad_leaves.append(g)
         return rebuild(grad_leaves)

@@ -2,7 +2,9 @@
 
 Every differentiable operation in the package is a named primitive with a
 raw computation `fn`, a tangent rule `jvp`, and one cotangent rule per
-argument, each declaring which primal values it reads. define_primitive
+argument, each declaring which primal values it reads. A cotangent rule
+gives the local partial at the broadcast shape of the arguments, and the
+sweep reduces it to its argument's shape (_unbroadcast). define_primitive
 returns the Primitive, which callers call directly, array arguments
 positional and statics as keywords: the call is apply(name, ...). `apply`
 always evaluates `fn` on the unwrapped values, so the primal numbers are
@@ -17,10 +19,12 @@ record: what it keeps is read off them. A tape also is a trace: a Program
 keeps the structure of a record and its constants, drops its primals, and
 replays it on new inputs (trace) in one loop over a plan of one op table:
 plain, writing each ufunc into a dying operand's buffer; tangent, through
-apply; or taped, as one program node that the sweep runs from an adjoint
-list built once per pattern of taped inputs, bitwise as it would sweep one
-node per operation. A checkpoint group stands on a tape for n replays of
-one Program that ran plain, each feeding its outputs back as its leading
+apply; or taped, as one program node whose kept values one gather takes
+after the loop. The plan, built once per pattern of taped inputs, also
+decides which of the node's rules the sweep passes by (`identity`) and
+which results it reduces, so the node sweeps bitwise as one node per
+operation. A checkpoint group stands on a tape for n replays of one
+Program that ran plain, each feeding its outputs back as its leading
 inputs: it keeps only its inputs, tapes only the outputs a taped input
 reaches, and the sweep replays the program n times at the end of the
 tape, sweeps those nodes and drops them, trading one extra forward for
@@ -53,8 +57,10 @@ class Primitive:
     holds one cotangent rule per argument, `rule(ct, args, out, **static)`,
     or None for an argument that gets no derivative. `reads[i]` names the
     primal values rule i reads: argument indices, and "out" for the output.
-    A rule may use the shape of any argument; a tape keeps only the values
-    that the rules of its taped arguments read. Calling a primitive is
+    A rule gives its result at the broadcast shape of the arguments, which
+    the sweep reduces, and may use the shape of any argument; a tape keeps
+    only the values that the rules of its taped arguments read. A rule
+    that is `identity` passes the cotangent on. Calling a primitive is
     `apply(name, *args, **static)`, with one positional argument per rule.
     """
 
@@ -290,11 +296,13 @@ class Tape:
     node keeps the primals read by the cotangent rules of its taped arguments,
     plus its constant arguments (tiny or shared across steps); a taped
     array that no such rule reads is dropped for a shared read-only zero
-    stand-in of its shape and dtype. So `c * x` keeps neither operand when
-    only x is taped, and the sweep calls only the taped arguments' rules.
-    A taped Program replay is one program node, then a node per taped
-    output; the program node keeps in its args, flat, what a node per
-    operation would keep (_kept), and is swept as those nodes would be.
+    stand-in of its shape and dtype, by its type as it is recorded. So
+    `c * x` keeps neither operand when only x is taped, and the sweep
+    calls only the taped arguments' rules. A taped Program replay is one
+    program node, then a node per taped output; the program node keeps in
+    its args, flat, what a node per operation would keep (_kept), its
+    stand-ins decided by the traced shapes and dtypes when its _Plan is
+    built, and is swept as those nodes would be.
     Its values are plain: leaf refuses a box. `nodes` is the whole
     record, and `bytes_used` and `steps` are read off it: both describe
     the forward record, however often it is swept, and neither limits the
@@ -382,10 +390,32 @@ def _sweep(tape, adjoint, start, owned):
         elif node.name is _GROUP:
             _sweep_group(tape, node, ct, adjoint, owned)
         else:
-            for parent, rule in zip(node.parents, _PRIMITIVES[node.name].vjps):
+            prim = _PRIMITIVES[node.name]
+            for parent, rule, a in zip(node.parents, prim.vjps, node.args):
                 if parent is not None and rule is not None:
-                    ct_parent = rule(ct, node.args, node.out, **node.static)
-                    _accumulate(adjoint, parent, ct_parent, owned)
+                    part = rule(ct, node.args, node.out, **node.static)
+                    _accumulate(adjoint, parent, _unbroadcast(part, np.shape(a)), owned)
+
+
+def identity(ct, args, out):
+    """The cotangent rule of an argument passed on unchanged (add's both)."""
+    return ct
+
+
+def _unbroadcast(g, shape):
+    """Sum g, a rule's result at the broadcast shape of its operation's
+    arguments, down to shape, its argument's: the sweep's one reduction. A
+    scalar argument gets a float."""
+    if shape == ():
+        return float(np.add.reduce(g, axis=None))
+    if g.shape == shape:
+        return g
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g
 
 
 def _accumulate(store, key, ct, owned):
@@ -428,10 +458,11 @@ def _sweep_program(node, cts, adjoint, owned):
         args = kept[lo:hi]
         out = None if out_at is None else kept[out_at]
         for rule, to_input, target in rules:
+            part = ct if rule is identity else rule(ct, args, out)
             if to_input:
-                _accumulate(adjoint, links[target], rule(ct, args, out), owned)
+                _accumulate(adjoint, links[target], part, owned)
             else:
-                _accumulate(cts, target, rule(ct, args, out), owned)
+                _accumulate(cts, target, part, owned)
 
 
 def _sweep_group(tape, group, cts, adjoint, owned):
@@ -469,7 +500,9 @@ class Program:
     slots whose last use it is; donors the dead ones a ufunc may write its
     result into, those of the result's recorded shape and dtype (inputs,
     constants and outputs never die); zeros the zero stand-ins of its
-    array arguments. It replays inputs of the traced shapes and dtypes.
+    array arguments, from which a _Plan also reads each argument's traced
+    shape (a scalar's None has shape ()). It replays inputs of the traced
+    shapes and dtypes.
 
     Every replay is one loop (_run) over a _Plan built from ops (plan).
     Plain inputs run the plan with no input taped, which calls each fn
@@ -478,9 +511,9 @@ class Program:
     is no view of a live one. DualBoxes run the plan for taped=None, which
     calls apply per operation and so pushes the traced tangents. TapeBoxes
     run the plan of their taped inputs, which keeps what a tape of one
-    node per operation keeps, as one program node (_record); the sweep
-    calls the same rules in the same order (_sweep_program), so the
-    gradient is bitwise that tape's.
+    node per operation keeps, as one program node (_record) that the
+    plan's gather fills; the sweep calls the same rules in the same order
+    (_sweep_program), so the gradient is bitwise that tape's.
     """
 
     __slots__ = ("consts", "arity", "ops", "outputs", "plans")
@@ -555,7 +588,9 @@ class Program:
         links = tuple(x.index if isinstance(x, TapeBox) else None for x in inputs)
         plan = self.plan([link is not None for link in links])
         env = [*self.consts, *map(unbox, inputs)]
-        node = _ProgramNode(tuple(_run(plan, env)), links, plan)
+        _run(plan, env)
+        env += plan.stand_ins
+        node = _ProgramNode(plan.gather(env), links, plan)
         given = dict(enumerate(inputs, len(self.consts)))  # the inputs by slot
         return _tape_outputs(tape, node, self.outputs, plan.taped, env, given)
 
@@ -603,52 +638,59 @@ class _Plan:
 
     One walk over the operations marks each value taped if an argument
     is, as apply does, and lays out what each taped operation keeps in its
-    node's flat args by the rule of Tape._record (_kept): its arguments, a
-    taped array no rule reads giving way to its zero stand-in, then its
-    value if it is read. forward holds (fn, get, dead, record) per
-    operation; record is None for an untaped one, else (number of
-    arguments, places in args that take a stand-in, whether the value is
-    kept). fn is the primitive's fn, a ufunc writing into the first donor
-    no node keeps, or for tangents apply, looked up when called, with no
-    donor. backward holds, in reverse order, (slot, lo, hi, out_at, rules)
-    per taped operation: its kept arguments are args[lo:hi], its kept
-    value args[out_at] (None if not kept), and rules are (rule, to_input,
-    target) for its taped arguments in argument order, rule taking (ct,
-    args, out) with the operation's statics bound, target being an input
-    position or a slot. taped says which outputs are taped.
+    node's flat args by the rule of Tape._record (_kept): its arguments,
+    then its value if it is read. A taped argument no rule reads gives way
+    to its zero stand-in where it was traced as an array (Program's
+    zeros). forward holds (fn, get, dead) per operation: fn is the
+    primitive's fn, a ufunc writing into the first donor no node keeps, or
+    for tangents apply, looked up when called, with no donor; dead the
+    slots dropped once read, by any operation, never one the node keeps.
+    After the run, env plus stand_ins holds every kept value, and gather
+    takes the node's args from it in one call. backward holds, in reverse
+    order, (slot, lo, hi, out_at, rules) per taped operation: its kept
+    arguments are args[lo:hi], its kept value args[out_at] (None if not
+    kept), and rules are (rule, to_input, target) for its taped arguments
+    in argument order, target being an input position or a slot. rule is
+    `identity`, which the sweep does not call, or takes (ct, args, out)
+    (_local). taped says which outputs are taped.
     """
 
-    __slots__ = ("forward", "backward", "taped")
+    __slots__ = ("forward", "backward", "gather", "stand_ins", "taped")
 
     def __init__(self, program, taped):
         first = len(program.consts)
         base = first + program.arity  # the slot of the first operation's value
+        end = base + len(program.ops)  # the slot of the first stand-in
         active = [False] * first + list(taped or [False] * program.arity)
-        held = set()  # the slots whose values a node keeps as they are
+        places, stand_ins = [], []  # the slot of each kept value, in args' order
+        held = set()  # the slots the gather reads: none dies or takes a result
         forward, backward = [], []
-        at = 0
         for i, (name, refs, dead, static, donors, zeros) in enumerate(program.ops):
             prim = _PRIMITIVES[name]
             live = [active[j] for j in refs]
             active.append(any(live))
-            record = None
             if active[-1]:
                 keep, keep_out = _kept(prim, live)
-                held.update(j for j, k in zip(refs, keep) if k)
-                out_at = at + len(refs) if keep_out else None
-                if out_at is not None:
-                    held.add(base + i)
-                backward.append((base + i, at, at + len(refs), out_at, tuple(
-                    (partial(rule, **static) if static else rule, j < base,
+                lo = len(places)
+                for j, k, zero in zip(refs, keep, zeros):
+                    if k or zero is None:
+                        places.append(j)
+                    else:  # its stand-in, placed past the operations' values
+                        places.append(end + len(stand_ins))
+                        stand_ins.append(zero)
+                if keep_out:
+                    places.append(base + i)
+                held.update(places[lo:])
+                out_at = lo + len(refs) if keep_out else None
+                # a scalar's zero is None, whose shape is ()
+                full = np.broadcast_shapes(*map(np.shape, zeros))
+                backward.append((base + i, lo, lo + len(refs), out_at, tuple(
+                    (_local(rule, static, np.shape(zero), full), j < base,
                      j - first if j < base else j)
-                    for j, a, rule in zip(refs, live, prim.vjps) if a and rule is not None
+                    for j, a, rule, zero in zip(refs, live, prim.vjps, zeros)
+                    if a and rule is not None
                 )))
-                swap = tuple(
-                    (at + k, zero) for k, (k_kept, zero) in enumerate(zip(keep, zeros))
-                    if not k_kept and zero is not None
-                )
-                record = (len(refs), swap, out_at is not None)
-                at += len(refs) + (out_at is not None)
+            dead = tuple(j for j in dead if j not in held)
             if taped is None:
                 fn, donor = _applier(name, static), None
             else:
@@ -656,32 +698,35 @@ class _Plan:
                 donor = next((j for j in donors if j not in held), None)
             # a ufunc takes its out argument by position, after its inputs
             get = _getter(refs if donor is None else refs + (donor,))
-            forward.append((fn, get, dead, record))
+            forward.append((fn, get, dead))
         self.forward = tuple(forward)
         self.backward = tuple(reversed(backward))
+        self.gather = _getter(tuple(places))
+        self.stand_ins = tuple(stand_ins)
         self.taped = [active[j] for j in program.outputs]
 
 
-def _run(plan, env) -> list:
+def _local(rule, static, shape, full):
+    """rule as a program node's sweep calls it: static bound, and its
+    result, of the broadcast shape full, reduced to the argument's shape
+    where the two differ. identity stays itself unless it is reduced."""
+    if static:
+        rule = partial(rule, **static)
+    if shape == full:
+        return rule
+    return lambda ct, args, out: _unbroadcast(rule(ct, args, out), shape)
+
+
+def _run(plan, env):
     """Run plan's operations on env, the constants and then the inputs:
-    each value is appended to env and dropped at its last use. Returns
-    what the taped operations keep, flat, as the plan lays it out."""
+    each value is appended to env and dropped at its last use unless the
+    plan's node keeps it."""
     push = env.append
-    kept = []
-    for fn, get, dead, record in plan.forward:
+    for fn, get, dead in plan.forward:
         args = get(env)
         for j in dead:
             env[j] = None
         push(fn(*args))
-        if record is not None:
-            n, swap, keep_out = record
-            kept += args[:n]
-            for at, zero in swap:
-                if isinstance(kept[at], np.ndarray):
-                    kept[at] = zero
-            if keep_out:
-                kept.append(env[-1])
-    return kept
 
 
 def _tape_of(values):
@@ -724,11 +769,11 @@ def _donatable(fn, args):
 
 
 def _getter(refs):
-    """env -> the arguments at slots refs, as one C-level call: itemgetter
-    of several slots gives a tuple, and of a one-slot slice a list."""
+    """env -> the values at slots refs, as one C-level call: itemgetter of
+    several slots gives a tuple, and of a one-slot or empty slice a list."""
     if len(refs) == 1:
         return itemgetter(slice(refs[0], refs[0] + 1))
-    return itemgetter(*refs)
+    return itemgetter(*refs) if refs else itemgetter(slice(0))
 
 
 def _applier(name, static):

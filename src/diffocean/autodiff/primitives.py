@@ -10,7 +10,10 @@ stencils act on slice by slice. Primal fields are (nx, ny); forward-mode
 tangents carry one leading direction axis, (m, nx, ny), so every rule
 below sees it. Stencil primitives are recorded on the tape as single
 nodes; their cotangent rules are the exact matrix transposes of the
-forward stencils (verified against dense Jacobians in the tests).
+forward stencils (verified against dense Jacobians in the tests). A
+cotangent rule gives the local partial only, at the broadcast shape of its
+primitive's arguments: the engine reduces it to its argument's shape, and
+passes on the cotangent of an `identity` rule (add's, sub's first) uncalled.
 
 Wall conventions baked into the y-stencils:
   * forward y-differences produce a zero top row (no flux through the wall),
@@ -42,28 +45,12 @@ import numpy as np
 
 from ..errors import DomainError
 # apply stays a name here: perfbench's span tracer replaces it in this module
-from .engine import apply, define_primitive  # noqa: F401
+from .engine import apply, define_primitive, identity  # noqa: F401
 
 REG_EPS_DEFAULT = 1e-12
 
 
 # -- helpers -----------------------------------------------------------------
-
-def _unbroadcast(grad, ref):
-    """Reduce a broadcasted gradient back to the shape of `ref`."""
-    shape = np.shape(ref)
-    if shape == ():
-        return float(np.sum(grad))
-    if grad.shape == shape:
-        return grad
-    g = np.asarray(grad)
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, n in enumerate(shape):
-        if n == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g
-
 
 def _expand(ct, ref):
     """Broadcast a reduction cotangent over the shape of `ref`."""
@@ -141,11 +128,8 @@ add = define_primitive(
     "add",
     np.add,
     jvp=_add_jvp,
-    vjps=(
-        lambda ct, args, out: _unbroadcast(ct, args[0]),
-        lambda ct, args, out: _unbroadcast(ct, args[1]),
-    ),
-    reads=((), ()),  # unbroadcast needs shapes only
+    vjps=(identity, identity),
+    reads=((), ()),
 )
 
 
@@ -162,10 +146,7 @@ sub = define_primitive(
     "sub",
     np.subtract,
     jvp=_sub_jvp,
-    vjps=(
-        lambda ct, args, out: _unbroadcast(ct, args[0]),
-        lambda ct, args, out: _unbroadcast(np.negative(ct), args[1]),
-    ),
+    vjps=(identity, lambda ct, args, out: np.negative(ct)),
     reads=((), ()),
 )
 
@@ -185,8 +166,8 @@ mul = define_primitive(
     np.multiply,
     jvp=_mul_jvp,
     vjps=(
-        lambda ct, args, out: _unbroadcast(np.multiply(ct, args[1]), args[0]),
-        lambda ct, args, out: _unbroadcast(np.multiply(ct, args[0]), args[1]),
+        lambda ct, args, out: np.multiply(ct, args[1]),
+        lambda ct, args, out: np.multiply(ct, args[0]),
     ),
     reads=((1,), (0,)),
 )
@@ -208,10 +189,8 @@ div = define_primitive(
     np.true_divide,
     jvp=_div_jvp,
     vjps=(
-        lambda ct, args, out: _unbroadcast(np.true_divide(ct, args[1]), args[0]),
-        lambda ct, args, out: _unbroadcast(
-            np.negative(np.multiply(ct, np.true_divide(out, args[1]))), args[1]
-        ),
+        lambda ct, args, out: np.true_divide(ct, args[1]),
+        lambda ct, args, out: np.negative(np.multiply(ct, np.true_divide(out, args[1]))),
     ),
     reads=((1,), (1, "out")),
 )
@@ -282,12 +261,8 @@ where_pos = define_primitive(
     jvp=_where_pos_jvp,
     vjps=(
         None,
-        lambda ct, args, out: _unbroadcast(
-            np.where(np.greater(args[0], 0.0), ct, 0.0), args[1]
-        ),
-        lambda ct, args, out: _unbroadcast(
-            np.where(np.greater(args[0], 0.0), 0.0, ct), args[2]
-        ),
+        lambda ct, args, out: np.where(np.greater(args[0], 0.0), ct, 0.0),
+        lambda ct, args, out: np.where(np.greater(args[0], 0.0), 0.0, ct),
     ),
     reads=((), (0,), (0,)),
 )

@@ -1456,6 +1456,21 @@ def test_unbroadcast_scalar_against_array():
     np.testing.assert_array_equal(g[1], 2.0)
 
 
+@pytest.mark.parametrize("depends", [True, False])
+def test_a_0d_array_leaf_gets_a_0d_array_gradient(depends):
+    """An ndarray leaf gets an ndarray gradient of its shape, a 0-d one
+    too, whether or not the loss depends on it; a float leaf gets a float."""
+    arr = np.arange(6.0).reshape(2, 3)
+
+    def f(t):
+        return ops.asum(ops.mul(t[0] if depends else t[1], arr))
+
+    _, (g0, g1) = grad(f, (np.array(2.0), 3.0))
+    assert type(g0) is np.ndarray and g0.shape == () and g0.dtype == np.float64
+    assert type(g1) is float
+    assert (float(g0), g1) == ((arr.sum(), 0.0) if depends else (0.0, arr.sum()))
+
+
 _W = np.arange(1.0, 7.0).reshape(2, 3)
 _ROW = np.array([0.5, -1.0, 2.0])
 

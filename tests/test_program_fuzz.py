@@ -5,10 +5,13 @@ value as it goes, so every operand stays inside its primitive's domain and
 every value stays finite and bounded: a drawn operation that breaks this is
 left out. The programs have 4-8 by 4-8 grids with and without a leading
 stack axis, repeated arguments, constants, a returned input and a value
-returned twice. Each replay form must equal its reference bitwise.
+returned twice. Beside the grids, an input may be a scalar or a (1, ny)
+row, so a taped replay reduces the cotangents of broadcast arguments.
+Each replay form must equal its reference bitwise.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +58,8 @@ def programs(draw):
     inputs = [rng.uniform(0.5, 2.0, shape) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         inputs.append(float(rng.uniform(0.5, 2.0)))  # a parameter
+    if draw(st.booleans()):
+        inputs.append(rng.uniform(0.5, 2.0, (1, ny)))  # a row, like the wind profile
     constants = [
         {"grid": lambda: rng.uniform(0.5, 2.0, (nx, ny)),
          "row": lambda: rng.uniform(0.5, 2.0, (1, ny)),
@@ -154,9 +159,7 @@ def test_a_plain_replay_is_the_traced_function_and_writes_nothing_it_shares(draw
     assert [bits(v) for v in inputs + constants] == before
 
 
-@settings(max_examples=60)
-@given(programs())
-def test_a_taped_replay_is_a_tape_of_one_node_per_operation(drawn):
+def assert_taped_replay_is_per_node(drawn):
     """For every pattern of taped inputs, a taped replay returns the same
     values, taped where that tape's are, and its sweep gives the same
     leaf cotangents and keeps the same bytes."""
@@ -165,6 +168,33 @@ def test_a_taped_replay_is_a_tape_of_one_node_per_operation(drawn):
     program = trace(f, inputs)
     for seed, mask in enumerate(patterns(len(inputs))):
         assert taped_run(program, inputs, mask, seed) == taped_run(f, inputs, mask, seed)
+
+
+@settings(max_examples=60)
+@given(programs())
+def test_a_taped_replay_is_a_tape_of_one_node_per_operation(drawn):
+    assert_taped_replay_is_per_node(drawn)
+
+
+_GRIDS = [np.random.default_rng(7).uniform(0.5, 2.0, (4, 5)) for _ in range(2)]
+
+# Programs the generated stream need not draw, as (inputs, constants, ops,
+# outputs). In the first, with only y taped, mul keeps e = exp(x), which no
+# taped input reaches, and the untaped neg reads e last. In the second,
+# div's two rules add into a slot that already holds the cotangent of the
+# returned s = x + y, so their order shows in the bits.
+PINNED = {
+    "kept and last read untaped": (
+        _GRIDS, [], [("exp", {}, (0,)), ("mul", {}, (2, 1)), ("neg", {}, (2,)),
+                     ("add", {}, (3, 4))], [5]),
+    "two rules into one seeded slot": (
+        _GRIDS, [], [("add", {}, (0, 1)), ("div", {}, (2, 2))], [3, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_a_pinned_taped_replay_is_a_tape_of_one_node_per_operation(name):
+    assert_taped_replay_is_per_node(PINNED[name])
 
 
 @settings(max_examples=60)

@@ -68,10 +68,11 @@ _SWEEP_PROGRAM = """\
         args = kept[lo:hi]
         out = None if out_at is None else kept[out_at]
         for rule, to_input, target in rules:
+            part = ct if rule is identity else rule(ct, args, out)
             if to_input:
-                _accumulate(adjoint, links[target], rule(ct, args, out), owned)
+                _accumulate(adjoint, links[target], part, owned)
             else:
-                _accumulate(cts, target, rule(ct, args, out), owned)
+                _accumulate(cts, target, part, owned)
 """
 _SUMMED_AFTER = _SWEEP_PROGRAM.replace(
     "kept, links = node.args, node.links", "kept, links, later = node.args, node.links, {}"
@@ -88,8 +89,14 @@ MUTANTS = [
      "tuple(refs[k] for k in donatable if refs[k] in dead),",
      "tuple(refs[k] for k in donatable),"),
     ("a taped replay keeps unread taped arrays", ENGINE,
-     "                    kept[at] = zero\n",
-     "                    pass\n"),
+     "                    if k or zero is None:\n",
+     "                    if True:\n"),
+    ("a taped replay frees a kept slot at its last use", ENGINE,
+     "            dead = tuple(j for j in dead if j not in held)\n",
+     ""),
+    ("an untaped operation frees a kept slot at its last use", ENGINE,
+     "                )))\n            dead = tuple(j for j in dead if j not in held)\n",
+     "                )))\n                dead = tuple(j for j in dead if j not in held)\n"),
     ("outputs die at their last use", ENGINE,
      "        last.update(dict.fromkeys(self.outputs, len(rows)))\n",
      ""),
@@ -97,8 +104,11 @@ MUTANTS = [
      "given = dict(enumerate(inputs, len(self.consts)))",
      "given = {}"),
     ("an operation's rules run in reverse order", ENGINE,
-     "for j, a, rule in zip(refs, live, prim.vjps) if a and rule is not None",
-     "for j, a, rule in reversed(list(zip(refs, live, prim.vjps))) if a and rule is not None"),
+     "for j, a, rule, zero in zip(refs, live, prim.vjps, zeros)\n",
+     "for j, a, rule, zero in reversed(list(zip(refs, live, prim.vjps, zeros)))\n"),
+    ("the plan skips a broadcast argument's reduction", ENGINE,
+     "    return lambda ct, args, out: _unbroadcast(rule(ct, args, out), shape)\n",
+     "    return rule\n"),
     ("_sweep_program keeps the mark after the pop", ENGINE,
      "            continue\n        owned.discard(id(ct))\n        args = kept[lo:hi]\n",
      "            continue\n        args = kept[lo:hi]\n"),
