@@ -17,20 +17,20 @@ refuses by name what would drop its derivative unseen: a branch, a
 comparison or a conversion on it (_REFUSED). The nodes are a tape's whole
 record: what it keeps is read off them. A tape also is a trace: a Program
 keeps the structure of a record and its constants, drops its primals, and
-replays it on new inputs (trace) in one loop over a plan of one op table:
-plain, writing each ufunc into a dying operand's buffer; tangent, through
-apply; or taped, as one program node whose kept values one gather takes
-after the loop. The plan, built once per pattern of taped inputs, also
-decides which of the node's rules the sweep passes by (`identity`) and
-which results it reduces, so the node sweeps bitwise as one node per
-operation. A checkpoint group stands on a tape for n replays of one
-Program that ran plain, each feeding its outputs back as its leading
-inputs: it keeps only its inputs, tapes only the outputs a taped input
-reaches, and the sweep replays the program n times at the end of the
-tape, sweeps those nodes and drops them, trading one extra forward for
-memory. A program node and a group tape their outputs by one routine
-(_tape_outputs), and the sweep adds two cotangents by one rule
-(_accumulate), in place into a sum that it alone holds.
+replays it on new inputs (trace) in one loop over a plan of one op table,
+built once per pattern of boxed inputs: plain, writing each ufunc into a
+dying operand's buffer; tangent, on lists of primals and tangents, boxing
+only the outputs; or taped, as one program node whose kept values one
+gather takes after the loop. A taped plan also decides which of the node's
+rules the sweep passes by (`identity`) and which results it reduces, so
+the node sweeps bitwise as one node per operation. A checkpoint group
+stands on a tape for n replays of one Program that ran plain, each feeding
+its outputs back as its leading inputs: it keeps only its inputs, tapes
+only the outputs a taped input reaches, and the sweep replays the program
+n times at the end of the tape, sweeps those nodes and drops them, trading
+one extra forward for memory. A program node and a group tape their
+outputs by one routine (_tape_outputs), and the sweep adds two cotangents
+by one rule (_accumulate), in place into a sum that it alone holds.
 
 A tape is reached only through its boxes: there is no ambient "current
 tape", so independent traces may nest, and a replay finds its tape on
@@ -504,12 +504,13 @@ class Program:
     shape (a scalar's None has shape ()). It replays inputs of the traced
     shapes and dtypes.
 
-    Every replay is one loop (_run) over a _Plan built from ops (plan).
-    Plain inputs run the plan with no input taped, which calls each fn
-    directly and writes a ufunc's result into its first donor: every fn
-    returns a scalar or an ndarray that owns its memory, so a dying value
-    is no view of a live one. DualBoxes run the plan for taped=None, which
-    calls apply per operation and so pushes the traced tangents. TapeBoxes
+    Every replay is one loop over a _Plan built from ops (plan), with no
+    apply. Plain inputs run the plan with no input taped (_run), which
+    calls each fn directly and writes a ufunc's result into its first
+    donor: every fn returns a scalar or an ndarray that owns its memory,
+    so a dying value is no view of a live one. DualBoxes run the tangent
+    plan of their pattern (_push), which calls fn, and jvp where an
+    argument is a DualBox, on the values apply would, bitwise. TapeBoxes
     run the plan of their taped inputs, which keeps what a tape of one
     node per operation keeps, as one program node (_record) that the
     plan's gather fills; the sweep calls the same rules in the same order
@@ -565,22 +566,34 @@ class Program:
         self.plans = {}
 
     def __call__(self, inputs) -> list:
-        boxed = any(isinstance(x, Box) for x in inputs)
-        if boxed and (tape := _tape_of(inputs)) is not None:
-            return self._record(tape, inputs)
+        if any(isinstance(x, Box) for x in inputs):
+            tape = _tape_of(inputs)
+            return self._push(inputs) if tape is None else self._record(tape, inputs)
         env = [*self.consts, *inputs]
-        _run(self.plan(None if boxed else [False] * self.arity), env)
+        _run(self.plan([False] * self.arity), env)
         return [env[j] for j in self.outputs]
 
-    def plan(self, taped) -> _Plan:
-        """The _Plan of a replay whose input i is taped iff taped[i], or of
-        a tangent replay for taped=None, built on first use; its `taped`
-        says which outputs such a replay tapes."""
-        taped = None if taped is None else tuple(taped)
-        plan = self.plans.get(taped)
+    def plan(self, pattern, dual=False) -> _Plan:
+        """The _Plan of a replay whose input i is taped, or for dual a
+        DualBox, iff pattern[i], built on first use."""
+        key = (dual, tuple(pattern))
+        plan = self.plans.get(key)
         if plan is None:
-            plan = self.plans[taped] = _Plan(self, taped)
+            plan = self.plans[key] = _Plan(self, pattern, dual)
         return plan
+
+    def _push(self, inputs) -> list:
+        """Replay on inputs, some of them DualBoxes, by the tangent plan of
+        their pattern (_run_dual); an output a DualBox reaches comes back
+        as a DualBox, the others plain."""
+        dual = [type(x) is DualBox for x in inputs]
+        plan = self.plan(dual, True)
+        env = [*self.consts, *map(unbox, inputs)]
+        tan = [None] * len(self.consts) + [x.tangent if d else None for x, d in zip(inputs, dual)]
+        tan += [None] * len(self.ops)
+        tan += [_align(tan[j], rank) for j, rank in plan.aligned]
+        _run_dual(plan, env, tan)
+        return [DualBox(env[j], tan[j]) if r else env[j] for j, r in zip(self.outputs, plan.taped)]
 
     def _record(self, tape, inputs) -> list:
         """Replay on the values of inputs as one program node on tape, its
@@ -633,42 +646,65 @@ def _tape_outputs(tape, node, keys, taped, values, boxes) -> list:
 
 
 class _Plan:
-    """How a program replays when input i is taped iff taped[i], or with
-    tangents when taped is None.
+    """How a program replays when input i is live iff pattern[i]: taped,
+    or for a tangent plan (dual) a DualBox.
 
-    One walk over the operations marks each value taped if an argument
-    is, as apply does, and lays out what each taped operation keeps in its
-    node's flat args by the rule of Tape._record (_kept): its arguments,
-    then its value if it is read. A taped argument no rule reads gives way
-    to its zero stand-in where it was traced as an array (Program's
-    zeros). forward holds (fn, get, dead) per operation: fn is the
-    primitive's fn, a ufunc writing into the first donor no node keeps, or
-    for tangents apply, looked up when called, with no donor; dead the
-    slots dropped once read, by any operation, never one the node keeps.
-    After the run, env plus stand_ins holds every kept value, and gather
-    takes the node's args from it in one call. backward holds, in reverse
-    order, (slot, lo, hi, out_at, rules) per taped operation: its kept
-    arguments are args[lo:hi], its kept value args[out_at] (None if not
-    kept), and rules are (rule, to_input, target) for its taped arguments
-    in argument order, target being an input position or a slot. rule is
-    `identity`, which the sweep does not call, or takes (ct, args, out)
-    (_local). taped says which outputs are taped.
+    One walk over the operations marks each value live if an argument
+    is, as apply does; taped says which outputs are. A taped plan lays out
+    what each taped operation keeps in its node's flat args by the rule of
+    Tape._record (_kept): its arguments, then its value if it is read. A
+    taped argument no rule reads gives way to its zero stand-in where it
+    was traced as an array (Program's zeros). forward holds (fn, get,
+    dead) per operation: fn has its statics bound, and a ufunc writes into
+    the first donor no node keeps; dead the slots dropped once read, by
+    any operation, never one the node keeps. After the run, env plus
+    stand_ins holds every kept value, and gather takes the node's args
+    from it in one call. backward holds, in reverse order, (slot, lo, hi,
+    out_at, rules) per taped operation: its kept arguments are
+    args[lo:hi], its kept value args[out_at] (None if not kept), and rules
+    are (rule, to_input, target) for its taped arguments in argument
+    order, target being an input position or a slot. rule is `identity`,
+    which the sweep does not call, or takes (ct, args, out) (_local).
+
+    A tangent plan keeps and donates nothing: forward holds (fn, get,
+    dead, jvp, tget), jvp and tget (its tangents' getter) None where no
+    argument is live. A tangent below the rank of its operation (the
+    broadcast rank of two or more arguments) is right-aligned with it as
+    apply aligns it (_align): an input's once per replay, at a slot past
+    the operations' (aligned lists (input slot, rank)); an operation
+    value's when it is read.
     """
 
-    __slots__ = ("forward", "backward", "gather", "stand_ins", "taped")
+    __slots__ = ("forward", "backward", "gather", "stand_ins", "aligned", "taped")
 
-    def __init__(self, program, taped):
+    def __init__(self, program, pattern, dual):
         first = len(program.consts)
         base = first + program.arity  # the slot of the first operation's value
-        end = base + len(program.ops)  # the slot of the first stand-in
-        active = [False] * first + list(taped or [False] * program.arity)
+        end = base + len(program.ops)  # the slot of the first stand-in or aligned tangent
+        active = [False] * first + list(pattern)
         places, stand_ins = [], []  # the slot of each kept value, in args' order
         held = set()  # the slots the gather reads: none dies or takes a result
+        aligned = {}  # (input slot, rank) -> its place past end
         forward, backward = [], []
         for i, (name, refs, dead, static, donors, zeros) in enumerate(program.ops):
             prim = _PRIMITIVES[name]
             live = [active[j] for j in refs]
             active.append(any(live))
+            fn = partial(prim.fn, **static) if static else prim.fn
+            # a scalar's zero is None, whose shape is ()
+            full = np.broadcast_shapes(*map(np.shape, zeros))
+            if dual:
+                jvp = tget = None
+                if active[-1]:
+                    jvp = partial(prim.jvp, **static) if static else prim.jvp
+                    rank = len(full) + 1
+                    low = [a and np.ndim(zero) < len(full) for a, zero in zip(live, zeros)]
+                    tget = _getter(tuple(end + aligned.setdefault((j, rank), len(aligned))
+                                         if lo and j < base else j for j, lo in zip(refs, low)))
+                    if any(lo and j >= base for j, lo in zip(refs, low)):
+                        tget = lambda tan, get=tget, rank=rank: [_align(t, rank) for t in get(tan)]
+                forward.append((fn, _getter(refs), dead, jvp, tget))
+                continue
             if active[-1]:
                 keep, keep_out = _kept(prim, live)
                 lo = len(places)
@@ -682,8 +718,6 @@ class _Plan:
                     places.append(base + i)
                 held.update(places[lo:])
                 out_at = lo + len(refs) if keep_out else None
-                # a scalar's zero is None, whose shape is ()
-                full = np.broadcast_shapes(*map(np.shape, zeros))
                 backward.append((base + i, lo, lo + len(refs), out_at, tuple(
                     (_local(rule, static, np.shape(zero), full), j < base,
                      j - first if j < base else j)
@@ -691,18 +725,14 @@ class _Plan:
                     if a and rule is not None
                 )))
             dead = tuple(j for j in dead if j not in held)
-            if taped is None:
-                fn, donor = _applier(name, static), None
-            else:
-                fn = partial(prim.fn, **static) if static else prim.fn
-                donor = next((j for j in donors if j not in held), None)
+            donor = next((j for j in donors if j not in held), None)
             # a ufunc takes its out argument by position, after its inputs
-            get = _getter(refs if donor is None else refs + (donor,))
-            forward.append((fn, get, dead))
+            forward.append((fn, _getter(refs if donor is None else refs + (donor,)), dead))
         self.forward = tuple(forward)
         self.backward = tuple(reversed(backward))
         self.gather = _getter(tuple(places))
         self.stand_ins = tuple(stand_ins)
+        self.aligned = tuple(aligned)
         self.taped = [active[j] for j in program.outputs]
 
 
@@ -727,6 +757,30 @@ def _run(plan, env):
         for j in dead:
             env[j] = None
         push(fn(*args))
+
+
+def _run_dual(plan, env, tan):
+    """Run a tangent plan on env, the primals, and tan, the tangents by
+    slot (None for a value with none): a live value's tangent goes to its
+    slot, and both lists drop a value at its last use."""
+    push = env.append
+    for fn, get, dead, jvp, tget in plan.forward:
+        args = get(env)
+        tangents = None if jvp is None else tget(tan)
+        for j in dead:
+            env[j] = tan[j] = None
+        out = fn(*args)
+        if jvp is not None:
+            tan[len(env)] = jvp(tangents, args, out)
+        push(out)
+
+
+def _align(t, rank):
+    """Tangent stack t (or None) right-aligned with rank, its operation's
+    plus one: a scalar's (m,) broadcasts as (m, 1, 1) against (nx, ny)."""
+    if t is None or t.ndim >= rank:
+        return t
+    return t.reshape(t.shape[:1] + (1,) * (rank - t.ndim) + t.shape[1:])
 
 
 def _tape_of(values):
@@ -774,12 +828,6 @@ def _getter(refs):
     if len(refs) == 1:
         return itemgetter(slice(refs[0], refs[0] + 1))
     return itemgetter(*refs) if refs else itemgetter(slice(0))
-
-
-def _applier(name, static):
-    """args -> apply(name, *args, **static), with apply looked up in this
-    module on every call, so a replaced engine.apply sees a tangent replay."""
-    return lambda *args: apply(name, *args, **static)
 
 
 def _constants(nodes):
@@ -835,12 +883,7 @@ def apply(name: str, *args, **static):
     values = tuple(values)
     out = prim.fn(*values, **static)
     if type(box) is DualBox:
-        # Right-align each tangent stack with the output rank, so the (m,)
-        # tangent of a scalar broadcasts as (m, 1, 1) against (nx, ny).
         rank = np.ndim(out) + 1
-        for i, t in enumerate(links):
-            if t is not None and t.ndim < rank:
-                links[i] = t.reshape(t.shape[:1] + (1,) * (rank - t.ndim) + t.shape[1:])
-        return DualBox(out, prim.jvp(tuple(links), values, out, **static))
+        return DualBox(out, prim.jvp(tuple(_align(t, rank) for t in links), values, out, **static))
     tape = box.tape
     return TapeBox(tape, tape._record(prim, tuple(links), values, out, static), out)

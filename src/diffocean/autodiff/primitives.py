@@ -113,6 +113,12 @@ def _elementwise(name, fn, rule, reads):
     )
 
 
+def _into_first(ufunc, x, y):
+    """ufunc(x, y) into x, a fresh array, where x has y's shape and dtype:
+    the same IEEE operations without a third array (a product rule's)."""
+    return ufunc(x, y, out=x if x.shape == y.shape and x.dtype == y.dtype else None)
+
+
 # -- elementwise algebra -------------------------------------------------------
 
 def _add_jvp(t, args, out):
@@ -158,7 +164,7 @@ def _mul_jvp(t, args, out):
         return np.multiply(a, tb)
     if tb is None:
         return np.multiply(ta, b)
-    return np.multiply(ta, b) + np.multiply(a, tb)
+    return _into_first(np.add, np.multiply(ta, b), np.multiply(a, tb))
 
 
 mul = define_primitive(
@@ -181,7 +187,7 @@ def _div_jvp(t, args, out):
     part = np.multiply(out, np.true_divide(tb, b))
     if ta is None:
         return np.negative(part)
-    return np.true_divide(ta, b) - part
+    return _into_first(np.subtract, np.true_divide(ta, b), part)
 
 
 div = define_primitive(

@@ -203,13 +203,13 @@ def step(s: ModelState, p: PhysParams, g: GridSpec, c: StepConfig) -> ModelState
 
     The arithmetic is _step_body's, traced once per structure key and
     replayed (_program): plain values run the primitives directly,
-    DualBoxes through apply, and TapeBoxes as one program node, which
-    keeps and sweeps bitwise what the body's own nodes would. The
-    stability checks, the finiteness checks and the time advance run here
-    on every step; the field shapes are checked once per structure key,
-    before it is traced. A flow-only state (T is Field(None)) runs a
-    program for u, v and eta alone; its T is neither computed nor checked
-    and passes through unchanged.
+    DualBoxes their primitives and tangent rules directly, and TapeBoxes
+    as one program node, which keeps and sweeps bitwise what the body's
+    own nodes would. The stability checks, the finiteness checks and the
+    time advance run here on every step; the field shapes are checked once
+    per structure key, before it is traced. A flow-only state (T is
+    Field(None)) runs a program for u, v and eta alone; its T is neither
+    computed nor checked and passes through unchanged.
     """
     check_cfl(c, p, g)
     check_damping(c, p, g)

@@ -1032,6 +1032,56 @@ def test_taped_step_is_the_per_node_record_of_its_definition(drag_mode, boundary
         assert any(ct is not None and any(np.frombuffer(ct)) for ct in cts)
 
 
+class _Duals:
+    """Stands in for a tape in _taped_setup: its leaves are DualBoxes, each
+    with two drawn directions."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def leaf(self, value):
+        return DualBox(value, self.rng.standard_normal((2,) + np.shape(value)))
+
+
+@pytest.mark.parametrize("dual", [*_TAPED_SETS.values(), ("tau0",)],
+                         ids=[*_TAPED_SETS.keys(), "tau0"])
+@pytest.mark.parametrize("flow", [False, True], ids=["full-state", "flow-only"])
+@pytest.mark.parametrize("boundary", ["free-slip", "no-slip"])
+@pytest.mark.parametrize("drag_mode", ["linear", "quadratic"])
+def test_dual_step_is_its_definition_through_apply(drag_mode, boundary, flow, dual):
+    """Two steps with the named leaves DualBoxes, each a replay of the
+    step's tangent plan, against _step_body run through apply: the same
+    outputs boxed, bitwise the same primals and tangents."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    p = replace(p, drag_mode=drag_mode, C_d=2e-3, tau0=0.05, kappa_T=2e3,
+                lambda_relax=1e-6, T_star=helpers.linear_profile_field(g, 5.0, 15.0))
+    c = replace(c, boundary=boundary)
+    if flow:
+        s = dyncore.flow_only(s)
+
+    def per_op(state, q):
+        new = dyncore._step_body(state, q, g, c)
+        return replace(state, **dict(zip(("u", "v", "eta", "T"), new)))
+
+    results = []
+    for one_step in (lambda state, q: step(state, q, g, c), per_op):
+        state, q, _ = _taped_setup(_Duals(5), s, p, dual)
+        for _ in range(2):
+            state = one_step(state, q)
+        results.append([
+            (type(f.values), _bits(unbox(f.values)),
+             _bits(f.values.tangent) if isinstance(f.values, DualBox) else None)
+            for f in (state.u, state.v, state.eta, state.T) if f.values is not None
+        ])
+    assert results[0] == results[1]
+    # the case is not vacuous where a dual leaf reaches a field, as u, A_h
+    # and tau0 reach u
+    tangents = [t for _, _, t in results[0] if t is not None]
+    assert tangents or not {"u", "A_h", "tau0"} & set(dual)
+    if tangents:
+        assert any(any(np.frombuffer(t)) for t in tangents)
+
+
 @settings(max_examples=30)
 @given(
     drag_mode=st.sampled_from(["linear", "quadratic"]),
@@ -1118,6 +1168,23 @@ def test_a_taped_step_calls_apply_nowhere(monkeypatch):
     assert calls == []
     assert [type(node) for node in tape.nodes[2:]] == [engine._ProgramNode] + [engine._Node] * 3
     assert [isinstance(f.values, TapeBox) for f in (out.u, out.v, out.eta, out.T)] == [
+        True, True, False, True
+    ]
+
+
+def test_a_dual_step_calls_apply_nowhere(monkeypatch):
+    """Once traced, a dual step runs each primitive's fn and jvp directly:
+    it calls no apply, and boxes the fields a dual leaf reaches (eta,
+    computed from the plain u and v, is plain)."""
+    g, p, c, s = dissipative_test_setup(seed=4)
+    step(s, p, g, c)  # the trace runs through apply
+    calls = []
+    monkeypatch.setattr(engine, "apply", lambda name, *args, **static: calls.append(name))
+    T = s.T.values
+    state = replace(s, T=replace(s.T, values=DualBox(T, np.ones((2,) + T.shape))))
+    out = step(state, replace(p, A_h=DualBox(p.A_h, np.ones(2))), g, c)
+    assert calls == []
+    assert [isinstance(f.values, DualBox) for f in (out.u, out.v, out.eta, out.T)] == [
         True, True, False, True
     ]
 

@@ -182,13 +182,18 @@ _GRIDS = [np.random.default_rng(7).uniform(0.5, 2.0, (4, 5)) for _ in range(2)]
 # outputs). In the first, with only y taped, mul keeps e = exp(x), which no
 # taped input reaches, and the untaped neg reads e last. In the second,
 # div's two rules add into a slot that already holds the cotangent of the
-# returned s = x + y, so their order shows in the bits.
+# returned s = x + y, so their order shows in the bits. In the third, the
+# scalars s = 2a and r = sum(s x), computed from an input scalar a, carry
+# (m,) tangents into operations on the grid x, which right-align them.
 PINNED = {
     "kept and last read untaped": (
         _GRIDS, [], [("exp", {}, (0,)), ("mul", {}, (2, 1)), ("neg", {}, (2,)),
                      ("add", {}, (3, 4))], [5]),
     "two rules into one seeded slot": (
         _GRIDS, [], [("add", {}, (0, 1)), ("div", {}, (2, 2))], [3, 2]),
+    "computed scalars into a grid": (
+        [_GRIDS[0], 0.7], [2.0], [("mul", {}, (1, 2)), ("mul", {}, (3, 0)),
+                                  ("sum", {}, (4,)), ("div", {}, (0, 5))], [6, 4, 3]),
 }
 
 
@@ -221,6 +226,11 @@ def test_a_tangent_replay_is_apply_per_operation(drawn):
             else:
                 assert bits(got) == bits(want)
     assert [bits(v) for v in inputs + constants] == before
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_a_pinned_tangent_replay_is_apply_per_operation(name):
+    test_a_tangent_replay_is_apply_per_operation.hypothesis.inner_test(PINNED[name])
 
 
 @settings(max_examples=60)

@@ -134,6 +134,18 @@ MUTANTS = [
     ("_sweep keeps the mark after the pop", ENGINE,
      "            continue\n        owned.discard(id(ct))\n        if node.name is _OUTPUT:\n",
      "            continue\n        if node.name is _OUTPUT:\n"),
+    ("the tangent plan is cached without its dual pattern", ENGINE,
+     "key = (dual, tuple(pattern))",
+     "key = (dual, () if dual else tuple(pattern))"),
+    ("a scalar input's tangent is not right-aligned", ENGINE,
+     "tan += [_align(tan[j], rank) for j, rank in plan.aligned]",
+     "tan += [tan[j] for j, rank in plan.aligned]"),
+    ("an operation's scalar tangent is not right-aligned when read", ENGINE,
+     "tget = lambda tan, get=tget, rank=rank: [_align(t, rank) for t in get(tan)]",
+     "pass"),
+    ("the product rule sums into its operand's tangent", PRIMITIVES,
+     "return _into_first(np.add, np.multiply(ta, b), np.multiply(a, tb))",
+     "return np.add(np.multiply(ta, b), np.multiply(a, tb), out=tb)"),
     ("_accumulate marks a stored first contribution as owned", ENGINE,
      "    if held is None:\n        store[key] = ct\n",
      "    if held is None:\n        store[key] = ct\n"
